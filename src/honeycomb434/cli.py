@@ -5,6 +5,8 @@ Thin shell over the library: `check` validates the generator relations,
 given on the command line, `color` and `export` run config-driven
 coloring pipelines.  Configs are JSON (see the bundled files under
 `honeycomb434/configs/`); `--config` accepts a path or a bundled name.
+The config layer (`load_config`, `validate_config`, `build_from_config`)
+lives in `honeycomb434.crystal`, where the presets build through it too.
 
 Exit codes: 0 success, 2 parse/config problem, 3 failed precondition
 (bad plan, uncertified subgroup), 4 failed verification, 5 I/O failure.
@@ -13,26 +15,15 @@ Exit codes: 0 success, 2 parse/config problem, 3 failed precondition
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
 
-from .coloring import (
-    OrbitPlan,
-    PlanError,
-    VertexColoring,
-    build_coloring,
-    color_group,
-    verify_theorem,
-)
-from .crystal import EXPORTERS, CrystalModel, export
+from .coloring import PlanError, color_group, verify_theorem
+from .crystal import ConfigError, build_from_config, export, load_config
 from .isometry import (
     WordError,
     check_presentation,
     dihedral_angle_check,
-    parse_word,
     perturbed_generators,
 )
 from .orbits import decompose, stabilizer
@@ -52,10 +43,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 EXIT_IO = 5
-
-
-class ConfigError(ValueError):
-    """The config document is malformed or references undefined names."""
 
 
 def _fail(message: str) -> None:
@@ -124,154 +111,29 @@ def cmd_orbits(args) -> int:
     return EXIT_OK
 
 
-class _BuiltConfig(NamedTuple):
-    config: dict
-    model: CrystalModel
-    subgroup: TorusSubgroup  # the coloring group H
-    plans: tuple[OrbitPlan, ...]
-
-
-def load_config(source: str) -> dict:
-    path = Path(source)
-    if path.exists():
-        text = path.read_text()
-    else:
-        name = source.lower()
-        try:
-            text = resources.files("honeycomb434.configs").joinpath(f"{name}.json").read_text()
-        except FileNotFoundError:
-            raise ConfigError(
-                f"config {source!r} is neither an existing file nor a bundled name"
-            ) from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {source!r} is not valid JSON: {exc}") from None
-    validate_config(data)
-    return data
-
-
-def validate_config(data) -> None:
-    def need(cond: bool, message: str) -> None:
-        if not cond:
-            raise ConfigError(message)
-
-    need(isinstance(data, dict), "config must be a JSON object")
-    need(isinstance(data.get("family"), str), "config needs a string 'family'")
-    need(isinstance(data.get("modulus", 2), int), "'modulus' must be an integer")
-    need(isinstance(data.get("radius", DEFAULT_RADIUS), int), "'radius' must be an integer")
-    subgroups = data.get("subgroups")
-    need(isinstance(subgroups, dict) and subgroups, "config needs a 'subgroups' table")
-    for name, words in subgroups.items():
-        need(
-            isinstance(words, list) and words and all(isinstance(w, str) for w in words),
-            f"subgroup {name!r} must list generating words",
-        )
-        for word in words:
-            try:
-                parse_word(word)
-            except WordError as exc:
-                raise ConfigError(f"subgroup {name!r}: {exc}") from None
-    coloring = data.get("coloring")
-    need(isinstance(coloring, dict), "config needs a 'coloring' section")
-    need(coloring.get("group") in subgroups, "'coloring.group' must name a defined subgroup")
-    plans = coloring.get("plans")
-    need(isinstance(plans, list) and plans, "'coloring.plans' must be a non-empty list")
-    for plan in plans:
-        need(isinstance(plan, dict), "each plan must be an object")
-        need(
-            isinstance(plan.get("orbit"), int) and plan["orbit"] >= 0,
-            "each plan needs a non-negative 'orbit' index",
-        )
-        need(plan.get("subgroup") in subgroups, "each plan's 'subgroup' must be defined")
-        labels = plan.get("labels")
-        need(
-            isinstance(labels, list) and labels and all(isinstance(s, str) for s in labels),
-            "each plan needs a non-empty 'labels' list",
-        )
-    merges = coloring.get("merges", [])
-    need(
-        isinstance(merges, list)
-        and all(isinstance(m, list) and len(m) == 2 and all(isinstance(s, str) for s in m) for m in merges),
-        "'coloring.merges' must be a list of label pairs",
-    )
-    background = coloring.get("background")
-    need(
-        background is None or isinstance(background, str),
-        "'coloring.background' must be a label or null",
-    )
-    need(
-        isinstance(coloring.get("output", "out.coloring"), str),
-        "'coloring.output' must be a filename",
-    )
-    elements = data.get("elements", {})
-    need(
-        isinstance(elements, dict)
-        and all(isinstance(k, str) and isinstance(v, str) for k, v in elements.items()),
-        "'elements' must map labels to symbols",
-    )
-    for request in data.get("exports", []):
-        need(isinstance(request, dict), "each export must be an object")
-        need(
-            request.get("format") in EXPORTERS,
-            f"export format must be one of {', '.join(sorted(EXPORTERS))}",
-        )
-        region = request.get("region", [1, 1, 1])
-        need(
-            isinstance(region, list)
-            and len(region) == 3
-            and all(isinstance(r, int) and r >= 0 for r in region),
-            "'region' must be three non-negative integers",
-        )
-        path = request.get("path")
-        need(isinstance(path, str) and path, "each export needs a 'path'")
-        need(not Path(path).is_absolute(), "export paths must be relative to --out-dir")
-
-
-def build_from_config(config: dict, radius_override: int | None = None) -> _BuiltConfig:
-    modulus = config.get("modulus", 2)
-    radius = radius_override if radius_override is not None else config.get("radius", DEFAULT_RADIUS)
-    group = build_group(modulus)
-    subgroups = {
-        name: certify_translations(build_subgroup(group, tuple(words)), radius)
-        for name, words in config["subgroups"].items()
-    }
-    section = config["coloring"]
-    h = subgroups[section["group"]]
-    plans = tuple(
-        OrbitPlan(p["orbit"], subgroups[p["subgroup"]], tuple(p["labels"]))
-        for p in section["plans"]
-    )
-    merges = tuple((a, b) for a, b in section.get("merges", []))
-    coloring = build_coloring(h, plans, merges, section.get("background"))
-    coloring = coloring.with_elements(config.get("elements", {}))
-    return _BuiltConfig(config, CrystalModel(config["family"], coloring), h, plans)
-
-
 def cmd_color(args) -> int:
-    built = build_from_config(load_config(args.config), args.radius)
-    coloring = built.model.coloring
+    config = load_config(args.config)
+    coloring = build_from_config(config, args.radius).coloring
+    h, plans = coloring.recipe.group, coloring.recipe.plans
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / built.config["coloring"].get(
-        "output", f"{built.config['family']}.coloring"
-    )
+    out_path = out_dir / config["coloring"].get("output", f"{config['family']}.coloring")
     out_path.write_text(coloring.to_text())
     print(f"wrote {out_path}")
     counts = coloring.counts()
     for info in coloring.color_table:
         tag = " (background)" if info.background else ""
         print(f"color {info.label}: {counts[info.label]} per period{tag}")
-    decomp = decompose(built.subgroup)
+    decomp = decompose(h)
     failures = 0
-    for plan in built.plans:
+    for plan in plans:
         rep = decomp.orbits[plan.orbit].representative
-        report = verify_theorem(built.subgroup, plan.subgroup, rep, coloring)
+        report = verify_theorem(h, plan.subgroup, rep, coloring)
         for part in report.parts:
             status = "ok" if part.ok else f"FAIL ({part.detail})"
             print(f"orbit {plan.orbit}, part {part.part}: {status}")
         failures += sum(1 for part in report.parts if not part.ok)
-    group_order = built.subgroup.parent.order
+    group_order = h.parent.order
     cg = color_group(coloring)
     verdict = "perfect" if cg.subgroup.order == group_order else "not perfect"
     print(f"color group: order {cg.subgroup.order} of {group_order} ({verdict})")
@@ -282,16 +144,17 @@ def cmd_color(args) -> int:
 
 
 def cmd_export(args) -> int:
-    built = build_from_config(load_config(args.config), args.radius)
+    config = load_config(args.config)
+    model = build_from_config(config, args.radius)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    requests = built.config.get("exports", [])
+    requests = config.get("exports", [])
     if not requests:
         _fail("config lists no exports")
         return EXIT_USAGE
     for request in requests:
         region = tuple(request.get("region", [1, 1, 1]))
-        text = export(built.model, request["format"], region)
+        text = export(model, request["format"], region)
         target = out_dir / request["path"]
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)

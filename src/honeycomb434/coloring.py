@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .isometry import IDENTITY, Isometry
-from .orbits import OrbitDecomposition, decompose, stabilizer
+from .orbits import decompose, stabilizer
 from .quotient import (
     TorusGroup,
     TorusSubgroup,
@@ -160,6 +160,8 @@ class VertexColoring:
         if not lines or not lines[0].startswith("modulus "):
             raise ValueError("expected a 'modulus N' header line")
         n = int(lines[0].split()[1])
+        if n < 2 or n % 2 != 0:
+            raise ValueError(f"modulus must be an even integer >= 2, got {n}")
         table: list[ColorInfo] = []
         body = 1
         for ln in lines[1:]:
@@ -180,19 +182,29 @@ class VertexColoring:
                     rest = rest[1:]
                 else:
                     raise ValueError(f"bad color line: {ln!r}")
+            if any(info.label == label for info in table):
+                raise ValueError(f"color {label!r} is declared twice")
             table.append(ColorInfo(label, element, background))
         ids = {info.label: cid for cid, info in enumerate(table)}
-        assignment = np.full((n, n, n), -1, dtype=np.int16)
+        rows = []
         for ln in lines[body:]:
             parts = ln.split()
             if len(parts) != 4:
                 raise ValueError(f"bad vertex line: {ln!r}")
-            x, y, z = (int(p) % n for p in parts[:3])
             if parts[3] not in ids:
                 raise ValueError(f"undeclared color {parts[3]!r}")
-            assignment[x, y, z] = ids[parts[3]]
-        if (assignment < 0).any():
-            raise ValueError("coloring is not total: some vertex has no line")
+            rows.append((tuple(int(p) % n for p in parts[:3]), ids[parts[3]]))
+        # counted before allocating, so a short file cannot ask for N^3 cells;
+        # with N^3 lines and no vertex listed twice, every vertex has one
+        if len(rows) < n**3:
+            raise ValueError(f"coloring is not total: {len(rows)} vertex lines for {n**3} vertices")
+        if len(rows) > n**3:
+            raise ValueError(f"{len(rows)} vertex lines for {n**3} vertices: some vertex is listed twice")
+        assignment = np.full((n, n, n), -1, dtype=np.int16)
+        for v, cid in rows:
+            if assignment[v] >= 0:
+                raise ValueError(f"vertex {v} is listed twice")
+            assignment[v] = cid
         used = set(np.unique(assignment).tolist())
         if used != set(range(len(table))):
             raise ValueError("coloring is not onto: some declared color is unused")
@@ -393,11 +405,14 @@ def color_action(coloring: VertexColoring, g: Isometry) -> ColorPermutation | No
 def color_group(coloring: VertexColoring, group: TorusGroup | None = None) -> ColorGroupResult:
     """All elements of the full torus group that permute the color classes.
 
-    The coloring is perfect exactly when the result is the whole group."""
+    The coloring is perfect exactly when the result is the whole group.
+    Without `group`, a built coloring uses the full group its recipe was
+    built on; only a coloring without a recipe gets a freshly built one."""
     from .quotient import build_group
 
     if group is None:
-        group = build_group(coloring.modulus)
+        recipe = coloring.recipe
+        group = recipe.group.parent if recipe is not None else build_group(coloring.modulus)
     sigma: dict[Isometry, tuple[int, ...]] = {}
     members = []
     for g in sorted(group.elements, key=element_key):

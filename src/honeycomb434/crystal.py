@@ -5,8 +5,10 @@ non-background colors.  Four presets cover the classic cubic families:
 rock salt (two interpenetrating face-centered patterns), the NbO net
 (ordered vacancies on a rock-salt frame), the ReO3 net (corner-sharing
 octahedra with an empty body position), and the perovskite net (ReO3
-plus an occupied body position).  Other compounds with the same
-geometry, e.g. BaTiO3 or AgCl, come from `substitute`.
+plus an occupied body position).  Each preset is one of the bundled
+JSON configs, built by the same `build_from_config` as any user config.
+Other compounds with the same geometry, e.g. BaTiO3 or AgCl, come from
+`substitute`.
 
 Exports: `xyz` lists occupied sites over a block of unit cells (one
 unit cell per torus period), `off` renders every site as a small
@@ -16,7 +18,9 @@ and the derived stoichiometry.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+import json
+from pathlib import Path
+from typing import Mapping, NamedTuple
 
 from .coloring import (
     OrbitPlan,
@@ -25,10 +29,9 @@ from .coloring import (
     color_group,
     stoichiometry,
 )
+from .isometry import WordError, parse_word
 from .orbits import decompose
-from .quotient import TorusSubgroup, build_group, build_subgroup, certify_translations, index
-
-Vec = tuple[int, int, int]
+from .quotient import DEFAULT_RADIUS, build_group, build_subgroup, certify_translations, index
 
 PALETTE: dict[str, tuple[int, int, int]] = {
     "light-blue": (120, 180, 255),
@@ -42,12 +45,6 @@ PALETTE: dict[str, tuple[int, int, int]] = {
     "brown": (140, 90, 50),
 }
 FALLBACK_COLOR = (128, 128, 128)
-
-# generating words for the subgroup lattice the presets draw from
-WORDS_FULL = ("P", "Q", "R", "S")
-WORDS_HALF = ("Q", "R", "S", "PQP")  # index 2: alternating-parity subgroup
-WORDS_QUARTER = ("Q", "R", "S", "QPQRQPQRP")  # index 4: adds the body-center inversion
-WORDS_EIGHTH = ("Q", "R", "S", "(SRQPQR)^2")  # index 8: translations doubled
 
 
 class CrystalModel(NamedTuple):
@@ -95,73 +92,148 @@ def formula_of(coloring: VertexColoring) -> str:
     )
 
 
-class _Preset(NamedTuple):
-    group: tuple[str, ...]
-    plans: tuple[tuple[Vec, tuple[str, ...], tuple[str, ...]], ...]  # anchor, subgroup words, labels
-    background: str | None
-    elements: dict[str, str]
+class ConfigError(ValueError):
+    """The config document is malformed or references undefined names."""
 
 
-_PRESETS: dict[str, _Preset] = {
-    "rock-salt": _Preset(
-        group=WORDS_FULL,
-        plans=(((0, 0, 0), WORDS_HALF, ("light-blue", "white")),),
-        background=None,
-        elements={"light-blue": "Na", "white": "Cl"},
-    ),
-    "nbo": _Preset(
-        group=WORDS_QUARTER,
-        plans=(((0, 0, 1), WORDS_EIGHTH, ("dark-blue", "green")),),
-        background="white",
-        elements={"dark-blue": "O", "green": "Nb"},
-    ),
-    "reo3": _Preset(
-        group=WORDS_EIGHTH,
-        plans=(
-            ((0, 0, 0), WORDS_EIGHTH, ("red",)),
-            ((0, 0, 1), WORDS_EIGHTH, ("orange",)),
-        ),
-        background="white",
-        elements={"red": "Re", "orange": "O"},
-    ),
-    "perovskite": _Preset(
-        group=WORDS_EIGHTH,
-        plans=(
-            ((0, 0, 0), WORDS_EIGHTH, ("black",)),
-            ((0, 1, 1), WORDS_EIGHTH, ("brown",)),
-            ((1, 1, 1), WORDS_EIGHTH, ("yellow",)),
-        ),
-        background="white",
-        elements={"black": "Ca", "brown": "O", "yellow": "Ti"},
-    ),
-}
-
-_DISPLAY = {"rock-salt": "rock-salt", "nbo": "NbO", "reo3": "ReO3", "perovskite": "perovskite"}
-PRESET_NAMES = tuple(sorted(_DISPLAY.values()))
+# the bundled configs by file stem; each is one preset family
+_BUNDLED = {path.stem: path for path in Path(__file__).with_name("configs").glob("*.json")}
+PRESET_NAMES = tuple(sorted(json.loads(p.read_text())["family"] for p in _BUNDLED.values()))
 
 
-def preset(name: str, modulus: int = 2, radius: int = 24) -> CrystalModel:
-    """Build one of the bundled families on the torus of the given period.
-
-    Names are case-insensitive.  Plans pick their orbit through an anchor
-    vertex, so the construction fails loudly if a larger period splits the
-    pattern."""
-    key = name.lower()
+def _parse_config(text: str, source: str) -> dict:
     try:
-        entry = _PRESETS[key]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; known: {', '.join(PRESET_NAMES)}") from None
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {source!r} is not valid JSON: {exc}") from None
+    validate_config(data)
+    return data
+
+
+def load_config(source: str) -> dict:
+    """Read and validate a config given as a file path or a bundled name."""
+    path = Path(source)
+    if path.exists():
+        return _parse_config(path.read_text(), source)
+    bundled = _BUNDLED.get(source.lower())
+    if bundled is None:
+        raise ConfigError(f"config {source!r} is neither an existing file nor a bundled name")
+    return _parse_config(bundled.read_text(), source)
+
+
+def validate_config(data) -> None:
+    def need(cond: bool, message: str) -> None:
+        if not cond:
+            raise ConfigError(message)
+
+    need(isinstance(data, dict), "config must be a JSON object")
+    need(isinstance(data.get("family"), str), "config needs a string 'family'")
+    need(isinstance(data.get("modulus", 2), int), "'modulus' must be an integer")
+    need(isinstance(data.get("radius", DEFAULT_RADIUS), int), "'radius' must be an integer")
+    subgroups = data.get("subgroups")
+    need(isinstance(subgroups, dict) and subgroups, "config needs a 'subgroups' table")
+    for name, words in subgroups.items():
+        need(
+            isinstance(words, list) and words and all(isinstance(w, str) for w in words),
+            f"subgroup {name!r} must list generating words",
+        )
+        for word in words:
+            try:
+                parse_word(word)
+            except WordError as exc:
+                raise ConfigError(f"subgroup {name!r}: {exc}") from None
+    coloring = data.get("coloring")
+    need(isinstance(coloring, dict), "config needs a 'coloring' section")
+    need(coloring.get("group") in subgroups, "'coloring.group' must name a defined subgroup")
+    plans = coloring.get("plans")
+    need(isinstance(plans, list) and plans, "'coloring.plans' must be a non-empty list")
+    for plan in plans:
+        need(isinstance(plan, dict), "each plan must be an object")
+        need(
+            isinstance(plan.get("orbit"), int) and plan["orbit"] >= 0,
+            "each plan needs a non-negative 'orbit' index",
+        )
+        need(plan.get("subgroup") in subgroups, "each plan's 'subgroup' must be defined")
+        labels = plan.get("labels")
+        need(
+            isinstance(labels, list) and labels and all(isinstance(s, str) for s in labels),
+            "each plan needs a non-empty 'labels' list",
+        )
+    merges = coloring.get("merges", [])
+    need(
+        isinstance(merges, list)
+        and all(isinstance(m, list) and len(m) == 2 and all(isinstance(s, str) for s in m) for m in merges),
+        "'coloring.merges' must be a list of label pairs",
+    )
+    background = coloring.get("background")
+    need(
+        background is None or isinstance(background, str),
+        "'coloring.background' must be a label or null",
+    )
+    need(
+        isinstance(coloring.get("output", "out.coloring"), str),
+        "'coloring.output' must be a filename",
+    )
+    elements = data.get("elements", {})
+    need(
+        isinstance(elements, dict)
+        and all(isinstance(k, str) and isinstance(v, str) for k, v in elements.items()),
+        "'elements' must map labels to symbols",
+    )
+    for request in data.get("exports", []):
+        need(isinstance(request, dict), "each export must be an object")
+        need(
+            request.get("format") in EXPORTERS,
+            f"export format must be one of {', '.join(sorted(EXPORTERS))}",
+        )
+        region = request.get("region", [1, 1, 1])
+        need(
+            isinstance(region, list)
+            and len(region) == 3
+            and all(isinstance(r, int) and r >= 0 for r in region),
+            "'region' must be three non-negative integers",
+        )
+        path = request.get("path")
+        need(isinstance(path, str) and path, "each export needs a 'path'")
+        need(not Path(path).is_absolute(), "export paths must be relative to --out-dir")
+
+
+def build_from_config(config: dict, radius_override: int | None = None) -> CrystalModel:
+    """The model a validated config describes; its coloring's recipe holds
+    the coloring group H and the plans."""
+    modulus = config.get("modulus", 2)
+    radius = radius_override if radius_override is not None else config.get("radius", DEFAULT_RADIUS)
     group = build_group(modulus)
-    h = certify_translations(build_subgroup(group, entry.group), radius)
-    decomp = decompose(h)
-    cache: dict[tuple[str, ...], TorusSubgroup] = {}
-    plans = []
-    for anchor, words, labels in entry.plans:
-        if words not in cache:
-            cache[words] = certify_translations(build_subgroup(group, words), radius)
-        plans.append(OrbitPlan(decomp.orbit_of(anchor).index, cache[words], labels))
-    coloring = build_coloring(h, plans, background=entry.background)
-    return CrystalModel(_DISPLAY[key], coloring.with_elements(entry.elements))
+    subgroups = {
+        name: certify_translations(build_subgroup(group, tuple(words)), radius)
+        for name, words in config["subgroups"].items()
+    }
+    section = config["coloring"]
+    plans = tuple(
+        OrbitPlan(p["orbit"], subgroups[p["subgroup"]], tuple(p["labels"]))
+        for p in section["plans"]
+    )
+    merges = tuple((a, b) for a, b in section.get("merges", []))
+    coloring = build_coloring(subgroups[section["group"]], plans, merges, section.get("background"))
+    return CrystalModel(config["family"], coloring.with_elements(config.get("elements", {})))
+
+
+def preset(name: str, modulus: int = 2) -> CrystalModel:
+    """Build the bundled family `configs/<name>.json` on the torus of the
+    given period; only the modulus differs from the config.
+
+    Names are case-insensitive and are looked up among the bundled configs
+    only, never as a path.  A plan names its orbit by index, and that index
+    holds at every even period: each subgroup the configs use contains the
+    translations by 2 along each axis, so a vertex reduced mod 2 stays in
+    its orbit and is component-wise no larger than the vertex.  The
+    smallest representative of every orbit therefore lies in {0, 1}^3, and
+    the orbits are numbered alike at every even modulus."""
+    bundled = _BUNDLED.get(name.lower())
+    if bundled is None:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(PRESET_NAMES)}")
+    config = _parse_config(bundled.read_text(), name)
+    return build_from_config({**config, "modulus": modulus})
 
 
 def substitute(

@@ -30,7 +30,7 @@ arithmetic; nothing in this module touches floating point.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 Vec = tuple[int, int, int]
 
@@ -148,19 +148,6 @@ IDENTITY = Isometry((0, 1, 2), (1, 1, 1), (0, 0, 0))
 def translation(t: Iterable[int]) -> Isometry:
     """The pure translation by t."""
     return Isometry((0, 1, 2), (1, 1, 1), tuple(t))
-
-
-def compose(a: Isometry, b: Isometry) -> Isometry:
-    """a after b: apply(compose(a, b), v) == apply(a, apply(b, v))."""
-    return a * b
-
-
-def invert(a: Isometry) -> Isometry:
-    return a.inverse()
-
-
-def apply(a: Isometry, v: Iterable[int]) -> Vec:
-    return a.apply(v)
 
 
 # The fixed geometric realization of the four mirrors.
@@ -366,10 +353,3 @@ def dihedral_angle_check() -> tuple[tuple[AngleCheck, ...], bool]:
     )
     ok = sorted(c.angle for c in checks) == sorted(EXPECTED_ANGLES)
     return checks, ok
-
-
-def random_words(rng, count: int, max_len: int = 20) -> Iterator[tuple[str, ...]]:
-    """Uniform random letter words, a convenience for property tests."""
-    letters = tuple(GENERATORS)
-    for _ in range(count):
-        yield tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))

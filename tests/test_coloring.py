@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from honeycomb434 import quotient
 from honeycomb434.coloring import (
     OrbitPlan,
     PlanError,
@@ -80,6 +81,24 @@ def test_rock_salt_coloring_is_perfect(group2, rock_salt):
     assert cg.subgroup.order == 384
     assert cg.subgroup.elements == group2.elements
     assert len(cg.sigma) == 384
+
+
+def test_color_group_reuses_the_group_the_coloring_was_built_on(
+    group2, nbo, monkeypatch
+):
+    loaded = VertexColoring.from_text(nbo.to_text())
+    fresh = color_group(loaded)
+    assert fresh.subgroup.parent.elements == group2.elements
+    assert fresh.subgroup.order == 96
+
+    def no_rebuild(modulus):
+        raise AssertionError("color_group rebuilt the full group")
+
+    monkeypatch.setattr(quotient, "build_group", no_rebuild)
+    cg = color_group(nbo)
+    assert cg.subgroup.parent is nbo.recipe.group.parent
+    assert cg.subgroup.elements == fresh.subgroup.elements
+    assert cg.sigma == fresh.sigma
 
 
 def test_rock_salt_theorem(subs2, rock_salt):
@@ -327,6 +346,19 @@ def test_from_text_errors(rock_salt):
     ) + "\n"
     with pytest.raises(ValueError, match="not onto"):
         VertexColoring.from_text(unused)
+    with pytest.raises(ValueError, match="even integer"):
+        VertexColoring.from_text("modulus 3\ncolor a\n0 0 0 a\n")
+    twice = "\n".join(lines[:-1] + [lines[-2]]) + "\n"
+    with pytest.raises(ValueError, match="listed twice"):
+        VertexColoring.from_text(twice)
+    with pytest.raises(ValueError, match="listed twice"):
+        VertexColoring.from_text("\n".join(lines + [lines[-1]]) + "\n")
+    relabeled = "\n".join([lines[0], lines[1], lines[1]] + lines[2:]) + "\n"
+    with pytest.raises(ValueError, match="declared twice"):
+        VertexColoring.from_text(relabeled)
+    # rejected on the line count, before an N^3 array is allocated
+    with pytest.raises(ValueError, match="not total: 1 vertex lines for 262144"):
+        VertexColoring.from_text("modulus 64\ncolor a\n0 0 0 a\n")
 
 
 def test_equality_is_structural(rock_salt):

@@ -1,6 +1,7 @@
 import pytest
 
 from honeycomb434.coloring import OrbitPlan, build_coloring
+from honeycomb434.orbits import decompose
 from honeycomb434.crystal import (
     FALLBACK_COLOR,
     PALETTE,
@@ -35,6 +36,29 @@ def test_preset_lookup_is_case_insensitive(models):
 def test_unknown_preset():
     with pytest.raises(ValueError, match="unknown family"):
         preset("fluorite")
+
+
+# the vertex each plan colors from, per family; the configs name orbits by
+# index, and these anchors pin which orbit that index means
+ANCHORS = {
+    "rock-salt": [(0, 0, 0)],
+    "NbO": [(0, 0, 1)],
+    "ReO3": [(0, 0, 0), (0, 0, 1)],
+    "perovskite": [(0, 0, 0), (0, 1, 1), (1, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_preset_plans_color_from_their_anchor_vertices(modulus, tmp_path, monkeypatch):
+    # a file named like a preset must not be read in place of the bundled config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nbo").write_text("not a config")
+    (tmp_path / "nbo.json").write_text("not a config")
+    assert preset("nbo", modulus).family == "NbO"
+    for family, anchors in ANCHORS.items():
+        recipe = preset(family, modulus).coloring.recipe
+        orbits = decompose(recipe.group).orbits
+        assert [orbits[plan.orbit].representative for plan in recipe.plans] == anchors, family
 
 
 def test_compositions(models):
