@@ -31,7 +31,7 @@ from .quotient import (
     DEFAULT_RADIUS,
     CertificationError,
     SubgroupError,
-    TorusSubgroup,
+    TorusGroup,
     build_group,
     build_subgroup,
     certify_translations,
@@ -74,7 +74,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _certified_subgroup(modulus: int, words, radius: int) -> TorusSubgroup:
+def _certified_subgroup(modulus: int, words, radius: int) -> TorusGroup:
     group = build_group(modulus)
     return certify_translations(build_subgroup(group, tuple(words)), radius)
 

@@ -23,13 +23,7 @@ import numpy as np
 
 from .isometry import IDENTITY, Isometry
 from .orbits import decompose, stabilizer
-from .quotient import (
-    TorusGroup,
-    TorusSubgroup,
-    element_key,
-    index,
-    left_cosets,
-)
+from .quotient import CosetTable, TorusGroup, element_key, index, left_cosets
 
 Vec = tuple[int, int, int]
 
@@ -49,14 +43,14 @@ class OrbitPlan(NamedTuple):
     left cosets of `subgroup`, one label per coset."""
 
     orbit: int
-    subgroup: TorusSubgroup
+    subgroup: TorusGroup
     labels: tuple[str, ...]
 
 
 class ColoringRecipe(NamedTuple):
     """Provenance of a built coloring; enough to rebuild or audit it."""
 
-    group: TorusGroup | TorusSubgroup
+    group: TorusGroup
     plans: tuple[OrbitPlan, ...]
     merges: tuple[tuple[str, str], ...]
     background: str | None
@@ -72,7 +66,7 @@ class ColorGroupResult(NamedTuple):
 
     `subgroup` carries no generating words; it is derived element-wise."""
 
-    subgroup: TorusSubgroup
+    subgroup: TorusGroup
     sigma: dict[Isometry, tuple[int, ...]]
 
 
@@ -157,9 +151,10 @@ class VertexColoring:
     @classmethod
     def from_text(cls, text: str) -> "VertexColoring":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("modulus "):
+        header = lines[0].split() if lines else []
+        if len(header) != 2 or header[0] != "modulus":
             raise ValueError("expected a 'modulus N' header line")
-        n = int(lines[0].split()[1])
+        n = int(header[1])
         if n < 2 or n % 2 != 0:
             raise ValueError(f"modulus must be an even integer >= 2, got {n}")
         table: list[ColorInfo] = []
@@ -169,6 +164,8 @@ class VertexColoring:
                 break
             body += 1
             parts = ln.split()
+            if len(parts) < 2:
+                raise ValueError(f"bad color line: {ln!r}")
             label = parts[1]
             element = None
             background = False
@@ -211,25 +208,27 @@ class VertexColoring:
         return cls(n, tuple(table), assignment)
 
 
-def _ordered_cosets(h: TorusGroup | TorusSubgroup, j: TorusSubgroup):
-    """Cosets of J in H with J itself first, the rest in canonical order.
+def _ordered_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
+    """Left cosets of J in H with J itself first, the rest in canonical order.
 
-    Returns (cosets, position) where position maps every element of H to
-    its coset's index in that ordering.  Jx must get the first label, which
-    pins J's own position; the canonical order of the remaining cosets
-    keeps ids deterministic.
+    Ids are positions in that ordering, and `representatives` stay each
+    coset's smallest element.  Jx must get the first label, which pins J's
+    own position; the canonical order of the remaining cosets keeps ids
+    deterministic.
     """
     table = left_cosets(h, j)
-    ident = j.parent.reduce(IDENTITY)
-    first = table.ids[ident]
+    first = table.ids[IDENTITY]
     order = [first] + [c for c in range(len(table.cosets)) if c != first]
     rank = {cid: pos for pos, cid in enumerate(order)}
-    position = {el: rank[cid] for el, cid in table.ids.items()}
-    return tuple(table.cosets[cid] for cid in order), position
+    return CosetTable(
+        {el: rank[cid] for el, cid in table.ids.items()},
+        tuple(table.cosets[cid] for cid in order),
+        tuple(table.representatives[cid] for cid in order),
+    )
 
 
 def build_coloring(
-    h: TorusGroup | TorusSubgroup,
+    h: TorusGroup,
     plans: Iterable[OrbitPlan],
     merges: Iterable[tuple[str, str]] = (),
     background: str | None = None,
@@ -246,8 +245,7 @@ def build_coloring(
     plans over the same subgroup at the same coset position, which keeps
     every element of H acting on the merged classes consistently.
     """
-    group = h.parent
-    n = group.modulus
+    n = h.modulus
     decomp = decompose(h)
     plans = tuple(plans)
     merges = tuple((a, b) for a, b in merges)
@@ -362,8 +360,7 @@ def build_coloring(
     assignment = np.full((n, n, n), -1, dtype=np.int16)
     for pi, plan in enumerate(plans):
         rep = decomp.orbits[plan.orbit].representative
-        cosets, _ = _ordered_cosets(h, plan.subgroup)
-        for pos, coset in enumerate(cosets):
+        for pos, coset in enumerate(_ordered_cosets(h, plan.subgroup).cosets):
             cid = occ_color[(pi, pos)]
             for el in coset:
                 v = h.act(el, rep)
@@ -420,7 +417,7 @@ def color_group(coloring: VertexColoring, group: TorusGroup | None = None) -> Co
         if perm is not None:
             sigma[g] = perm.mapping
             members.append(g)
-    sub = TorusSubgroup(group, (), frozenset(members), None)
+    sub = TorusGroup(group.modulus, (), frozenset(members), _parent=group.parent)
     return ColorGroupResult(sub, sigma)
 
 
@@ -439,8 +436,8 @@ class TheoremReport(NamedTuple):
 
 
 def verify_theorem(
-    h: TorusGroup | TorusSubgroup,
-    j: TorusSubgroup,
+    h: TorusGroup,
+    j: TorusGroup,
     x,
     coloring: VertexColoring,
 ) -> TheoremReport:
@@ -456,20 +453,17 @@ def verify_theorem(
 
     Returns a report with one entry per part; failures carry the
     counterexample."""
-    n = h.parent.modulus
+    n = h.modulus
     x = tuple(c % n for c in x)
     decomp = decompose(h)
     orbit = decomp.orbit_of(x)
-    cosets, position = _ordered_cosets(h, j)
-    k = len(cosets)
+    table = _ordered_cosets(h, j)
+    k = len(table.cosets)
     h_sorted = sorted(h.elements, key=element_key)
     parts: list[PartResult] = []
 
-    # coset position -> color, read off a representative element of each coset
-    coset_color = []
-    for coset in cosets:
-        g0 = min(coset, key=element_key)
-        coset_color.append(coloring.color_id(h.act(g0, x)))
+    # coset position -> color, read off each coset's representative
+    coset_color = [coloring.color_id(h.act(g0, x)) for g0 in table.representatives]
 
     ok1, detail1 = True, f"checked {len(h_sorted)} elements on {k} cosets"
     sigma_cache: dict[Isometry, tuple[int, ...]] = {}
@@ -479,9 +473,8 @@ def verify_theorem(
             ok1, detail1 = False, f"element {g} does not permute the colors"
             break
         sigma_cache[g] = act.mapping
-        for pos, coset in enumerate(cosets):
-            g0 = min(coset, key=element_key)
-            moved = position[h.mul(g, g0)]
+        for pos, g0 in enumerate(table.representatives):
+            moved = table.ids[h.mul(g, g0)]
             if coset_color[moved] != act.mapping[coset_color[pos]]:
                 ok1 = False
                 detail1 = (

@@ -333,7 +333,7 @@ def export_report(model: CrystalModel) -> str:
         f"modulus: {coloring.modulus}",
         f"full group order: {group.order}",
     ]
-    cert = "yes" if getattr(h, "certified", True) else "no"
+    cert = "yes" if h.certified else "no"
     lines.append(
         f"coloring group: order {h.order}, index {index(group, h)} in full group, "
         f"certificate {cert}"

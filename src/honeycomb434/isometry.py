@@ -196,6 +196,10 @@ class WordError(ValueError):
     """Malformed generator word."""
 
 
+# the longest word parse_word flattens; powers are checked before they expand
+MAX_WORD_LETTERS = 10_000
+
+
 def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tuple[str, ...]:
     """Flatten a word over the mirror letters into a plain letter tuple.
 
@@ -204,11 +208,16 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
     every nesting level.  Negative exponents are permitted: the generators
     are involutions, so the inverse of a subword is its reversal and every
     power flattens back to plain letters, e.g. ``(SRQPQR)^2`` or
-    ``(QPQRQPQS)^-1``.
+    ``(QPQRQPQS)^-1``.  A word that would flatten to more than
+    MAX_WORD_LETTERS letters is rejected before it is expanded.
     """
     allowed = frozenset(alphabet)
     pos = 0
     end = len(text)
+
+    def check_length(count: int) -> None:
+        if count > MAX_WORD_LETTERS:
+            raise WordError(f"{text!r} flattens to more than {MAX_WORD_LETTERS} letters")
 
     def sequence(depth: int) -> list[str]:
         nonlocal pos
@@ -241,6 +250,7 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
                 if not digits.lstrip("+-"):
                     raise WordError(f"missing exponent at position {start} in {text!r}")
                 k = int(digits)
+                check_length(len(letters) + len(inner) * abs(k))
                 if k >= 0:
                     letters.extend(inner * k)
                 else:
@@ -259,7 +269,9 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
             raise WordError(f"empty word {text!r}")
         return letters
 
-    return tuple(sequence(0))
+    letters = sequence(0)
+    check_length(len(letters))
+    return tuple(letters)
 
 
 def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | None = None) -> Isometry:

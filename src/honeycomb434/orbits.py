@@ -5,11 +5,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .isometry import IDENTITY, Isometry
-from .quotient import SubgroupError, TorusGroup, TorusSubgroup
+from .quotient import SubgroupError, TorusGroup
 
 Vec = tuple[int, int, int]
-
-Acting = TorusGroup | TorusSubgroup
 
 
 class Orbit(NamedTuple):
@@ -22,7 +20,7 @@ class Orbit(NamedTuple):
 
 
 class OrbitDecomposition(NamedTuple):
-    group: Acting
+    group: TorusGroup
     orbits: tuple[Orbit, ...]
     vertex_orbit: dict[Vec, int]
 
@@ -39,7 +37,7 @@ class Stabilizer(NamedTuple):
         return len(self.elements)
 
 
-def decompose(acting: Acting) -> OrbitDecomposition:
+def decompose(acting: TorusGroup) -> OrbitDecomposition:
     """Partition the torus vertices into orbits of the acting group.
 
     Vertices are scanned in lexicographic order and each orbit is grown by
@@ -48,14 +46,13 @@ def decompose(acting: Acting) -> OrbitDecomposition:
     discovery order is deterministic, and witnesses stay short.
     """
     gens = acting.generator_elements
-    identity = acting.parent.reduce(IDENTITY)
     orbits: list[Orbit] = []
     vertex_orbit: dict[Vec, int] = {}
     for start in acting.vertices():
         if start in vertex_orbit:
             continue
         idx = len(orbits)
-        witness: dict[Vec, Isometry] = {start: identity}
+        witness: dict[Vec, Isometry] = {start: IDENTITY}
         vertex_orbit[start] = idx
         frontier = [start]
         while frontier:
@@ -72,13 +69,13 @@ def decompose(acting: Acting) -> OrbitDecomposition:
     return OrbitDecomposition(acting, tuple(orbits), vertex_orbit)
 
 
-def stabilizer(acting: Acting, v) -> Stabilizer:
+def stabilizer(acting: TorusGroup, v) -> Stabilizer:
     """All elements of the acting group fixing the vertex on the torus."""
-    v = tuple(c % acting.parent.modulus for c in v)
+    v = tuple(c % acting.modulus for c in v)
     return Stabilizer(v, frozenset(g for g in acting.elements if acting.act(g, v) == v))
 
 
-def stabilizer_contained(acting: Acting, v, j: TorusSubgroup) -> bool:
+def stabilizer_contained(acting: TorusGroup, v, j: TorusGroup) -> bool:
     """Does J contain the full stabilizer of v in the acting group?
 
     This is the admissibility condition for coloring the orbit of v by the

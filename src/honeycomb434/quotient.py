@@ -8,6 +8,9 @@ translations by (N,0,0), (0,N,0) and (0,0,N); `certify_translations`
 produces that proof as explicit witness words, found by a bounded search in
 the exact (unreduced) group.
 
+One class, `TorusGroup`, holds the full group and each of its subgroups;
+a subgroup's `parent` is the full group, which is its own parent.
+
 Elements reuse the Isometry type with every translation entry kept in
 [0, N).  The canonical element order used for deterministic coset ids is
 lexicographic on (flattened linear matrix, translation).
@@ -15,7 +18,7 @@ lexicographic on (flattened linear matrix, translation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, NamedTuple
@@ -66,27 +69,49 @@ def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
+def _reduce(iso: Isometry, modulus: int) -> Isometry:
+    return Isometry(iso.perm, iso.signs, tuple(t % modulus for t in iso.trans))
+
+
 @dataclass(frozen=True)
 class TorusGroup:
-    """The full symmetry group with translations reduced modulo N."""
+    """A group of torus symmetries: the full group with translations reduced
+    modulo N, or a subgroup of it generated by words in P, Q, R, S.
+
+    `parent` is the full group; the full group is its own parent.
+    `translation_certificate` is None until `certify_translations` has
+    proven that the underlying infinite subgroup contains all translations
+    by the modulus along each axis; with the certificate present, indices,
+    cosets, orbits and stabilizers computed in the quotient are exact for
+    the infinite subgroup as well.  The full group needs no certificate.
+    """
 
     modulus: int
-    elements: frozenset[Isometry]
     generator_words: tuple[tuple[str, ...], ...]
+    elements: frozenset[Isometry]
+    translation_certificate: tuple[Witness, Witness, Witness] | None = None
+    _parent: TorusGroup | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def parent(self) -> TorusGroup:
+        return self if self._parent is None else self._parent
+
+    @property
+    def certified(self) -> bool:
+        return self._parent is None or self.translation_certificate is not None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def reduce(self, iso: Isometry) -> Isometry:
-        n = self.modulus
-        return Isometry(iso.perm, iso.signs, tuple(t % n for t in iso.trans))
+        return _reduce(iso, self.modulus)
 
     def mul(self, a: Isometry, b: Isometry) -> Isometry:
-        return self.reduce(a * b)
+        return _reduce(a * b, self.modulus)
 
     def inv(self, a: Isometry) -> Isometry:
-        return self.reduce(a.inverse())
+        return _reduce(a.inverse(), self.modulus)
 
     def act(self, a: Isometry, v: Iterable[int]) -> Vec:
         n = self.modulus
@@ -99,72 +124,19 @@ class TorusGroup:
     def generator_elements(self) -> tuple[Isometry, ...]:
         return tuple(self.reduce(eval_word(w)) for w in self.generator_words)
 
-    # The group is its own ambient set; shared interface with TorusSubgroup.
-    @property
-    def parent(self) -> "TorusGroup":
-        return self
 
-
-@dataclass(frozen=True)
-class TorusSubgroup:
-    """Subgroup of a TorusGroup generated by words in P, Q, R, S.
-
-    `translation_certificate` is None until `certify_translations` has
-    proven that the underlying infinite subgroup contains all translations
-    by the modulus along each axis; with the certificate present, indices,
-    cosets, orbits and stabilizers computed in the quotient are exact for
-    the infinite subgroup as well.
-    """
-
-    parent: TorusGroup
-    generator_words: tuple[tuple[str, ...], ...]
-    elements: frozenset[Isometry]
-    translation_certificate: tuple[Witness, Witness, Witness] | None = None
-
-    @property
-    def modulus(self) -> int:
-        return self.parent.modulus
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def certified(self) -> bool:
-        return self.translation_certificate is not None
-
-    @property
-    def generator_elements(self) -> tuple[Isometry, ...]:
-        return tuple(self.parent.reduce(eval_word(w)) for w in self.generator_words)
-
-    def reduce(self, iso: Isometry) -> Isometry:
-        return self.parent.reduce(iso)
-
-    def mul(self, a: Isometry, b: Isometry) -> Isometry:
-        return self.parent.mul(a, b)
-
-    def inv(self, a: Isometry) -> Isometry:
-        return self.parent.inv(a)
-
-    def act(self, a: Isometry, v: Iterable[int]) -> Vec:
-        return self.parent.act(a, v)
-
-    def vertices(self) -> tuple[Vec, ...]:
-        return self.parent.vertices()
-
-
-def _closure(group: TorusGroup, seeds: Iterable[Isometry]) -> frozenset[Isometry]:
-    """Smallest subset containing the identity and the seeds, closed under
-    right multiplication by the seeds.  In a finite group that is the
-    generated subgroup."""
-    seeds = [group.reduce(s) for s in seeds]
-    seen = {group.reduce(IDENTITY)}
+def _closure(modulus: int, words: Iterable[tuple[str, ...]]) -> frozenset[Isometry]:
+    """Smallest subset containing the identity and the word evaluations,
+    closed under right multiplication by them.  In a finite group that is
+    the generated subgroup."""
+    seeds = [_reduce(eval_word(w), modulus) for w in words]
+    seen = {IDENTITY}
     frontier = list(seen)
     while frontier:
         nxt = []
         for a in frontier:
             for g in seeds:
-                b = group.mul(a, g)
+                b = _reduce(a * g, modulus)
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
@@ -182,17 +154,15 @@ def build_group(modulus: int) -> TorusGroup:
     if modulus < 2 or modulus % 2 != 0:
         raise ValueError(f"modulus must be an even integer >= 2, got {modulus}")
     words = (("P",), ("Q",), ("R",), ("S",))
-    shell = TorusGroup(modulus, frozenset(), words)
-    elements = _closure(shell, (eval_word(w) for w in words))
-    return TorusGroup(modulus, elements, words)
+    return TorusGroup(modulus, words, _closure(modulus, words))
 
 
-def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusSubgroup:
+def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     """Subgroup of `group` generated by the given words (strings or letter
-    tuples).  The result carries no translation certificate yet."""
+    tuples), with the full group as its parent.  The result carries no
+    translation certificate yet."""
     words = _normalize_words(gens)
-    elements = _closure(group, (eval_word(w) for w in words))
-    return TorusSubgroup(group, words, elements)
+    return TorusGroup(group.modulus, words, _closure(group.modulus, words), _parent=group.parent)
 
 
 class IntegerLattice:
@@ -334,7 +304,7 @@ def _certificate_search(
     return tuple(rows), ("saturated" if not frontier else "truncated")
 
 
-def certify_translations(sub: TorusSubgroup, radius: int = DEFAULT_RADIUS) -> TorusSubgroup:
+def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> TorusGroup:
     """Prove the subgroup contains the three axis translations by N.
 
     Bounded breadth-first search over products of the subgroup's generator
@@ -350,7 +320,7 @@ def certify_translations(sub: TorusSubgroup, radius: int = DEFAULT_RADIUS) -> To
     """
     if radius < 1:
         raise ValueError("radius must be positive")
-    n = sub.parent.modulus
+    n = sub.modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
     rows, outcome = _certificate_search(sub.generator_words, radius, targets)
     lattice = IntegerLattice()
@@ -379,10 +349,10 @@ def certify_translations(sub: TorusSubgroup, radius: int = DEFAULT_RADIUS) -> To
         if el != translation(target):
             raise AssertionError(f"unsound witness for {target}: {word} -> {el}")
         witnesses.append(Witness(target, word, el))
-    return TorusSubgroup(sub.parent, sub.generator_words, sub.elements, tuple(witnesses))
+    return replace(sub, translation_certificate=tuple(witnesses))
 
 
-def index(ambient: TorusGroup | TorusSubgroup, sub: TorusSubgroup) -> int:
+def index(ambient: TorusGroup, sub: TorusGroup) -> int:
     """[ambient : sub] by Lagrange on the torus; exact in the infinite
     group for certified subgroups."""
     amb_elements = ambient.elements
@@ -404,13 +374,13 @@ class CosetTable(NamedTuple):
     representatives: tuple[Isometry, ...]
 
 
-def left_cosets(h: TorusGroup | TorusSubgroup, j: TorusSubgroup) -> CosetTable:
-    if h.parent.modulus != j.parent.modulus:
+def left_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
+    if h.modulus != j.modulus:
         raise SubgroupError("mismatched moduli")
     if not j.elements <= h.elements:
         raise SubgroupError("J is not contained in H")
     ordered = sorted(h.elements, key=element_key)
-    mul = j.parent.mul
+    mul = j.mul
     ids: dict[Isometry, int] = {}
     cosets: list[frozenset[Isometry]] = []
     reps: list[Isometry] = []
@@ -426,7 +396,7 @@ def left_cosets(h: TorusGroup | TorusSubgroup, j: TorusSubgroup) -> CosetTable:
     return CosetTable(ids, tuple(cosets), tuple(reps))
 
 
-def member(sub: TorusSubgroup, g: Isometry) -> bool:
+def member(sub: TorusGroup, g: Isometry) -> bool:
     """Is the exact isometry g in the subgroup, judged in the quotient?
 
     Exact for certified subgroups: with all modulus translations inside,

@@ -12,7 +12,7 @@ from honeycomb434.coloring import (
     stoichiometry,
     verify_theorem,
 )
-from honeycomb434.isometry import GENERATORS, eval_word
+from honeycomb434.isometry import GENERATORS, IDENTITY, eval_word
 from honeycomb434.quotient import build_subgroup
 
 
@@ -113,6 +113,41 @@ def test_rock_salt_theorem(subs2, rock_salt):
         "4b: |orbit| = [H:J]*[J:Stab]",
     ]
     assert report.parts[4].detail == "8 = 2*4"
+
+
+def test_theorem_part_1_names_the_first_failing_element(subs2, rock_salt, nbo):
+    # J = quarter is not the rock-salt coloring's subgroup: the coset and
+    # color actions first disagree on the point reflection through (1/2, 0, 0)
+    report = verify_theorem(subs2["full"], subs2["quarter"], (0, 0, 0), rock_salt)
+    assert report.parts[0] == (
+        "1: coset action equivalence",
+        False,
+        "element Isometry(perm=(0, 1, 2), signs=(-1, -1, -1), trans=(1, 0, 0)) "
+        "sends coset 0 to 3 but color 0 to 1",
+    )
+    # NbO's colors are not permuted by every element of the full group
+    report = verify_theorem(subs2["full"], subs2["half"], (0, 0, 0), nbo)
+    assert report.parts[0] == (
+        "1: coset action equivalence",
+        False,
+        "element Isometry(perm=(0, 1, 2), signs=(-1, -1, -1), trans=(0, 0, 1)) "
+        "does not permute the colors",
+    )
+
+
+def test_theorem_when_j_misses_the_smallest_element_of_h(group4, subs4):
+    # J = <PQP, R, S> is the stabilizer of (0, 0, 1); at N = 4 it lacks the
+    # point reflection through the origin, the smallest element of H, so
+    # J's own coset is not first in canonical order and must be moved there
+    half = subs4["half"]
+    j = build_subgroup(group4, ("PQP", "R", "S"))
+    assert quotient.left_cosets(half, j).ids[IDENTITY] != 0
+    labels = tuple(f"c{i}" for i in range(32))
+    coloring = build_coloring(half, [OrbitPlan(1, j, labels)], background="white")
+    assert coloring.label_of((0, 0, 1)) == "c0"
+    report = verify_theorem(half, j, (0, 0, 1), coloring)
+    assert report.ok, report
+    assert report.parts[0].detail == "checked 1536 elements on 32 cosets"
 
 
 def test_nbo_counts_and_background(nbo):
@@ -332,6 +367,10 @@ def test_with_elements_rejects_unknown_labels(rock_salt):
 def test_from_text_errors(rock_salt):
     with pytest.raises(ValueError, match="modulus"):
         VertexColoring.from_text("colors first\n")
+    with pytest.raises(ValueError, match="modulus"):
+        VertexColoring.from_text("modulus \n")
+    with pytest.raises(ValueError, match="bad color line"):
+        VertexColoring.from_text("modulus 2\ncolor \n0 0 0 a\n")
     with pytest.raises(ValueError, match="bad color line"):
         VertexColoring.from_text("modulus 2\ncolor a glitter\n0 0 0 a\n")
     with pytest.raises(ValueError, match="bad vertex line"):

@@ -7,6 +7,7 @@ from honeycomb434.isometry import (
     EXPECTED_ANGLES,
     GENERATORS,
     IDENTITY,
+    MAX_WORD_LETTERS,
     MIRROR_NORMALS,
     RELATORS,
     Isometry,
@@ -106,8 +107,19 @@ def test_parse_word_negative_power_reverses():
     assert parse_word("(PQ)^0") == ()
 
 
+def test_parse_word_accepts_a_word_at_the_cap():
+    assert MAX_WORD_LETTERS == 10_000
+    assert parse_word("((P)^100)^100") == ("P",) * MAX_WORD_LETTERS
+    assert parse_word("P" * 9_999 + "(Q)^1") == ("P",) * 9_999 + ("Q",)
+
+
 @pytest.mark.parametrize(
-    "bad", ["", "X", "P!", "(PQ)", "(PQ)^", "()^2", "PQ)", "(PQ", "(PQ)^x", "P^2"]
+    "bad",
+    [
+        "", "X", "P!", "(PQ)", "(PQ)^", "()^2", "PQ)", "(PQ", "(PQ)^x", "P^2",
+        # one letter over MAX_WORD_LETTERS, flat, as a power and as a nested power
+        "P" * 10_001, "(P)^10001", "(P)^-10001", "((P)^100)^101",
+    ],
 )
 def test_parse_word_rejects(bad):
     with pytest.raises(WordError):

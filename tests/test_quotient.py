@@ -89,12 +89,20 @@ def test_certificate_words_stay_inside_the_subgroup(group2, subs2):
 
 
 def test_uncertified_until_certified(group2):
+    # the full group is its own parent and needs no certificate
+    assert group2.parent is group2
+    assert group2.certified
+    assert group2.translation_certificate is None
     raw = build_subgroup(group2, WORDS["eighth"])
+    assert type(raw) is type(group2) is TorusGroup
+    assert raw.parent is group2
     assert not raw.certified
     assert raw.translation_certificate is None
     done = certify_translations(raw, RADIUS)
     assert done.certified
-    assert done.elements == raw.elements
+    assert done.parent is group2
+    assert done.elements is raw.elements
+    assert done.generator_words == raw.generator_words
 
 
 def test_finite_subgroup_fails_definitively(group2):
