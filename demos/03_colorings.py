@@ -46,7 +46,7 @@ def main() -> None:
     for sym in "PQRS":
         act = color_action(two, GENERATORS[sym])
         print(f"    {sym} permutes the colors as {act.mapping}")
-    cg = color_group(two, group)
+    cg = color_group(two)
     verdict = "perfect" if cg.subgroup.order == group.order else "not perfect"
     print(f"    color group order {cg.subgroup.order} of {group.order}: {verdict}")
 
@@ -65,7 +65,7 @@ def main() -> None:
     describe(three)
     p = color_action(three, GENERATORS["P"])
     print(f"    P permutes the colors: {p is not None}")
-    cg = color_group(three, group)
+    cg = color_group(three)
     print(f"    color group order {cg.subgroup.order} "
           f"(equals the constructing subgroup: {cg.subgroup.elements == quarter.elements})")
 

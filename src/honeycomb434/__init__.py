@@ -28,13 +28,10 @@ from .isometry import (
     translation,
 )
 from .quotient import (
-    DEFAULT_RADIUS,
     CertificationError,
-    CosetTable,
     IntegerLattice,
     SubgroupError,
     TorusGroup,
-    Witness,
     build_group,
     build_subgroup,
     certify_translations,
@@ -45,21 +42,13 @@ from .quotient import (
 )
 from .orbits import (
     Orbit,
-    OrbitDecomposition,
-    Stabilizer,
     decompose,
     stabilizer,
     stabilizer_contained,
 )
 from .coloring import (
-    ColorGroupResult,
-    ColorInfo,
-    ColorPermutation,
-    ColoringRecipe,
     OrbitPlan,
     PlanError,
-    Stoichiometry,
-    TheoremReport,
     VertexColoring,
     build_coloring,
     color_action,
@@ -70,7 +59,6 @@ from .coloring import (
 from .crystal import (
     PALETTE,
     PRESET_NAMES,
-    CrystalModel,
     export,
     export_off,
     export_report,
@@ -99,13 +87,10 @@ __all__ = [
     "perturbed_generators",
     "presentation_holds",
     "translation",
-    "DEFAULT_RADIUS",
     "CertificationError",
-    "CosetTable",
     "IntegerLattice",
     "SubgroupError",
     "TorusGroup",
-    "Witness",
     "build_group",
     "build_subgroup",
     "certify_translations",
@@ -114,19 +99,11 @@ __all__ = [
     "left_cosets",
     "member",
     "Orbit",
-    "OrbitDecomposition",
-    "Stabilizer",
     "decompose",
     "stabilizer",
     "stabilizer_contained",
-    "ColorGroupResult",
-    "ColorInfo",
-    "ColorPermutation",
-    "ColoringRecipe",
     "OrbitPlan",
     "PlanError",
-    "Stoichiometry",
-    "TheoremReport",
     "VertexColoring",
     "build_coloring",
     "color_action",
@@ -135,7 +112,6 @@ __all__ = [
     "verify_theorem",
     "PALETTE",
     "PRESET_NAMES",
-    "CrystalModel",
     "export",
     "export_off",
     "export_report",

@@ -17,6 +17,7 @@ whole group exactly when the coloring is perfect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -122,6 +123,19 @@ class VertexColoring:
             info.label: int((flat == cid).sum())
             for cid, info in enumerate(self.color_table)
         }
+
+    @cached_property
+    def _color_group(self) -> ColorGroupResult:
+        from .quotient import build_group
+
+        group = self.recipe.group.parent if self.recipe is not None else build_group(self.modulus)
+        sigma: dict[Isometry, tuple[int, ...]] = {}
+        for g in sorted(group.elements, key=element_key):
+            perm = color_action(self, g)
+            if perm is not None:
+                sigma[g] = perm.mapping
+        sub = TorusGroup(group.modulus, (), frozenset(sigma), _parent=group.parent)
+        return ColorGroupResult(sub, sigma)
 
     def with_elements(self, elements: Mapping[str, str]) -> "VertexColoring":
         """Copy with element symbols attached to the given labels."""
@@ -399,26 +413,12 @@ def color_action(coloring: VertexColoring, g: Isometry) -> ColorPermutation | No
     return ColorPermutation(g, tuple(int(c) for c in perm))
 
 
-def color_group(coloring: VertexColoring, group: TorusGroup | None = None) -> ColorGroupResult:
-    """All elements of the full torus group that permute the color classes.
-
-    The coloring is perfect exactly when the result is the whole group.
-    Without `group`, a built coloring uses the full group its recipe was
-    built on; only a coloring without a recipe gets a freshly built one."""
-    from .quotient import build_group
-
-    if group is None:
-        recipe = coloring.recipe
-        group = recipe.group.parent if recipe is not None else build_group(coloring.modulus)
-    sigma: dict[Isometry, tuple[int, ...]] = {}
-    members = []
-    for g in sorted(group.elements, key=element_key):
-        perm = color_action(coloring, g)
-        if perm is not None:
-            sigma[g] = perm.mapping
-            members.append(g)
-    sub = TorusGroup(group.modulus, (), frozenset(members), _parent=group.parent)
-    return ColorGroupResult(sub, sigma)
+def color_group(coloring: VertexColoring) -> ColorGroupResult:
+    """All elements of the full torus group that permute the color classes,
+    with their sigma table; the coloring is perfect exactly when that is the
+    whole group.  Computed once per coloring, over the full group its recipe
+    was built on (a fresh one without a recipe), and kept on the coloring."""
+    return coloring._color_group
 
 
 class PartResult(NamedTuple):
@@ -453,6 +453,8 @@ def verify_theorem(
 
     Returns a report with one entry per part; failures carry the
     counterexample."""
+    if not h.modulus == j.modulus == coloring.modulus:
+        raise ValueError(f"moduli differ: H {h.modulus}, J {j.modulus}, coloring {coloring.modulus}")
     n = h.modulus
     x = tuple(c % n for c in x)
     decomp = decompose(h)
@@ -465,21 +467,20 @@ def verify_theorem(
     # coset position -> color, read off each coset's representative
     coset_color = [coloring.color_id(h.act(g0, x)) for g0 in table.representatives]
 
+    sigma = color_group(coloring).sigma
     ok1, detail1 = True, f"checked {len(h_sorted)} elements on {k} cosets"
-    sigma_cache: dict[Isometry, tuple[int, ...]] = {}
     for g in h_sorted:
-        act = color_action(coloring, g)
-        if act is None:
+        mapping = sigma.get(g)
+        if mapping is None:
             ok1, detail1 = False, f"element {g} does not permute the colors"
             break
-        sigma_cache[g] = act.mapping
         for pos, g0 in enumerate(table.representatives):
             moved = table.ids[h.mul(g, g0)]
-            if coset_color[moved] != act.mapping[coset_color[pos]]:
+            if coset_color[moved] != mapping[coset_color[pos]]:
                 ok1 = False
                 detail1 = (
                     f"element {g} sends coset {pos} to {moved} but color "
-                    f"{coset_color[pos]} to {act.mapping[coset_color[pos]]}"
+                    f"{coset_color[pos]} to {mapping[coset_color[pos]]}"
                 )
                 break
         if not ok1:
@@ -495,7 +496,7 @@ def verify_theorem(
         )
     )
 
-    if len(sigma_cache) == len(h_sorted):
+    if sigma.keys() >= h.elements:
         roots = list(range(len(coloring.color_table)))
 
         def find(c):
@@ -504,11 +505,9 @@ def verify_theorem(
                 c = roots[c]
             return c
 
-        for mapping in sigma_cache.values():
-            for c, d in enumerate(mapping):
-                rc, rd = find(c), find(d)
-                if rc != rd:
-                    roots[rd] = rc
+        for g in h.elements:
+            for c, d in enumerate(sigma[g]):
+                roots[find(d)] = find(c)
         n_color_orbits = len({find(c) for c in range(len(roots))})
         ok3 = n_color_orbits <= len(decomp.orbits)
         detail3 = f"{n_color_orbits} color orbits vs {len(decomp.orbits)} vertex orbits"

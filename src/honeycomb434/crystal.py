@@ -193,6 +193,10 @@ def validate_config(data) -> None:
             and all(isinstance(r, int) and r >= 0 for r in region),
             "'region' must be three non-negative integers",
         )
+        try:
+            _region_shape(region, data.get("modulus", 2))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         path = request.get("path")
         need(isinstance(path, str) and path, "each export needs a 'path'")
         need(not Path(path).is_absolute(), "export paths must be relative to --out-dir")
@@ -252,18 +256,28 @@ def substitute(
     return CrystalModel(family or model.family, model.coloring.with_elements(elements))
 
 
-def _region_shape(model: CrystalModel, region) -> tuple[int, int, int]:
+# the most sites, a*b*c*N^3, that one export may cover; the largest export of
+# the bundled configs at N = 8 covers 4,096
+MAX_EXPORT_SITES = 2**18
+
+
+def _region_shape(region, modulus: int) -> tuple[int, int, int]:
+    """Extent in sites of `region` unit cells, one period each; checked
+    before anything is allocated."""
     a, b, c = (int(r) for r in region)
     if min(a, b, c) < 0:
         raise ValueError(f"region must be non-negative, got {region}")
-    n = model.modulus
-    return a * n, b * n, c * n
+    if a * b * c * modulus**3 > MAX_EXPORT_SITES:
+        raise ValueError(
+            f"region {a}x{b}x{c} at modulus {modulus} covers more than {MAX_EXPORT_SITES} sites"
+        )
+    return a * modulus, b * modulus, c * modulus
 
 
 def export_xyz(model: CrystalModel, region=(1, 1, 1)) -> str:
     """Occupied sites over region unit cells, one period per cell, as an
     xyz file in lattice units.  Vacancies are omitted."""
-    sx, sy, sz = _region_shape(model, region)
+    sx, sy, sz = _region_shape(region, model.modulus)
     coloring = model.coloring
     table = coloring.color_table
     rows = []
@@ -296,7 +310,7 @@ _CUBE_FACES = (
 def export_off(model: CrystalModel, region=(1, 1, 1), half_width: float = 0.2) -> str:
     """Every site of the region as a small axis-aligned cube with
     face colors from the palette; vacancies are drawn too."""
-    sx, sy, sz = _region_shape(model, region)
+    sx, sy, sz = _region_shape(region, model.modulus)
     coloring = model.coloring
     verts: list[str] = []
     faces: list[str] = []

@@ -249,12 +249,15 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
                 digits = text[start:pos]
                 if not digits.lstrip("+-"):
                     raise WordError(f"missing exponent at position {start} in {text!r}")
-                k = int(digits)
-                check_length(len(letters) + len(inner) * abs(k))
-                if k >= 0:
-                    letters.extend(inner * k)
-                else:
-                    letters.extend(list(reversed(inner)) * (-k))
+                # int() refuses more than 4300 digits, leading zeros included;
+                # a magnitude with more digits than the cap exceeds it anyway
+                magnitude = digits.lstrip("+-").lstrip("0")
+                too_long = len(magnitude) > len(str(MAX_WORD_LETTERS))
+                k = MAX_WORD_LETTERS + 1 if too_long else int(magnitude or "0")
+                check_length(len(letters) + len(inner) * k)
+                if digits.startswith("-"):
+                    inner.reverse()
+                letters.extend(inner * k)
             elif ch == ")":
                 if depth == 0:
                     raise WordError(f"unbalanced ')' at position {pos} in {text!r}")

@@ -170,7 +170,7 @@ def test_05_orbit_counts(g2):
 
 def test_06_two_coloring_is_perfect(g2, two_coloring):
     full, half, coloring = two_coloring
-    cg = color_group(coloring, g2)
+    cg = color_group(coloring)
     assert cg.subgroup.elements == g2.elements
     assert cg.subgroup.order == 384
     p = color_action(coloring, GENERATORS["P"])
@@ -183,7 +183,7 @@ def test_06_two_coloring_is_perfect(g2, two_coloring):
 def test_07_three_coloring_color_group(g2, three_coloring):
     quarter, eighth, coloring = three_coloring
     assert len(coloring.labels) == 3
-    cg = color_group(coloring, g2)
+    cg = color_group(coloring)
     assert cg.subgroup.elements <= quarter.elements
     assert quarter.elements <= cg.subgroup.elements
     assert color_action(coloring, GENERATORS["P"]) is None
@@ -310,7 +310,7 @@ def test_11_brute_force_oracle(g2, two_coloring, three_coloring):
         )
         brute = {g for g in theirs if oracle.permutes_classes(g, classes, n)}
         assert len(brute) == expected_order
-        cg = color_group(coloring, g2)
+        cg = color_group(coloring)
         assert {as_oracle(el) for el in cg.subgroup.elements} == brute
 
 

@@ -67,6 +67,9 @@ def test_bad_word_is_a_usage_error(capsys):
     assert code == 2
     assert "error:" in err
     assert "unexpected character" in err
+    code, out, err = run(capsys, "subgroup", "(P)^" + "1" * 5000)
+    assert code == 2
+    assert "flattens to more than 10000 letters" in err
 
 
 def test_finite_subgroup_fails_certification(capsys):
@@ -260,6 +263,19 @@ def test_config_uncertifiable_subgroup_is_a_precondition_error(tmp_path, capsys)
     code, out, err = run(capsys, "color", "--config", str(path), "--out-dir", str(tmp_path))
     assert code == 3
     assert "no certificate exists" in err
+
+
+def test_oversized_export_region_is_rejected_before_writing(tmp_path, capsys):
+    with open("src/honeycomb434/configs/rock-salt.json") as f:
+        cfg = json.load(f)
+    cfg["exports"][1]["region"] = [10**6, 1, 1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "export", "--config", str(path), "--out-dir", str(out_dir))
+    assert code == 2
+    assert "region 1000000x1x1 at modulus 2 covers more than 262144 sites" in err
+    assert not out_dir.exists()
 
 
 def test_unwritable_out_dir_is_an_io_error(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from honeycomb434 import coloring as coloring_module
 from honeycomb434 import quotient
 from honeycomb434.coloring import (
+    ColorInfo,
     OrbitPlan,
     PlanError,
     VertexColoring,
@@ -12,7 +16,9 @@ from honeycomb434.coloring import (
     stoichiometry,
     verify_theorem,
 )
+from honeycomb434.crystal import export_report, preset
 from honeycomb434.isometry import GENERATORS, IDENTITY, eval_word
+from honeycomb434.orbits import decompose
 from honeycomb434.quotient import build_subgroup
 
 
@@ -77,7 +83,7 @@ def test_rock_salt_color_action(rock_salt):
 
 
 def test_rock_salt_coloring_is_perfect(group2, rock_salt):
-    cg = color_group(rock_salt, group2)
+    cg = color_group(rock_salt)
     assert cg.subgroup.order == 384
     assert cg.subgroup.elements == group2.elements
     assert len(cg.sigma) == 384
@@ -99,6 +105,36 @@ def test_color_group_reuses_the_group_the_coloring_was_built_on(
     assert cg.subgroup.parent is nbo.recipe.group.parent
     assert cg.subgroup.elements == fresh.subgroup.elements
     assert cg.sigma == fresh.sigma
+
+
+def test_one_color_action_pass_per_coloring(monkeypatch):
+    calls = []
+    original = coloring_module.color_action
+
+    def counted(coloring, g):
+        calls.append(g)
+        return original(coloring, g)
+
+    monkeypatch.setattr(coloring_module, "color_action", counted)
+    model = preset("rock-salt", 2)
+    coloring = model.coloring
+    h, plans = coloring.recipe.group, coloring.recipe.plans
+    decomp = decompose(h)
+    for plan in plans:
+        rep = decomp.orbits[plan.orbit].representative
+        assert verify_theorem(h, plan.subgroup, rep, coloring).ok
+    assert color_group(coloring) is color_group(coloring)
+    export_report(model)
+    # one pass over the 48 * 2^3 elements of the full group, shared by all
+    assert len(calls) == 384
+
+
+def test_theorem_rejects_mismatched_moduli(subs2, subs4, rock_salt):
+    # a rock-salt coloring at N = 2 checked against groups mod 4
+    with pytest.raises(ValueError, match="moduli differ"):
+        verify_theorem(subs4["full"], subs4["half"], (0, 0, 0), rock_salt)
+    with pytest.raises(ValueError, match="moduli differ"):
+        verify_theorem(subs2["full"], subs4["half"], (0, 0, 0), rock_salt)
 
 
 def test_rock_salt_theorem(subs2, rock_salt):
@@ -350,6 +386,33 @@ def test_serialization_round_trip(nbo, perovskite):
         back = VertexColoring.from_text(text)
         assert back == coloring
         assert back.to_text() == text
+
+
+tokens = st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True)
+
+
+@st.composite
+def colorings(draw):
+    """A total, onto coloring with random token labels, element symbols
+    and background flags."""
+    n = draw(st.sampled_from((2, 4)))
+    labels = draw(st.lists(tokens, min_size=1, max_size=6, unique=True))
+    k = len(labels)
+    table = tuple(
+        ColorInfo(label, draw(st.none() | tokens), draw(st.booleans())) for label in labels
+    )
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n**3 - k, max_size=n**3 - k))
+    cells = draw(st.permutations(list(range(k)) + rest))
+    return VertexColoring(n, table, np.array(cells, dtype=np.int16).reshape(n, n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(colorings())
+def test_text_round_trip(coloring):
+    text = coloring.to_text()
+    back = VertexColoring.from_text(text)
+    assert back == coloring
+    assert back.to_text() == text
 
 
 def test_serialization_keeps_elements(rock_salt):

@@ -6,6 +6,7 @@ from honeycomb434.crystal import (
     FALLBACK_COLOR,
     PALETTE,
     PRESET_NAMES,
+    _region_shape,
     export,
     export_off,
     export_report,
@@ -166,6 +167,12 @@ def test_xyz_region_scaling(models):
     assert len(empty) == 2
     with pytest.raises(ValueError, match="non-negative"):
         export_xyz(rs, region=(-1, 1, 1))
+    # capped at MAX_EXPORT_SITES = 2^18 sites, checked before any allocation
+    with pytest.raises(ValueError, match="more than 262144 sites"):
+        export_xyz(rs, region=(10**6, 1, 1))
+    with pytest.raises(ValueError, match="more than 262144 sites"):
+        export_off(rs, region=(33, 32, 32))
+    assert _region_shape((32, 32, 32), 2) == (64, 64, 64)
 
 
 def test_xyz_reimport_reproduces_stoichiometry(models):

@@ -111,6 +111,8 @@ def test_parse_word_accepts_a_word_at_the_cap():
     assert MAX_WORD_LETTERS == 10_000
     assert parse_word("((P)^100)^100") == ("P",) * MAX_WORD_LETTERS
     assert parse_word("P" * 9_999 + "(Q)^1") == ("P",) * 9_999 + ("Q",)
+    # leading zeros do not count toward the exponent's size
+    assert parse_word("(P)^" + "0" * 5000 + "1") == ("P",)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +121,8 @@ def test_parse_word_accepts_a_word_at_the_cap():
         "", "X", "P!", "(PQ)", "(PQ)^", "()^2", "PQ)", "(PQ", "(PQ)^x", "P^2",
         # one letter over MAX_WORD_LETTERS, flat, as a power and as a nested power
         "P" * 10_001, "(P)^10001", "(P)^-10001", "((P)^100)^101",
+        # an exponent too long for int() is still over the cap
+        pytest.param("(P)^" + "1" * 5000, id="(P)^<5000 ones>"),
     ],
 )
 def test_parse_word_rejects(bad):
