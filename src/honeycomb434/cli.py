@@ -29,12 +29,15 @@ from .isometry import (
 from .orbits import decompose, stabilizer
 from .quotient import (
     DEFAULT_RADIUS,
+    MAX_MODULUS,
     CertificationError,
     SubgroupError,
     TorusGroup,
     build_group,
     build_subgroup,
     certify_translations,
+    check_modulus,
+    check_radius,
     index,
 )
 
@@ -162,6 +165,26 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _checked(check, name: str):
+    """An argparse type: an integer that `check` accepts, checked before
+    anything is built."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+_modulus = _checked(check_modulus, "modulus")
+_radius = _checked(check_radius, "radius")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="honeycomb434",
@@ -179,10 +202,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def word_arguments(p) -> None:
         p.add_argument("words", nargs="+", help="generating words over P, Q, R, S")
-        p.add_argument("--modulus", type=int, default=2, help="torus period (even, default 2)")
+        p.add_argument(
+            "--modulus",
+            type=_modulus,
+            default=2,
+            help=f"torus period (even, at most {MAX_MODULUS}, default 2)",
+        )
         p.add_argument(
             "--radius",
-            type=int,
+            type=_radius,
             default=DEFAULT_RADIUS,
             help=f"word-length bound for the translation certificate (default {DEFAULT_RADIUS})",
         )
@@ -207,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="config file path or bundled name")
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument(
-            "--radius", type=int, default=None, help="override the config's certificate radius"
+            "--radius", type=_radius, default=None, help="override the config's certificate radius"
         )
 
     p = commands.add_parser(
@@ -226,6 +254,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "cross_check", False) and 2 * args.modulus > MAX_MODULUS:
+            parser.error(
+                f"--cross-check recomputes at modulus {2 * args.modulus}, above the limit "
+                f"{MAX_MODULUS}; pass --no-cross-check"
+            )
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -16,15 +16,30 @@ whole group exactly when the coloring is perfect.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .isometry import IDENTITY, Isometry
-from .orbits import decompose, stabilizer
-from .quotient import CosetTable, TorusGroup, element_key, index, left_cosets
+from .isometry import Isometry
+from .orbits import decompose, stabilizer_codes
+from .quotient import (
+    CosetTable,
+    ElementCodes,
+    TorusGroup,
+    apply_linear,
+    coords,
+    decode,
+    encode,
+    flat,
+    identity_code,
+    images,
+    index,
+    left_cosets,
+    multiply,
+)
 
 Vec = tuple[int, int, int]
 
@@ -62,13 +77,48 @@ class ColorPermutation(NamedTuple):
     mapping: tuple[int, ...]  # mapping[c] = color id of the image class
 
 
+class SigmaTable(Mapping):
+    """sigma(g) for every g of a color group: the permutation of the colors
+    that g induces, mapping[c] = color id of the image of class c.
+
+    A read-only mapping from `Isometry` to tuple.  It stores the color
+    group's codes and one vertex per color class, and reads each mapping
+    off the image of those vertices when asked, so it holds no entry per
+    element."""
+
+    def __init__(self, group: TorusGroup, assignment: np.ndarray, class_vertices: np.ndarray):
+        self._group = group
+        self._assignment = assignment
+        self._class_vertices = class_vertices
+
+    def image_colors(self, codes: np.ndarray, color: int) -> np.ndarray:
+        """sigma(g)[color] for each code g; meaningful where g is a key."""
+        n = self._group.modulus
+        return self._assignment[images(codes, coords(self._class_vertices[color], n), n)]
+
+    def __getitem__(self, g) -> tuple[int, ...]:
+        if not isinstance(g, Isometry):
+            raise KeyError(g)
+        n = self._group.modulus
+        code = encode(g, n)
+        if not self._group.includes(code):
+            raise KeyError(g)
+        return tuple(self._assignment[images(code, coords(self._class_vertices, n), n)].tolist())
+
+    def __iter__(self) -> Iterator[Isometry]:
+        return iter(decode(self._group.codes, self._group.modulus))
+
+    def __len__(self) -> int:
+        return self._group.order
+
+
 class ColorGroupResult(NamedTuple):
     """All elements that permute the color classes, with their sigma table.
 
     `subgroup` carries no generating words; it is derived element-wise."""
 
     subgroup: TorusGroup
-    sigma: dict[Isometry, tuple[int, ...]]
+    sigma: SigmaTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +179,7 @@ class VertexColoring:
         from .quotient import build_group
 
         group = self.recipe.group.parent if self.recipe is not None else build_group(self.modulus)
-        sigma: dict[Isometry, tuple[int, ...]] = {}
-        for g in sorted(group.elements, key=element_key):
-            perm = color_action(self, g)
-            if perm is not None:
-                sigma[g] = perm.mapping
-        sub = TorusGroup(group.modulus, (), frozenset(sigma), _parent=group.parent)
-        return ColorGroupResult(sub, sigma)
+        return _color_group_of(self, group)
 
     def with_elements(self, elements: Mapping[str, str]) -> "VertexColoring":
         """Copy with element symbols attached to the given labels."""
@@ -146,7 +190,11 @@ class VertexColoring:
             ColorInfo(i.label, elements.get(i.label, i.element), i.background)
             for i in self.color_table
         )
-        return VertexColoring(self.modulus, table, self.assignment, self.recipe)
+        copy = VertexColoring(self.modulus, table, self.assignment, self.recipe)
+        # sigma depends only on the assignment and the full group
+        if "_color_group" in self.__dict__:
+            copy.__dict__["_color_group"] = self._color_group
+        return copy
 
     def to_text(self) -> str:
         """Serialize: header, color table block, one line per vertex."""
@@ -231,14 +279,18 @@ def _ordered_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
     deterministic.
     """
     table = left_cosets(h, j)
-    first = table.ids[IDENTITY]
-    order = [first] + [c for c in range(len(table.cosets)) if c != first]
-    rank = {cid: pos for pos, cid in enumerate(order)}
-    return CosetTable(
-        {el: rank[cid] for el, cid in table.ids.items()},
-        tuple(table.cosets[cid] for cid in order),
-        tuple(table.representatives[cid] for cid in order),
-    )
+    k = len(table.representative_codes)
+    first = int(table.coset_ids[h.locate(identity_code(h.modulus))])
+    order = np.array([first] + [c for c in range(k) if c != first], dtype=np.int64)
+    rank = np.empty(k, dtype=np.int64)
+    rank[order] = np.arange(k)
+    return CosetTable(h, rank[table.coset_ids], table.representative_codes[order])
+
+
+def _outside(codes: np.ndarray, j: TorusGroup) -> Isometry | None:
+    """The smallest of the given sorted codes that J lacks, decoded."""
+    loose = codes[~j.includes(codes)]
+    return decode(loose[0], j.modulus)[0] if len(loose) else None
 
 
 def build_coloring(
@@ -280,15 +332,14 @@ def build_coloring(
         raise PlanError("background label given but every orbit has a plan")
 
     for plan in plans:
-        if not plan.subgroup.elements <= h.elements:
+        if not plan.subgroup.within(h):
             raise PlanError(f"plan for orbit {plan.orbit}: subgroup is not contained in H")
         rep = decomp.orbits[plan.orbit].representative
-        stab = stabilizer(h, rep)
-        loose = sorted(stab.elements - plan.subgroup.elements, key=element_key)
-        if loose:
+        loose = _outside(stabilizer_codes(h, rep), plan.subgroup)
+        if loose is not None:
             raise PlanError(
                 f"plan for orbit {plan.orbit}: stabilizer of {rep} is not inside the "
-                f"subgroup; offending element {loose[0]}"
+                f"subgroup; offending element {loose}"
             )
         k = index(h, plan.subgroup)
         if len(plan.labels) != k:
@@ -341,8 +392,8 @@ def build_coloring(
                     )
                 if pa == pb:
                     raise PlanError(f"cannot merge two colors of the same orbit plan ({la!r})")
-                ja = h.elements if pa is None else plans[pa].subgroup.elements
-                jb = h.elements if pb is None else plans[pb].subgroup.elements
+                ja = h.element_codes if pa is None else plans[pa].subgroup.element_codes
+                jb = h.element_codes if pb is None else plans[pb].subgroup.element_codes
                 if ja != jb:
                     raise PlanError(
                         f"merge of {la!r} and {lb!r}: the plans use different subgroups"
@@ -372,16 +423,23 @@ def build_coloring(
     table = tuple(ColorInfo(label, None, label in flagged) for label in order)
 
     assignment = np.full((n, n, n), -1, dtype=np.int16)
+    painted = assignment.reshape(-1)
     for pi, plan in enumerate(plans):
         rep = decomp.orbits[plan.orbit].representative
-        for pos, coset in enumerate(_ordered_cosets(h, plan.subgroup).cosets):
-            cid = occ_color[(pi, pos)]
-            for el in coset:
-                v = h.act(el, rep)
-                prev = assignment[v]
-                if prev >= 0 and prev != cid:
-                    raise AssertionError(f"vertex {v} colored twice; broken plan validation")
-                assignment[v] = cid
+        cosets = _ordered_cosets(h, plan.subgroup)
+        colors = np.array(
+            [occ_color[(pi, pos)] for pos in range(len(cosets.representative_codes))],
+            dtype=np.int16,
+        )[cosets.coset_ids]
+        # the image of the representative under every element of H, in the
+        # color of that element's coset
+        moved = images(h.codes, rep, n)
+        prev = painted[moved]
+        if ((prev >= 0) & (prev != colors)).any():
+            raise AssertionError("a vertex colored by two plans; broken plan validation")
+        painted[moved] = colors
+        if (painted[moved] != colors).any():
+            raise AssertionError("a vertex in two cosets' images; broken plan validation")
     for oi in unplanned:
         cid = occ_color[(None, 0)]
         for v in decomp.orbits[oi].vertices:
@@ -401,16 +459,87 @@ def color_action(coloring: VertexColoring, g: Isometry) -> ColorPermutation | No
     a = coloring.assignment
     idx = np.indices((n, n, n))
     image = [(g.signs[i] * idx[g.perm[i]] + g.trans[i]) % n for i in range(3)]
-    b = a[image[0], image[1], image[2]]
-    k = len(coloring.color_table)
+    perm = _induced(a.ravel(), a[image[0], image[1], image[2]].ravel(), len(coloring.color_table))
+    return None if perm is None else ColorPermutation(g, perm)
+
+
+def _induced(a: np.ndarray, b: np.ndarray, k: int) -> tuple[int, ...] | None:
+    """The map on the k colors that sends a[v] to b[v] for every vertex v,
+    if it is well defined and a permutation; None otherwise.  Here b is the
+    assignment read at the images of the vertices under one element."""
     mapping = np.full(k, -1, dtype=np.int16)
-    mapping[a.ravel()] = b.ravel()
+    mapping[a] = b
     if not (mapping[a] == b).all():
         return None
     perm = mapping.tolist()
     if sorted(perm) != list(range(k)):
         return None
-    return ColorPermutation(g, tuple(int(c) for c in perm))
+    return tuple(perm)
+
+
+def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupResult:
+    """The elements of `group`, the full group, that permute the colors.
+
+    The translations that do so form a group T, found by testing the
+    translations in order and skipping those already decided: a member
+    joins T with all its multiples, a non-member rules out its whole coset
+    of T as found so far.  For each linear part L, the elements (L, t) that
+    permute the colors are either none or one coset t0 + T, because two of
+    them differ by a translation that permutes the colors; so one candidate
+    t0 per coset of T decides L.  Every test is `color_action`'s predicate
+    on the whole assignment; the extra memory is O(N^3).
+    """
+    n = coloring.modulus
+    n3 = n**3
+    a = coloring.assignment.reshape(-1)
+    k = len(coloring.color_table)
+    grid = coords(np.arange(n3), n)
+
+    def permutes(image: np.ndarray) -> bool:
+        return _induced(a, a[flat(image % n, n)], k) is not None
+
+    in_t = np.zeros(n3, dtype=bool)
+    in_t[0] = True
+    t_members = np.zeros(1, dtype=np.int64)
+    decided = in_t.copy()
+    for tau in range(1, n3):
+        if decided[tau]:
+            continue
+        shift = coords(tau, n)
+        if permutes(grid + shift):
+            # T grows by the cosets T + m * tau until they come round into T
+            block, grown = t_members, [t_members]
+            while True:
+                block = flat((coords(block, n) + shift) % n, n)
+                if in_t[block[0]]:
+                    break
+                in_t[block] = True
+                grown.append(block)
+            t_members = np.concatenate(grown)
+            decided[t_members] = True
+        else:
+            decided[flat((coords(t_members, n) + shift) % n, n)] = True
+
+    t_coords = coords(np.flatnonzero(in_t), n)
+    covered = np.zeros(n3, dtype=bool)
+    transversal = []
+    for t0 in range(n3):
+        if not covered[t0]:
+            transversal.append(coords(t0, n))
+            covered[flat((t_coords + transversal[-1]) % n, n)] = True
+
+    blocks = []
+    for linear in range(48):
+        moved = apply_linear(linear, grid, n)
+        for t0 in transversal:
+            if permutes(moved + t0):
+                blocks.append(linear * n3 + np.sort(flat((t_coords + t0) % n, n)))
+                break
+    codes = ElementCodes(n, np.concatenate(blocks))
+    sub = TorusGroup(n, (), codes, _parent=group)
+    class_vertices = np.full(k, n3, dtype=np.int64)
+    np.minimum.at(class_vertices, a, np.arange(n3))
+    return ColorGroupResult(sub, SigmaTable(sub, a, class_vertices))
 
 
 def color_group(coloring: VertexColoring) -> ColorGroupResult:
@@ -460,31 +589,39 @@ def verify_theorem(
     decomp = decompose(h)
     orbit = decomp.orbit_of(x)
     table = _ordered_cosets(h, j)
-    k = len(table.cosets)
-    h_sorted = sorted(h.elements, key=element_key)
+    reps = table.representative_codes
+    k = len(reps)
+    a = coloring.assignment.reshape(-1)
     parts: list[PartResult] = []
 
     # coset position -> color, read off each coset's representative
-    coset_color = [coloring.color_id(h.act(g0, x)) for g0 in table.representatives]
+    coset_color = a[images(reps, x, n)]
 
-    sigma = color_group(coloring).sigma
-    ok1, detail1 = True, f"checked {len(h_sorted)} elements on {k} cosets"
-    for g in h_sorted:
-        mapping = sigma.get(g)
-        if mapping is None:
-            ok1, detail1 = False, f"element {g} does not permute the colors"
-            break
-        for pos, g0 in enumerate(table.representatives):
-            moved = table.ids[h.mul(g, g0)]
-            if coset_color[moved] != mapping[coset_color[pos]]:
-                ok1 = False
-                detail1 = (
-                    f"element {g} sends coset {pos} to {moved} but color "
-                    f"{coset_color[pos]} to {mapping[coset_color[pos]]}"
-                )
-                break
-        if not ok1:
-            break
+    cg = color_group(coloring)
+    sigma = cg.sigma
+    # part 1 fails at the first element of H, in canonical order, that has
+    # no sigma or whose sigma disagrees with the coset action at some coset
+    defined = cg.subgroup.includes(h.codes)
+    failing = ~defined
+    for pos in range(k):
+        moved = table.coset_ids[h.locate(multiply(h.codes, reps[pos], n))]
+        failing |= defined & (coset_color[moved] != sigma.image_colors(h.codes, coset_color[pos]))
+    ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
+    if failing.any():
+        i = int(np.argmax(failing))
+        g = decode(h.codes[i], n)[0]
+        ok1, detail1 = False, f"element {g} does not permute the colors"
+        if defined[i]:
+            mapping = sigma[g]
+            for pos in range(k):
+                moved = int(table.coset_ids[h.locate(multiply(h.codes[i], reps[pos], n))])
+                c, d = int(coset_color[pos]), int(coset_color[moved])
+                if d != mapping[c]:
+                    detail1 = (
+                        f"element {g} sends coset {pos} to {moved} but color "
+                        f"{c} to {mapping[c]}"
+                    )
+                    break
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
     orbit_colors = {coloring.color_id(v) for v in orbit.vertices}
@@ -496,8 +633,9 @@ def verify_theorem(
         )
     )
 
-    if sigma.keys() >= h.elements:
-        roots = list(range(len(coloring.color_table)))
+    if defined.all():
+        colors = len(coloring.color_table)
+        roots = list(range(colors))
 
         def find(c):
             while roots[c] != c:
@@ -505,8 +643,10 @@ def verify_theorem(
                 c = roots[c]
             return c
 
-        for g in h.elements:
-            for c, d in enumerate(sigma[g]):
+        for c in range(colors):
+            hit = np.zeros(colors, dtype=bool)
+            hit[sigma.image_colors(h.codes, c)] = True
+            for d in np.flatnonzero(hit).tolist():
                 roots[find(d)] = find(c)
         n_color_orbits = len({find(c) for c in range(len(roots))})
         ok3 = n_color_orbits <= len(decomp.orbits)
@@ -515,24 +655,23 @@ def verify_theorem(
         ok3, detail3 = False, "sigma undefined for some element of H"
     parts.append(PartResult("3: color orbits <= vertex orbits", ok3, detail3))
 
-    stab = stabilizer(h, x)
-    loose = sorted(stab.elements - j.elements, key=element_key)
+    loose = _outside(stabilizer_codes(h, x), j)
     parts.append(
         PartResult(
             "4a: Stab_H(x) inside J",
-            not loose,
-            "contained" if not loose else f"offending element {loose[0]}",
+            loose is None,
+            "contained" if loose is None else f"offending element {loose}",
         )
     )
 
-    stab_j = sum(1 for g in j.elements if j.act(g, x) == x)
+    stab_j = len(stabilizer_codes(j, x))
     lhs = len(orbit.vertices)
-    rhs = k * (len(j.elements) // stab_j)
+    rhs = k * (j.order // stab_j)
     parts.append(
         PartResult(
             "4b: |orbit| = [H:J]*[J:Stab]",
             lhs == rhs,
-            f"{lhs} = {k}*{len(j.elements) // stab_j}" if lhs == rhs else f"{lhs} != {rhs}",
+            f"{lhs} = {k}*{j.order // stab_j}" if lhs == rhs else f"{lhs} != {rhs}",
         )
     )
     return TheoremReport(tuple(parts))

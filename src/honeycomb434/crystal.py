@@ -31,7 +31,15 @@ from .coloring import (
 )
 from .isometry import WordError, parse_word
 from .orbits import decompose
-from .quotient import DEFAULT_RADIUS, build_group, build_subgroup, certify_translations, index
+from .quotient import (
+    DEFAULT_RADIUS,
+    build_group,
+    build_subgroup,
+    certify_translations,
+    check_modulus,
+    check_radius,
+    index,
+)
 
 PALETTE: dict[str, tuple[int, int, int]] = {
     "light-blue": (120, 180, 255),
@@ -54,14 +62,6 @@ class CrystalModel(NamedTuple):
     @property
     def modulus(self) -> int:
         return self.coloring.modulus
-
-    @property
-    def element_map(self) -> dict[str, str]:
-        return {
-            info.label: info.element
-            for info in self.coloring.color_table
-            if info.element is not None
-        }
 
     @property
     def composition(self) -> tuple[tuple[str, int], ...]:
@@ -130,6 +130,11 @@ def validate_config(data) -> None:
     need(isinstance(data.get("family"), str), "config needs a string 'family'")
     need(isinstance(data.get("modulus", 2), int), "'modulus' must be an integer")
     need(isinstance(data.get("radius", DEFAULT_RADIUS), int), "'radius' must be an integer")
+    try:
+        check_modulus(data.get("modulus", 2))
+        check_radius(data.get("radius", DEFAULT_RADIUS))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     subgroups = data.get("subgroups")
     need(isinstance(subgroups, dict) and subgroups, "config needs a 'subgroups' table")
     for name, words in subgroups.items():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .isometry import IDENTITY, Isometry
-from .quotient import SubgroupError, TorusGroup
+from .quotient import SubgroupError, TorusGroup, apply_linear, decode, join
 
 Vec = tuple[int, int, int]
 
@@ -43,8 +45,16 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
     Vertices are scanned in lexicographic order and each orbit is grown by
     breadth-first application of the generator elements only, so the
     representative is the lexicographically smallest vertex of its orbit,
-    discovery order is deterministic, and witnesses stay short.
+    discovery order is deterministic, and witnesses stay short.  Computed
+    once per group object and kept on it.
     """
+    memo = acting._memo
+    if "orbits" not in memo:
+        memo["orbits"] = _orbit_decomposition(acting)
+    return memo["orbits"]
+
+
+def _orbit_decomposition(acting: TorusGroup) -> OrbitDecomposition:
     gens = acting.generator_elements
     orbits: list[Orbit] = []
     vertex_orbit: dict[Vec, int] = {}
@@ -69,10 +79,22 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
     return OrbitDecomposition(acting, tuple(orbits), vertex_orbit)
 
 
+def stabilizer_codes(acting: TorusGroup, v) -> np.ndarray:
+    """Sorted codes of the elements of the acting group fixing v.
+
+    (L, t) fixes v exactly when t = v - L v mod N, so each of the 48 linear
+    parts has one candidate, and a membership lookup decides it."""
+    n = acting.modulus
+    v = np.asarray(v, dtype=np.int64) % n
+    linear = np.arange(48)
+    candidates = join(linear, (v - apply_linear(linear, v, n)) % n, n)
+    return candidates[acting.includes(candidates)]
+
+
 def stabilizer(acting: TorusGroup, v) -> Stabilizer:
     """All elements of the acting group fixing the vertex on the torus."""
     v = tuple(c % acting.modulus for c in v)
-    return Stabilizer(v, frozenset(g for g in acting.elements if acting.act(g, v) == v))
+    return Stabilizer(v, frozenset(decode(stabilizer_codes(acting, v), acting.modulus)))
 
 
 def stabilizer_contained(acting: TorusGroup, v, j: TorusGroup) -> bool:
@@ -80,6 +102,6 @@ def stabilizer_contained(acting: TorusGroup, v, j: TorusGroup) -> bool:
 
     This is the admissibility condition for coloring the orbit of v by the
     left cosets of J."""
-    if not j.elements <= acting.elements:
+    if not j.within(acting):
         raise SubgroupError("J is not contained in the acting group")
-    return stabilizer(acting, v).elements <= j.elements
+    return bool(j.includes(stabilizer_codes(acting, v)).all())

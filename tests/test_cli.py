@@ -101,6 +101,25 @@ def test_larger_radius_resolves_it(capsys):
     assert "order 96, index 4" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("subgroup", "P", "--modulus", "1000000"), "modulus 1000000 is above the limit 16"),
+        (("orbits", "P", "--modulus", "18"), "modulus 18 is above the limit 16"),
+        (("orbits", "P", "--modulus", "3"), "even integer"),
+        # the cross-check would build the group at twice the modulus
+        (("subgroup", "P", "--modulus", "16"), "recomputes at modulus 32"),
+        (("subgroup", "P", "--radius", "25"), "radius 25 is above the limit 24"),
+        (("color", "--config", "nbo", "--radius", "1000"), "radius 1000 is above the limit"),
+    ],
+)
+def test_sizes_above_the_limits_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
 
@@ -227,6 +246,10 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: c["exports"][0].update(region=[1, 1]), "region"),
         (lambda c: c["exports"][0].update(path="/abs/path.xyz"), "path"),
         (lambda c: c["subgroups"].update(half="PQP"), "subgroup"),
+        (lambda c: c.update(modulus=3), "even integer"),
+        (lambda c: c.update(modulus=10**6), "modulus 1000000 is above the limit 16"),
+        (lambda c: c.update(radius=0), "radius must be positive"),
+        (lambda c: c.update(radius=10**9), "radius 1000000000 is above the limit 24"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, mangle, message):

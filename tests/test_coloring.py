@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from honeycomb434 import coloring as coloring_module
+from honeycomb434 import orbits as orbits_module
 from honeycomb434 import quotient
 from honeycomb434.coloring import (
     ColorInfo,
@@ -16,7 +17,7 @@ from honeycomb434.coloring import (
     stoichiometry,
     verify_theorem,
 )
-from honeycomb434.crystal import export_report, preset
+from honeycomb434.crystal import export_report, preset, substitute
 from honeycomb434.isometry import GENERATORS, IDENTITY, eval_word
 from honeycomb434.orbits import decompose
 from honeycomb434.quotient import build_subgroup
@@ -107,15 +108,21 @@ def test_color_group_reuses_the_group_the_coloring_was_built_on(
     assert cg.sigma == fresh.sigma
 
 
-def test_one_color_action_pass_per_coloring(monkeypatch):
+def count_calls(monkeypatch, module, name):
     calls = []
-    original = coloring_module.color_action
+    original = getattr(module, name)
 
-    def counted(coloring, g):
-        calls.append(g)
-        return original(coloring, g)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(coloring_module, "color_action", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_color_action_pass_per_coloring(monkeypatch):
+    passes = count_calls(monkeypatch, coloring_module, "_color_group_of")
+    actions = count_calls(monkeypatch, coloring_module, "color_action")
     model = preset("rock-salt", 2)
     coloring = model.coloring
     h, plans = coloring.recipe.group, coloring.recipe.plans
@@ -125,8 +132,94 @@ def test_one_color_action_pass_per_coloring(monkeypatch):
         assert verify_theorem(h, plan.subgroup, rep, coloring).ok
     assert color_group(coloring) is color_group(coloring)
     export_report(model)
-    # one pass over the 48 * 2^3 elements of the full group, shared by all
-    assert len(calls) == 384
+    # one color-group pass, shared by all; it never calls color_action
+    assert len(passes) == 1
+    assert actions == []
+
+
+def test_substitute_keeps_the_sigma_table(monkeypatch):
+    passes = count_calls(monkeypatch, coloring_module, "_color_group_of")
+    model = preset("rock-salt", 2)
+    export_report(model)
+    salt = substitute(model, {"light-blue": "Ag", "white": "Cl"})
+    assert color_group(salt.coloring) is color_group(model.coloring)
+    export_report(salt)
+    assert len(passes) == 1
+
+
+def test_one_orbit_decomposition_per_subgroup(monkeypatch):
+    calls = count_calls(monkeypatch, orbits_module, "_orbit_decomposition")
+    model = preset("perovskite", 2)
+    coloring = model.coloring
+    h, plans = coloring.recipe.group, coloring.recipe.plans
+    for plan in plans:
+        rep = decompose(h).orbits[plan.orbit].representative
+        assert verify_theorem(h, plan.subgroup, rep, coloring).ok
+    color_group(coloring)
+    export_report(model)
+    assert [args[0] for args in calls] == [h]
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_sigma_matches_color_action_on_every_element(modulus):
+    for name in ("rock-salt", "nbo", "reo3", "perovskite"):
+        coloring = preset(name, modulus).coloring
+        cg = color_group(coloring)
+        full = coloring.recipe.group.parent
+        assert_sigma_is_color_action(coloring, cg, full)
+
+
+def assert_sigma_is_color_action(coloring, cg, full):
+    expected = {}
+    for g in full.elements:
+        action = color_action(coloring, g)
+        if action is None:
+            assert cg.sigma.get(g) is None, g
+        else:
+            expected[g] = action.mapping
+    assert cg.subgroup.elements == expected.keys()
+    assert len(cg.sigma) == len(expected)
+    assert cg.sigma == expected
+    missing = next((g for g in full.elements if g not in expected), None)
+    if missing is not None:
+        with pytest.raises(KeyError):
+            cg.sigma[missing]
+
+
+def tiled(cell, modulus):
+    """A coloring of the torus from labels on the 2x2x2 cell, or on the
+    whole torus, repeated with that period."""
+    cell = np.array(cell, dtype=np.int16)
+    side = round(len(cell) ** (1 / 3))
+    cell = cell.reshape(side, side, side)
+    used = sorted(set(cell.ravel().tolist()))
+    relabel = np.zeros(max(used) + 1, dtype=np.int16)
+    relabel[used] = np.arange(len(used))
+    assignment = np.tile(relabel[cell], (modulus // side,) * 3)
+    table = tuple(ColorInfo(f"c{i}") for i in range(len(used)))
+    return VertexColoring(modulus, table, assignment)
+
+
+@st.composite
+def random_colorings(draw):
+    modulus = draw(st.sampled_from([2, 4]))
+    side = draw(st.sampled_from([2, modulus]))
+    colors = draw(st.integers(1, 4))
+    cell = draw(st.lists(st.integers(0, colors - 1), min_size=side**3, max_size=side**3))
+    return tiled(cell, modulus)
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_colorings())
+# a single vertex set apart: not perfect, and no translation but 0 permutes
+@example(tiled([0, 0, 0, 0, 0, 0, 0, 1], 2))
+# layers by x mod 2: only the 16 linear parts keeping the x axis permute
+@example(tiled([0, 0, 0, 0, 1, 1, 1, 1], 4))
+# the cell corners set apart at N = 4: the translations that permute are 2Z^3
+@example(tiled([0, 1, 1, 1, 1, 1, 1, 1], 4))
+def test_sigma_matches_color_action_on_random_colorings(coloring):
+    full = quotient.build_group(coloring.modulus)
+    assert_sigma_is_color_action(coloring, color_group(coloring), full)
 
 
 def test_theorem_rejects_mismatched_moduli(subs2, subs4, rock_salt):

@@ -1,12 +1,14 @@
 import pytest
 
+import oracle
+from honeycomb434 import orbits as orbits_module
 from honeycomb434.isometry import IDENTITY
 from honeycomb434.orbits import (
     decompose,
     stabilizer,
     stabilizer_contained,
 )
-from honeycomb434.quotient import SubgroupError, build_subgroup, member
+from honeycomb434.quotient import SubgroupError, build_subgroup, certify_translations, member
 
 from conftest import RADIUS
 
@@ -142,3 +144,39 @@ def test_decompose_is_deterministic(subs2):
     a = decompose(subs2["eighth"])
     b = decompose(subs2["eighth"])
     assert a == b
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_stabilizers_match_the_oracle_and_brute_force(modulus, subs2, subs4):
+    subs = subs2 if modulus == 2 else subs4
+    vertices = all_vertices(2) + [(3, 0, 1), (2, 3, 3), (1, 2, 0)] if modulus == 4 else all_vertices(2)
+    for name in ("full", "half", "quarter", "eighth"):
+        group = subs[name]
+        as_oracle = {(el.linear, el.trans) for el in group.elements}
+        for v in vertices:
+            stab = stabilizer(group, v)
+            brute = frozenset(g for g in group.elements if group.act(g, v) == v)
+            assert stab.elements == brute, (name, v)
+            assert {(el.linear, el.trans) for el in stab.elements} == oracle.stabilizer(
+                as_oracle, v, modulus
+            )
+
+
+def test_decomposition_is_kept_per_group_object(group2, subs2, monkeypatch):
+    calls = []
+    original = orbits_module._orbit_decomposition
+
+    def counted(acting):
+        calls.append(acting)
+        return original(acting)
+
+    monkeypatch.setattr(orbits_module, "_orbit_decomposition", counted)
+    raw = build_subgroup(group2, ("Q", "R", "S", "PQP"))
+    first = decompose(raw)
+    assert decompose(raw) is first
+    assert calls == [raw]
+    # a certified copy is a new object with a decomposition of its own
+    done = certify_translations(raw, RADIUS)
+    assert decompose(done).group is done
+    assert len(calls) == 2
+    assert [o.vertices for o in decompose(done).orbits] == [o.vertices for o in first.orbits]

@@ -2,8 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from honeycomb434.isometry import GENERATORS, IDENTITY, eval_word, translation
+import oracle
+from honeycomb434.isometry import GENERATORS, IDENTITY, Isometry, eval_word, translation
 from honeycomb434.quotient import (
+    LINEAR_PARTS,
+    MAX_MODULUS,
+    MAX_RADIUS,
     CertificationError,
     IntegerLattice,
     SubgroupError,
@@ -11,10 +15,13 @@ from honeycomb434.quotient import (
     build_group,
     build_subgroup,
     certify_translations,
+    decode,
     element_key,
+    encode,
     index,
     left_cosets,
     member,
+    multiply,
 )
 
 from conftest import RADIUS, WORDS
@@ -33,8 +40,9 @@ def test_group_orders(group2, group4):
     assert group4.order == 48 * 4**3
 
 
-@pytest.mark.parametrize("modulus", [0, 1, 3, -2, 5])
+@pytest.mark.parametrize("modulus", [0, 1, 3, -2, 5, MAX_MODULUS + 2, 10**6])
 def test_modulus_must_be_even_and_positive(modulus):
+    # every one is rejected before the 48 N^3 code space is allocated
     with pytest.raises(ValueError):
         build_group(modulus)
 
@@ -122,6 +130,8 @@ def test_small_radius_fails_inconclusively(group2):
 def test_radius_must_be_positive(group2):
     with pytest.raises(ValueError):
         certify_translations(build_subgroup(group2, ("Q",)), 0)
+    with pytest.raises(ValueError, match="above the limit"):
+        certify_translations(build_subgroup(group2, ("Q",)), MAX_RADIUS + 1)
 
 
 def test_index_requires_containment(subs2):
@@ -239,3 +249,81 @@ def test_element_key_orders_deterministically(group2):
     ordered = sorted(group2.elements, key=element_key)
     assert ordered == sorted(reversed(ordered), key=element_key)
     assert len(set(map(element_key, ordered))) == group2.order
+
+
+def isometry_closure(modulus, words):
+    """The subgroup generated by the words, closed element by element over
+    Isometry values: the reference for the code closure."""
+    seeds = [Isometry(g.perm, g.signs, tuple(t % modulus for t in g.trans))
+             for g in map(eval_word, words)]
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in seeds:
+                b = a * g
+                b = Isometry(b.perm, b.signs, tuple(t % modulus for t in b.trans))
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+def test_code_closure_matches_the_isometry_closure(modulus):
+    group = build_group(modulus)
+    for name in ("full", "half", "quarter", "eighth"):
+        sub = build_subgroup(group, WORDS[name])
+        expected = isometry_closure(modulus, WORDS[name])
+        assert sub.elements == expected, name
+        # codes are sorted, and code order is element_key order
+        assert list(sub.codes) == sorted(sub.codes)
+        assert decode(sub.codes, modulus) == sorted(expected, key=element_key), name
+
+
+def test_linear_parts_are_the_48_signed_permutations_in_canonical_order():
+    mats = [Isometry(perm, signs, (0, 0, 0)).linear for perm, signs in LINEAR_PARTS]
+    assert sorted(mats) == sorted(oracle.signed_permutation_matrices())
+    flattened = [m[0] + m[1] + m[2] for m in mats]
+    assert flattened == sorted(flattened) and len(set(flattened)) == 48
+
+
+element_words = st.text(alphabet="PQRS", min_size=0, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_words, element_words, st.sampled_from([2, 4, 8]))
+def test_code_products_match_isometry_products(u, v, modulus):
+    a, b = eval_word(u) if u else IDENTITY, eval_word(v) if v else IDENTITY
+    product = int(multiply(encode(a, modulus), encode(b, modulus), modulus))
+    assert product == encode(a * b, modulus)
+    (decoded,) = decode(product, modulus)
+    assert decoded == Isometry((a * b).perm, (a * b).signs, tuple(t % modulus for t in (a * b).trans))
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_left_cosets_match_the_oracle(modulus, subs2, subs4):
+    subs = subs2 if modulus == 2 else subs4
+
+    def as_oracle(el):
+        return (el.linear, el.trans)
+
+    for h_name, j_name in (("full", "half"), ("full", "quarter"), ("full", "eighth"),
+                           ("half", "eighth"), ("quarter", "eighth"), ("eighth", "eighth")):
+        h, j = subs[h_name], subs[j_name]
+        table = left_cosets(h, j)
+        h_el = {as_oracle(el) for el in h.elements}
+        j_el = {as_oracle(el) for el in j.elements}
+        expected = set(oracle.left_cosets(h_el, j_el, modulus))
+        assert {frozenset(map(as_oracle, c)) for c in table.cosets} == expected
+        # brute force: ids agree with membership, representatives are the
+        # canonical minima and come in canonical order
+        for el, cid in table.ids.items():
+            assert el in table.cosets[cid]
+        assert list(table.representatives) == sorted(
+            (min(c, key=element_key) for c in table.cosets), key=element_key
+        )
+        for cid, rep in enumerate(table.representatives):
+            assert rep == min(table.cosets[cid], key=element_key)
