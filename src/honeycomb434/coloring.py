@@ -298,18 +298,16 @@ def build_coloring(
     plans: Iterable[OrbitPlan],
     merges: Iterable[tuple[str, str]] = (),
     background: str | None = None,
-    background_labels: Iterable[str] = (),
 ) -> VertexColoring:
     """Color the torus by the orbit/coset scheme.
 
     Every planned orbit is partitioned into the left-coset images of its
     representative and labeled in coset order (J's own class first); all
     unplanned orbits share the `background` label, which is flagged as
-    background in the color table along with any label listed in
-    `background_labels`.  A label may appear more than once only if the
-    duplication is declared in `merges`; merged labels must come from
-    plans over the same subgroup at the same coset position, which keeps
-    every element of H acting on the merged classes consistently.
+    background in the color table.  A label may appear more than once only
+    if the duplication is declared in `merges`; merged labels must come
+    from plans over the same subgroup at the same coset position, which
+    keeps every element of H acting on the merged classes consistently.
     """
     n = h.modulus
     decomp = decompose(h)
@@ -414,13 +412,8 @@ def build_coloring(
             order.append(root)
         occ_color[(pi, pos)] = table_ids[root]
 
-    flagged = set(background_labels)
-    if background is not None:
-        flagged.add(find(background))
-    unknown_flags = flagged - set(order)
-    if unknown_flags:
-        raise PlanError(f"background_labels not in the color table: {sorted(unknown_flags)}")
-    table = tuple(ColorInfo(label, None, label in flagged) for label in order)
+    flagged = None if background is None else find(background)
+    table = tuple(ColorInfo(label, None, label == flagged) for label in order)
 
     assignment = np.full((n, n, n), -1, dtype=np.int16)
     painted = assignment.reshape(-1)
@@ -440,10 +433,10 @@ def build_coloring(
         painted[moved] = colors
         if (painted[moved] != colors).any():
             raise AssertionError("a vertex in two cosets' images; broken plan validation")
-    for oi in unplanned:
-        cid = occ_color[(None, 0)]
-        for v in decomp.orbits[oi].vertices:
-            assignment[v] = cid
+    if unplanned:
+        in_background = np.zeros(len(decomp.orbits), dtype=bool)
+        in_background[unplanned] = True
+        painted[in_background[decomp.vertex_orbit]] = occ_color[(None, 0)]
     if (assignment < 0).any():
         raise AssertionError("coloring is not total; broken orbit bookkeeping")
 
@@ -624,12 +617,12 @@ def verify_theorem(
                     break
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
-    orbit_colors = {coloring.color_id(v) for v in orbit.vertices}
+    orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
     parts.append(
         PartResult(
             "2: colors on orbit = [H:J]",
-            len(orbit_colors) == k,
-            f"{len(orbit_colors)} colors vs index {k}",
+            orbit_colors == k,
+            f"{orbit_colors} colors vs index {k}",
         )
     )
 

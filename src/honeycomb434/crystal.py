@@ -310,9 +310,11 @@ _CUBE_FACES = (
     (0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
     (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
 )
+# half the edge of each site's cube in the OFF export, in lattice units
+CUBE_HALF_WIDTH = 0.2
 
 
-def export_off(model: CrystalModel, region=(1, 1, 1), half_width: float = 0.2) -> str:
+def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
     """Every site of the region as a small axis-aligned cube with
     face colors from the palette; vacancies are drawn too."""
     sx, sy, sz = _region_shape(region, model.modulus)
@@ -327,9 +329,9 @@ def export_off(model: CrystalModel, region=(1, 1, 1), half_width: float = 0.2) -
                 base = len(verts)
                 for dx, dy, dz in _CUBE_CORNERS:
                     verts.append(
-                        f"{x + dx * half_width:.3f} "
-                        f"{y + dy * half_width:.3f} "
-                        f"{z + dz * half_width:.3f}"
+                        f"{x + dx * CUBE_HALF_WIDTH:.3f} "
+                        f"{y + dy * CUBE_HALF_WIDTH:.3f} "
+                        f"{z + dz * CUBE_HALF_WIDTH:.3f}"
                     )
                 for quad in _CUBE_FACES:
                     idx = " ".join(str(base + i) for i in quad)

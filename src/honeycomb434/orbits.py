@@ -1,13 +1,15 @@
-"""Vertex orbits, transporter witnesses and stabilizers on the torus."""
+"""Vertex orbits and stabilizers on the torus."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .isometry import IDENTITY, Isometry
-from .quotient import SubgroupError, TorusGroup, apply_linear, decode, join
+from .isometry import Isometry
+from .quotient import (LINEAR_PARTS, SubgroupError, TorusGroup, _next_unlabelled, apply_linear,
+                       coords, decode, flat, join, split)
 
 Vec = tuple[int, int, int]
 
@@ -16,18 +18,24 @@ class Orbit(NamedTuple):
     index: int
     representative: Vec
     vertices: tuple[Vec, ...]  # sorted lexicographically
-    # for each vertex, an element of the acting group sending the
-    # representative to it; witness[representative] is the identity
-    witness: dict[Vec, Isometry]
 
 
-class OrbitDecomposition(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class OrbitDecomposition:
+    """The orbits of a group on the torus vertices, numbered by their
+    representatives, the lexicographically smallest vertex of each.
+
+    `vertex_orbit[i]` is the orbit id of the vertex with flat index i (see
+    `quotient.flat`), as a read-only array.  Equality is identity:
+    `decompose` keeps one decomposition per group object."""
+
     group: TorusGroup
     orbits: tuple[Orbit, ...]
-    vertex_orbit: dict[Vec, int]
+    vertex_orbit: np.ndarray
 
-    def orbit_of(self, v: Vec) -> Orbit:
-        return self.orbits[self.vertex_orbit[tuple(v)]]
+    def orbit_of(self, v) -> Orbit:
+        n = self.group.modulus
+        return self.orbits[self.vertex_orbit[flat(np.asarray(v) % n, n)]]
 
 
 class Stabilizer(NamedTuple):
@@ -42,11 +50,10 @@ class Stabilizer(NamedTuple):
 def decompose(acting: TorusGroup) -> OrbitDecomposition:
     """Partition the torus vertices into orbits of the acting group.
 
-    Vertices are scanned in lexicographic order and each orbit is grown by
-    breadth-first application of the generator elements only, so the
-    representative is the lexicographically smallest vertex of its orbit,
-    discovery order is deterministic, and witnesses stay short.  Computed
-    once per group object and kept on it.
+    Walks the vertices in lexicographic order; each vertex not yet labelled
+    is the smallest of its orbit, which one array pass over the group's
+    element codes labels whole.  Computed once per group object and kept
+    on it.
     """
     memo = acting._memo
     if "orbits" not in memo:
@@ -55,28 +62,27 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
 
 
 def _orbit_decomposition(acting: TorusGroup) -> OrbitDecomposition:
-    gens = acting.generator_elements
-    orbits: list[Orbit] = []
-    vertex_orbit: dict[Vec, int] = {}
-    for start in acting.vertices():
-        if start in vertex_orbit:
-            continue
-        idx = len(orbits)
-        witness: dict[Vec, Isometry] = {start: IDENTITY}
-        vertex_orbit[start] = idx
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gens:
-                    w = acting.act(g, v)
-                    if w not in witness:
-                        witness[w] = acting.mul(g, witness[v])
-                        vertex_orbit[w] = idx
-                        nxt.append(w)
-            frontier = nxt
-        orbits.append(Orbit(idx, start, tuple(sorted(witness)), witness))
-    return OrbitDecomposition(acting, tuple(orbits), vertex_orbit)
+    n = acting.modulus
+    linear, t = split(acting.codes, n)
+    parts = np.array(LINEAR_PARTS, dtype=np.int64)[linear]
+    perm, signs = parts[:, 0], parts[:, 1]
+    ids = np.full(n**3, -1, dtype=np.int64)
+    count = 0
+    pos = 0
+    while pos < len(ids):
+        v = np.array((pos // (n * n), pos // n % n, pos % n))  # coords(pos, n)
+        ids[flat((signs * v[perm] + t) % n, n)] = count
+        count += 1
+        pos = _next_unlabelled(ids, pos + 1)
+    ids.setflags(write=False)
+    # vertices grouped by orbit, each group in flat (lexicographic) order
+    grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))
+    ends = np.cumsum(np.bincount(ids)).tolist()
+    orbits = tuple(
+        Orbit(k, grouped[start], tuple(grouped[start:end]))
+        for k, (start, end) in enumerate(zip([0] + ends, ends))
+    )
+    return OrbitDecomposition(acting, orbits, ids)
 
 
 def stabilizer_codes(acting: TorusGroup, v) -> np.ndarray:

@@ -26,7 +26,7 @@ keep using `Isometry`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations, product
 from typing import Iterable, NamedTuple
 
@@ -281,23 +281,6 @@ class TorusGroup:
         """Is every element of this group an element of `other`?"""
         return self.modulus == other.modulus and bool(other.includes(self.codes).all())
 
-    def reduce(self, iso: Isometry) -> Isometry:
-        return Isometry(iso.perm, iso.signs, tuple(t % self.modulus for t in iso.trans))
-
-    def mul(self, a: Isometry, b: Isometry) -> Isometry:
-        return self.reduce(a * b)
-
-    def act(self, a: Isometry, v: Iterable[int]) -> Vec:
-        n = self.modulus
-        return tuple(c % n for c in a.apply(v))
-
-    def vertices(self) -> tuple[Vec, ...]:
-        return tuple(product(range(self.modulus), repeat=3))
-
-    @property
-    def generator_elements(self) -> tuple[Isometry, ...]:
-        return tuple(self.reduce(eval_word(w)) for w in self.generator_words)
-
 
 def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
     out = []
@@ -428,7 +411,6 @@ class IntegerLattice:
         return {k: v for k, v in acc.items() if v}
 
 
-@lru_cache(maxsize=64)
 def _certificate_search(
     words: tuple[tuple[str, ...], ...], radius: int, targets: tuple[Vec, ...]
 ):
@@ -439,50 +421,65 @@ def _certificate_search(
     the search stops early on success and the radius cap only matters
     for failures.
 
-    Returns (rows, outcome): rows are (vector, word) pairs in discovery
-    order; outcome is "spanned" when the targets became solvable,
-    "saturated" when the whole subgroup was enumerated without success
-    (no radius can ever succeed), or "truncated" when the radius ran out
-    first.
+    Returns (outcome, lattice, row_word): the lattice holds the pure
+    translations (rows) in discovery order, and row_word(i) spells out the
+    word that reached row i.  Each product keeps only a back-pointer (its
+    parent product and last generator), so words are built only for the
+    rows asked for.  The outcome is "spanned" when the targets became
+    solvable, "saturated" when the whole subgroup was enumerated without
+    success (no radius can ever succeed), or "truncated" when the radius
+    ran out first.
     """
-    gens: list[tuple[Isometry, tuple[str, ...]]] = []
-    seen_gens = set()
+    gens: list[Isometry] = []
+    gen_words: list[tuple[str, ...]] = []
     for w in words:
         for ww in (w, tuple(reversed(w))):
             el = eval_word(ww)
-            if el.is_identity or el in seen_gens:
+            if el.is_identity or el in gens:
                 continue
-            seen_gens.add(el)
-            gens.append((el, ww))
+            gens.append(el)
+            gen_words.append(ww)
 
     lattice = IntegerLattice()
-    rows: list[tuple[Vec, tuple[str, ...]]] = []
+    # product 0 is the identity; product i > 0 is product parents[i] times
+    # generator factors[i]
+    parents, factors = [-1], [-1]
+    row_products: list[int] = []
+
+    def row_word(row: int) -> tuple[str, ...]:
+        last, i = [], row_products[row]
+        while i:
+            last.append(factors[i])
+            i = parents[i]
+        return tuple(letter for g in reversed(last) for letter in gen_words[g])
 
     def spanned() -> bool:
         return all(lattice.solve(t) is not None for t in targets)
 
     seen = {IDENTITY}
-    frontier: list[tuple[Isometry, tuple[str, ...]]] = [(IDENTITY, ())]
+    frontier: list[tuple[Isometry, int]] = [(IDENTITY, 0)]
     for _ in range(radius):
         if not frontier:
-            return tuple(rows), "saturated"
-        next_frontier: list[tuple[Isometry, tuple[str, ...]]] = []
+            return "saturated", lattice, row_word
+        next_frontier: list[tuple[Isometry, int]] = []
         fresh = False
-        for el, word in frontier:
-            for gel, gword in gens:
+        for el, i in frontier:
+            for g, gel in enumerate(gens):
                 ne = el * gel
                 if ne in seen:
                     continue
                 seen.add(ne)
-                next_frontier.append((ne, word + gword))
+                next_frontier.append((ne, len(parents)))
                 if ne.is_translation and ne.trans != (0, 0, 0):
-                    rows.append((ne.trans, word + gword))
+                    row_products.append(len(parents))
                     lattice.add(ne.trans)
                     fresh = True
+                parents.append(i)
+                factors.append(g)
         if fresh and spanned():
-            return tuple(rows), "spanned"
+            return "spanned", lattice, row_word
         frontier = next_frontier
-    return tuple(rows), ("saturated" if not frontier else "truncated")
+    return ("saturated" if not frontier else "truncated"), lattice, row_word
 
 
 def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> TorusGroup:
@@ -502,10 +499,7 @@ def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> Torus
     check_radius(radius)
     n = sub.modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
-    rows, outcome = _certificate_search(sub.generator_words, radius, targets)
-    lattice = IntegerLattice()
-    for vec, _ in rows:
-        lattice.add(vec)
+    outcome, lattice, row_word = _certificate_search(sub.generator_words, radius, targets)
     if outcome != "spanned":
         missing = [t for t in targets if lattice.solve(t) is None]
         kind = "no certificate exists" if outcome == "saturated" else "radius exhausted"
@@ -522,7 +516,7 @@ def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> Torus
             raise AssertionError(f"search reported spanned but {target} is unsolvable")
         word: tuple[str, ...] = ()
         for idx in sorted(coeffs):
-            vec, w = rows[idx]
+            w = row_word(idx)
             c = coeffs[idx]
             word += w * c if c > 0 else tuple(reversed(w)) * (-c)
         el = eval_word(word)
@@ -530,8 +524,6 @@ def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> Torus
             raise AssertionError(f"unsound witness for {target}: {word} -> {el}")
         witnesses.append(Witness(target, word, el))
     return replace(sub, translation_certificate=tuple(witnesses))
-
-
 
 
 def index(ambient: TorusGroup, sub: TorusGroup) -> int:

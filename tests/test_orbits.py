@@ -1,16 +1,20 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from honeycomb434 import orbits as orbits_module
-from honeycomb434.isometry import IDENTITY
+from honeycomb434.coloring import color_group
+from honeycomb434.crystal import PRESET_NAMES, preset
 from honeycomb434.orbits import (
     decompose,
     stabilizer,
     stabilizer_contained,
 )
-from honeycomb434.quotient import SubgroupError, build_subgroup, certify_translations, member
+from honeycomb434.quotient import SubgroupError, build_group, build_subgroup, certify_translations, flat
 
-from conftest import RADIUS
+from conftest import RADIUS, WORDS
 
 
 def all_vertices(modulus):
@@ -81,20 +85,7 @@ def test_orbit_partition_is_total(subs2, subs4):
             for v in all_vertices(modulus):
                 orbit = dec.orbit_of(v)
                 assert v in orbit.vertices
-                assert dec.vertex_orbit[v] == orbit.index
-
-
-def test_witnesses_move_the_representative(subs2, subs4):
-    for subs in (subs2, subs4):
-        group = subs["eighth"].parent
-        for name in ("half", "quarter", "eighth"):
-            dec = decompose(subs[name])
-            for orbit in dec.orbits:
-                assert orbit.witness[orbit.representative] == IDENTITY
-                for v in orbit.vertices:
-                    el = orbit.witness[v]
-                    assert member(subs[name], el)
-                    assert group.act(el, orbit.representative) == v
+                assert dec.vertex_orbit[flat(np.array(v), modulus)] == orbit.index
 
 
 def test_base_vertex_stabilizer_order(subs2, subs4):
@@ -102,9 +93,9 @@ def test_base_vertex_stabilizer_order(subs2, subs4):
         stab = stabilizer(subs["full"], (1, 1, 1))
         assert stab.order == 48
         assert stab.vertex == (1, 1, 1)
-        group = subs["full"].parent
+        modulus = subs["full"].modulus
         for el in stab.elements:
-            assert group.act(el, (1, 1, 1)) == (1, 1, 1)
+            assert tuple(c % modulus for c in el.apply((1, 1, 1))) == (1, 1, 1)
 
 
 def test_orbit_stabilizer_counting(subs2):
@@ -155,7 +146,9 @@ def test_stabilizers_match_the_oracle_and_brute_force(modulus, subs2, subs4):
         as_oracle = {(el.linear, el.trans) for el in group.elements}
         for v in vertices:
             stab = stabilizer(group, v)
-            brute = frozenset(g for g in group.elements if group.act(g, v) == v)
+            brute = frozenset(
+                g for g in group.elements if tuple(c % modulus for c in g.apply(v)) == v
+            )
             assert stab.elements == brute, (name, v)
             assert {(el.linear, el.trans) for el in stab.elements} == oracle.stabilizer(
                 as_oracle, v, modulus
@@ -180,3 +173,47 @@ def test_decomposition_is_kept_per_group_object(group2, subs2, monkeypatch):
     assert decompose(done).group is done
     assert len(calls) == 2
     assert [o.vertices for o in decompose(done).orbits] == [o.vertices for o in first.orbits]
+
+
+def assert_matches_oracle(dec, elements, modulus):
+    """The decomposition is the oracle's orbit partition, with the same
+    representatives in the same order, and `vertex_orbit` agrees with it."""
+    as_oracle = {(el.linear, el.trans) for el in elements}
+    expected = oracle.all_orbits(as_oracle, modulus)
+    assert [(o.representative, frozenset(o.vertices)) for o in dec.orbits] == expected
+    for orbit in dec.orbits:
+        assert orbit.vertices == tuple(sorted(orbit.vertices))
+        ids = dec.vertex_orbit[[flat(np.array(v), modulus) for v in orbit.vertices]]
+        assert (ids == orbit.index).all()
+    assert not dec.vertex_orbit.flags.writeable
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_orbits_match_the_oracle(modulus, subs2, subs4):
+    subs = subs2 if modulus == 2 else subs4
+    for name in WORDS:
+        assert_matches_oracle(decompose(subs[name]), subs[name].elements, modulus)
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_orbits_of_color_groups_match_the_oracle(modulus):
+    # a color group is derived element-wise and has no generating words,
+    # so its orbits can only come from its elements
+    for name in PRESET_NAMES:
+        sub = color_group(preset(name, modulus).coloring).subgroup
+        assert sub.generator_words == ()
+        assert_matches_oracle(decompose(sub), sub.elements, modulus)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.text(alphabet="PQRS", min_size=1, max_size=8), min_size=1, max_size=3),
+    st.sampled_from([2, 4]),
+)
+def test_orbits_of_random_word_sets_match_the_oracle(words, modulus):
+    # one or two short words often generate a small group with many small
+    # orbits; the oracle closes the words itself
+    sub = build_subgroup(build_group(modulus), words)
+    closed = oracle.closure([oracle.eval_letters(w) for w in words], modulus)
+    assert {(el.linear, el.trans) for el in sub.elements} == closed
+    assert_matches_oracle(decompose(sub), sub.elements, modulus)

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,8 @@ from honeycomb434.quotient import (
     decode,
     element_key,
     encode,
+    flat,
+    images,
     index,
     left_cosets,
     member,
@@ -96,6 +101,21 @@ def test_certificate_words_stay_inside_the_subgroup(group2, subs2):
             assert member(sub, eval_word(witness.word))
 
 
+def test_certificate_search_memory_does_not_grow_with_word_length(group2):
+    # three 1,806-letter translation words that never span at radius 12: the
+    # search keeps one back-pointer per product, not the product's word
+    words = ("(QPQRSR)^301", "(RQPQRS)^301", "(PQRSRQ)^301")
+    sub = build_subgroup(build_group(2), words)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificationError):
+            certify_translations(sub, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_uncertified_until_certified(group2):
     # the full group is its own parent and needs no certificate
     assert group2.parent is group2
@@ -168,39 +188,6 @@ def test_member(group2, subs2):
     assert not member(subs2["half"], GENERATORS["P"])
     # reduction happens before the membership test
     assert member(subs2["half"], translation((2, 0, 0)))
-
-
-def test_reduce_is_a_homomorphism(group2, group4):
-    words = ["PQ", "QRS", "SRQPQR", "PQRSP", "QPQRQPQRP"]
-    for g in (group2, group4):
-        for w1 in words:
-            for w2 in words:
-                a, b = eval_word(w1), eval_word(w2)
-                assert g.reduce(a * b) == g.mul(g.reduce(a), g.reduce(b))
-
-
-def test_act_matches_exact_application_mod_n(group4):
-    g = eval_word("PQRS")
-    v = (3, 2, 1)
-    exact = g.apply(v)
-    assert group4.act(group4.reduce(g), v) == tuple(c % 4 for c in exact)
-
-
-def test_generator_elements_generate(group2, subs2):
-    sub = subs2["eighth"]
-    gens = sub.generator_elements
-    closure = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                e2 = group2.mul(el, g)
-                if e2 not in closure:
-                    closure.add(e2)
-                    nxt.append(e2)
-        frontier = nxt
-    assert closure == set(sub.elements)
 
 
 def test_integer_lattice_solves_with_certificates():
@@ -294,13 +281,20 @@ element_words = st.text(alphabet="PQRS", min_size=0, max_size=12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(element_words, element_words, st.sampled_from([2, 4, 8]))
-def test_code_products_match_isometry_products(u, v, modulus):
+@given(
+    element_words,
+    element_words,
+    st.sampled_from([2, 4, 8]),
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
+)
+def test_code_products_match_isometry_products(u, v, modulus, vertex):
     a, b = eval_word(u) if u else IDENTITY, eval_word(v) if v else IDENTITY
     product = int(multiply(encode(a, modulus), encode(b, modulus), modulus))
     assert product == encode(a * b, modulus)
     (decoded,) = decode(product, modulus)
     assert decoded == Isometry((a * b).perm, (a * b).signs, tuple(t % modulus for t in (a * b).trans))
+    moved = np.array([c % modulus for c in (a * b).apply(vertex)])
+    assert images(product, vertex, modulus) == flat(moved, modulus)
 
 
 @pytest.mark.parametrize("modulus", [2, 4])
