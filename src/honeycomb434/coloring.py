@@ -162,10 +162,10 @@ class VertexColoring:
         return tuple((x, y, z) for x in range(n) for y in range(n) for z in range(n))
 
     def classes(self) -> dict[str, tuple[Vec, ...]]:
-        out: dict[str, list[Vec]] = {info.label: [] for info in self.color_table}
-        for v in self.vertices():
-            out[self.label_of(v)].append(v)
-        return {label: tuple(vs) for label, vs in out.items()}
+        out: list[list[Vec]] = [[] for _ in self.color_table]
+        for v, cid in zip(self.vertices(), self.assignment.ravel().tolist()):
+            out[cid].append(v)
+        return {info.label: tuple(vs) for info, vs in zip(self.color_table, out)}
 
     def counts(self) -> dict[str, int]:
         flat = self.assignment.ravel()
@@ -206,8 +206,9 @@ class VertexColoring:
             if info.background:
                 parts.append("background")
             lines.append(" ".join(parts))
-        for v in self.vertices():
-            lines.append(f"{v[0]} {v[1]} {v[2]} {self.label_of(v)}")
+        labels = self.labels
+        for (x, y, z), cid in zip(self.vertices(), self.assignment.ravel().tolist()):
+            lines.append(f"{x} {y} {z} {labels[cid]}")
         return "\n".join(lines) + "\n"
 
     @classmethod

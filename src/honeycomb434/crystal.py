@@ -283,13 +283,16 @@ def export_xyz(model: CrystalModel, region=(1, 1, 1)) -> str:
     """Occupied sites over region unit cells, one period per cell, as an
     xyz file in lattice units.  Vacancies are omitted."""
     sx, sy, sz = _region_shape(region, model.modulus)
-    coloring = model.coloring
-    table = coloring.color_table
+    n = model.modulus
+    table = model.coloring.color_table
+    ids = model.coloring.assignment.tolist()
     rows = []
     for x in range(sx):
+        plane = ids[x % n]
         for y in range(sy):
+            line = plane[y % n]
             for z in range(sz):
-                info = table[coloring.color_id((x, y, z))]
+                info = table[line[z % n]]
                 if info.background:
                     continue
                 if info.element is None:
@@ -312,31 +315,46 @@ _CUBE_FACES = (
 )
 # half the edge of each site's cube in the OFF export, in lattice units
 CUBE_HALF_WIDTH = 0.2
+# one site's 8 vertex lines, formatted over (x-, x+, y-, y+, z-, z+), and its
+# 6 face lines, over the site's 8 vertex numbers and its "r g b" string
+_VERTEX_BLOCK = "\n".join(
+    " ".join(f"{{{2 * axis + (d > 0)}}}" for axis, d in enumerate(corner))
+    for corner in _CUBE_CORNERS
+)
+_FACE_BLOCK = "\n".join(
+    "4 " + " ".join(f"{{{i}}}" for i in quad) + " {8}" for quad in _CUBE_FACES
+)
 
 
 def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
     """Every site of the region as a small axis-aligned cube with
     face colors from the palette; vacancies are drawn too."""
     sx, sy, sz = _region_shape(region, model.modulus)
-    coloring = model.coloring
+    n = model.modulus
+    # both cube edges of each coordinate, formatted once
+    edges = [
+        (f"{v - CUBE_HALF_WIDTH:.3f}", f"{v + CUBE_HALF_WIDTH:.3f}")
+        for v in range(max(sx, sy, sz))
+    ]
+    rgb = [
+        " ".join(map(str, PALETTE.get(info.label, FALLBACK_COLOR)))
+        for info in model.coloring.color_table
+    ]
+    ids = model.coloring.assignment.tolist()
     verts: list[str] = []
     faces: list[str] = []
+    base = 0
     for x in range(sx):
+        x0, x1 = edges[x]
+        plane = ids[x % n]
         for y in range(sy):
+            y0, y1 = edges[y]
+            line = plane[y % n]
             for z in range(sz):
-                label = coloring.label_of((x, y, z))
-                r, g, b = PALETTE.get(label, FALLBACK_COLOR)
-                base = len(verts)
-                for dx, dy, dz in _CUBE_CORNERS:
-                    verts.append(
-                        f"{x + dx * CUBE_HALF_WIDTH:.3f} "
-                        f"{y + dy * CUBE_HALF_WIDTH:.3f} "
-                        f"{z + dz * CUBE_HALF_WIDTH:.3f}"
-                    )
-                for quad in _CUBE_FACES:
-                    idx = " ".join(str(base + i) for i in quad)
-                    faces.append(f"4 {idx} {r} {g} {b}")
-    head = ["OFF", f"{len(verts)} {len(faces)} 0"]
+                verts.append(_VERTEX_BLOCK.format(x0, x1, y0, y1, *edges[z]))
+                faces.append(_FACE_BLOCK.format(*range(base, base + 8), rgb[line[z % n]]))
+                base += 8
+    head = ["OFF", f"{8 * len(verts)} {6 * len(faces)} 0"]
     return "\n".join(head + verts + faces) + "\n"
 
 

@@ -15,7 +15,8 @@ Inside a group, an element (L, t) with t in [0, N)^3 is the integer code
 ``l * N^3 + (x * N + y) * N + z``, where l indexes the 48 signed
 permutation matrices ordered by flattened matrix.  A group holds its
 elements as a sorted int64 array of codes, and closure, containment,
-cosets and vertex images are numpy passes over such arrays.  Code order is
+cosets and vertex images are numpy passes over such arrays.  The full group
+is every code from 0 to 48 N^3 - 1; only subgroups are closed.  Code order is
 the canonical element order used for deterministic coset ids:
 lexicographic on (flattened linear matrix, translation), as `element_key`
 states it for `Isometry` values.  `elements` decodes the codes to a
@@ -317,8 +318,9 @@ def build_group(modulus: int) -> TorusGroup:
     each other.
     """
     check_modulus(modulus)
+    # P, Q, R and S generate every (L, t) mod N, so the group is every code
     words = (("P",), ("Q",), ("R",), ("S",))
-    return TorusGroup(modulus, words, _closure(modulus, words))
+    return TorusGroup(modulus, words, ElementCodes(modulus, np.arange(48 * modulus**3)))
 
 
 def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
@@ -482,6 +484,17 @@ def _certificate_search(
     return ("saturated" if not frontier else "truncated"), lattice, row_word
 
 
+# the most letters of one generator word an error message spells out
+_SPELLED_LETTERS = 40
+
+
+def _spelled(word: tuple[str, ...]) -> str:
+    """The word's letters joined by '·', cut after _SPELLED_LETTERS letters
+    with its length noted."""
+    text = "·".join(word[:_SPELLED_LETTERS])
+    return text if len(word) <= _SPELLED_LETTERS else f"{text}…({len(word)} letters)"
+
+
 def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> TorusGroup:
     """Prove the subgroup contains the three axis translations by N.
 
@@ -505,7 +518,7 @@ def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> Torus
         kind = "no certificate exists" if outcome == "saturated" else "radius exhausted"
         raise CertificationError(
             f"translations {missing[0]} not reachable from "
-            f"{['·'.join(w) for w in sub.generator_words]} within radius "
+            f"{[_spelled(w) for w in sub.generator_words]} within radius "
             f"{radius} generator factors ({kind})",
             definitive=outcome == "saturated",
         )

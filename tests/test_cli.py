@@ -87,6 +87,17 @@ def test_small_radius_gets_advice(capsys):
     assert "advice: retry with a larger --radius" in err
 
 
+def test_long_words_are_cut_short_in_certification_errors(capsys):
+    code, out, err = run(
+        capsys, "subgroup", "(QPQRSR)^301", "(RQPQRS)^301", "(PQRSRQ)^301", "--no-cross-check"
+    )
+    assert code == 3
+    assert len(err.encode()) < 1024
+    assert "(2, 0, 0)" in err
+    assert "radius exhausted" in err
+    assert err.count("…(1806 letters)") == 3
+
+
 def test_larger_radius_resolves_it(capsys):
     words = ("Q", "R", "S", "QPQRQPQRP")
     code, out, err = run(

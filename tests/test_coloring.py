@@ -496,6 +496,16 @@ def test_text_round_trip(coloring):
     assert back.to_text() == text
 
 
+@settings(max_examples=40, deadline=None)
+@given(colorings())
+def test_classes_match_label_of(coloring):
+    vertices = coloring.vertices()
+    assert coloring.classes() == {
+        label: tuple(v for v in vertices if coloring.label_of(v) == label)
+        for label in coloring.labels
+    }
+
+
 def test_serialization_keeps_elements(rock_salt):
     named = rock_salt.with_elements({"light-blue": "Na", "white": "Cl"})
     back = VertexColoring.from_text(named.to_text())

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from honeycomb434.coloring import OrbitPlan, build_coloring
+from honeycomb434.coloring import OrbitPlan, VertexColoring, build_coloring
 from honeycomb434.orbits import decompose
 from honeycomb434.crystal import (
+    CUBE_HALF_WIDTH,
     FALLBACK_COLOR,
     PALETTE,
     PRESET_NAMES,
+    CrystalModel,
     _region_shape,
     export,
     export_off,
@@ -212,17 +216,23 @@ def test_off_draws_vacancies_too(models):
     }
 
 
-def test_off_unknown_label_gets_the_fallback_color(models):
-    odd = substitute(models["rock-salt"], {"light-blue": "Na", "white": "Cl"})
+def with_unknown_label(rock_salt):
+    """Rock salt with its light-blue color renamed to a label the palette
+    does not know."""
+    odd = substitute(rock_salt, {"light-blue": "Na", "white": "Cl"})
     table = tuple(
         info._replace(label="mauve") if info.label == "light-blue" else info
         for info in odd.coloring.color_table
     )
-    recolored = odd._replace(
+    return odd._replace(
         coloring=odd.coloring.__class__(
             odd.coloring.modulus, table, odd.coloring.assignment, odd.coloring.recipe
         )
     )
+
+
+def test_off_unknown_label_gets_the_fallback_color(models):
+    recolored = with_unknown_label(models["rock-salt"])
     face_colors = {
         tuple(int(p) for p in f.split()[5:])
         for f in export_off(recolored).splitlines()[66:]
@@ -285,3 +295,129 @@ def test_palette_values():
         "brown": (140, 90, 50),
     }
     assert FALLBACK_COLOR == (128, 128, 128)
+
+
+# -- reference renderers: the per-site, per-line loops the exports replaced,
+# with their own copy of the cube tables; every export must match them byte
+# for byte
+
+REFERENCE_CORNERS = (
+    (-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1),
+    (-1, -1, 1), (1, -1, 1), (1, 1, 1), (-1, 1, 1),
+)
+REFERENCE_FACES = (
+    (0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
+    (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
+)
+
+
+def reference_off(model, region):
+    sx, sy, sz = _region_shape(region, model.modulus)
+    coloring = model.coloring
+    verts = []
+    faces = []
+    for x in range(sx):
+        for y in range(sy):
+            for z in range(sz):
+                label = coloring.label_of((x, y, z))
+                r, g, b = PALETTE.get(label, FALLBACK_COLOR)
+                base = len(verts)
+                for dx, dy, dz in REFERENCE_CORNERS:
+                    verts.append(
+                        f"{x + dx * CUBE_HALF_WIDTH:.3f} "
+                        f"{y + dy * CUBE_HALF_WIDTH:.3f} "
+                        f"{z + dz * CUBE_HALF_WIDTH:.3f}"
+                    )
+                for quad in REFERENCE_FACES:
+                    idx = " ".join(str(base + i) for i in quad)
+                    faces.append(f"4 {idx} {r} {g} {b}")
+    head = ["OFF", f"{len(verts)} {len(faces)} 0"]
+    return "\n".join(head + verts + faces) + "\n"
+
+
+def reference_xyz(model, region):
+    sx, sy, sz = _region_shape(region, model.modulus)
+    coloring = model.coloring
+    table = coloring.color_table
+    rows = []
+    for x in range(sx):
+        for y in range(sy):
+            for z in range(sz):
+                info = table[coloring.color_id((x, y, z))]
+                if info.background:
+                    continue
+                if info.element is None:
+                    raise ValueError(f"color {info.label!r} has no element symbol")
+                rows.append(f"{info.element} {x} {y} {z}")
+    a, b, c = (int(r) for r in region)
+    comment = f"{model.family} {model.formula} region={a}x{b}x{c} modulus={model.modulus}"
+    return "\n".join([str(len(rows)), comment, *rows]) + "\n"
+
+
+def outcome(render, model, region):
+    """The rendered text, or the type and message of the error raised."""
+    try:
+        return render(model, region)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+REGIONS = [(1, 1, 1), (2, 2, 2), (3, 1, 2), (0, 1, 1), (1, 0, 2)]
+
+
+@pytest.fixture(scope="module")
+def models_by_modulus():
+    return {
+        n: {name: preset(name, n) for name in PRESET_NAMES} for n in (2, 4, 8)
+    }
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+def test_exports_match_the_reference_renderers(models_by_modulus, modulus, name):
+    model = models_by_modulus[modulus][name]
+    for region in REGIONS:
+        assert export_off(model, region) == reference_off(model, region), region
+        assert export_xyz(model, region) == reference_xyz(model, region), region
+
+
+def test_fallback_color_matches_the_reference_renderer(models):
+    recolored = with_unknown_label(models["rock-salt"])
+    for region in REGIONS:
+        assert export_off(recolored, region) == reference_off(recolored, region), region
+        assert export_xyz(recolored, region) == reference_xyz(recolored, region), region
+
+
+tokens = st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True)
+
+
+@st.composite
+def text_models(draw):
+    """A model on a total, onto coloring read with `from_text`: token or
+    palette labels, optional element symbols and background flags."""
+    n = draw(st.sampled_from((2, 4)))
+    labels = draw(
+        st.lists(st.sampled_from(sorted(PALETTE)) | tokens, min_size=1, max_size=6, unique=True)
+    )
+    lines = [f"modulus {n}"]
+    for label in labels:
+        element = draw(st.none() | tokens)
+        parts = ["color", label]
+        if element is not None:
+            parts += ["element", element]
+        if draw(st.booleans()):
+            parts.append("background")
+        lines.append(" ".join(parts))
+    k = len(labels)
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n**3 - k, max_size=n**3 - k))
+    cells = draw(st.permutations(list(range(k)) + rest))
+    vertices = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    lines += [f"{x} {y} {z} {labels[c]}" for (x, y, z), c in zip(vertices, cells)]
+    return CrystalModel("random", VertexColoring.from_text("\n".join(lines) + "\n"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(text_models(), st.tuples(*[st.integers(0, 3)] * 3))
+def test_exports_of_random_colorings_match_the_reference_renderers(model, region):
+    assert export_off(model, region) == reference_off(model, region)
+    assert outcome(export_xyz, model, region) == outcome(reference_xyz, model, region)

@@ -147,6 +147,24 @@ def test_small_radius_fails_inconclusively(group2):
     assert "radius exhausted" in str(info.value)
 
 
+def test_certification_errors_spell_out_at_most_40_letters_per_word(group2):
+    # words of up to 40 letters are spelled out whole
+    with pytest.raises(CertificationError) as info:
+        certify_translations(build_subgroup(group2, ("SRQPQR",)), 8)
+    assert str(info.value) == (
+        "translations (2, 0, 0) not reachable from ['S·R·Q·P·Q·R'] "
+        "within radius 8 generator factors (radius exhausted)"
+    )
+    forty = "·".join("QPQRSR" * 6 + "QPQR")
+    with pytest.raises(CertificationError) as info:
+        certify_translations(build_subgroup(group2, ("(QPQRSR)^6QPQR",)), 4)
+    assert f"['{forty}']" in str(info.value)
+    # a longer word keeps its first 40 letters and states its length
+    with pytest.raises(CertificationError) as info:
+        certify_translations(build_subgroup(group2, ("(QPQRSR)^7",)), 4)
+    assert f"['{forty}…(42 letters)']" in str(info.value)
+
+
 def test_radius_must_be_positive(group2):
     with pytest.raises(ValueError):
         certify_translations(build_subgroup(group2, ("Q",)), 0)
@@ -256,6 +274,18 @@ def isometry_closure(modulus, words):
                     nxt.append(b)
         frontier = nxt
     return seen
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8, 16])
+def test_full_group_is_every_code(modulus):
+    group = build_group(modulus)
+    every = np.arange(48 * modulus**3)
+    assert np.array_equal(group.codes, every)
+    # P, Q, R and S really generate all of them
+    closed = build_subgroup(group, ("P", "Q", "R", "S"))
+    assert np.array_equal(closed.codes, every)
+    assert group.certified
+    assert group.parent is group
 
 
 @pytest.mark.parametrize("modulus", [2, 4, 8])
