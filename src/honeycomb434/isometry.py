@@ -30,6 +30,7 @@ arithmetic; nothing in this module touches floating point.
 
 from __future__ import annotations
 
+from itertools import islice, permutations, product
 from typing import Iterable, Mapping, NamedTuple
 
 Vec = tuple[int, int, int]
@@ -176,7 +177,7 @@ def generator(symbol: str) -> Isometry:
     try:
         return GENERATORS[symbol]
     except KeyError:
-        raise WordError(f"unknown generator {symbol!r}") from None
+        raise _unknown_letter(symbol) from None
 
 
 def perturbed_generators() -> dict[str, Isometry]:
@@ -198,6 +199,41 @@ class WordError(ValueError):
 
 # the longest word parse_word flattens; powers are checked before they expand
 MAX_WORD_LETTERS = 10_000
+# the most characters of a word or letter an error message quotes
+_QUOTED_CHARS = 60
+
+
+def _quoted(value) -> str:
+    """repr of a word or letter, cut after _QUOTED_CHARS characters with its
+    length noted."""
+    text = repr(value)
+    if len(text) <= _QUOTED_CHARS:
+        return text
+    return f"{text[:_QUOTED_CHARS]}…({len(text)} characters)"
+
+
+def _check_length(count: int, word) -> None:
+    if count > MAX_WORD_LETTERS:
+        raise WordError(f"{_quoted(word)} flattens to more than {MAX_WORD_LETTERS} letters")
+
+
+def _unknown_letter(letter) -> WordError:
+    return WordError(f"unknown generator {_quoted(letter)}")
+
+
+def check_letters(
+    word: Iterable[str], alphabet: Iterable[str] = ("P", "Q", "R", "S")
+) -> tuple[str, ...]:
+    """An already flattened word as a letter tuple, held to parse_word's
+    rules: at most MAX_WORD_LETTERS letters, each one of the alphabet.  At
+    most one letter past the cap is read before the word is rejected."""
+    letters = tuple(islice(word, MAX_WORD_LETTERS + 1))
+    _check_length(len(letters), letters)
+    allowed = frozenset(alphabet)
+    for letter in letters:
+        if not isinstance(letter, str) or letter not in allowed:
+            raise _unknown_letter(letter)
+    return letters
 
 
 def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tuple[str, ...]:
@@ -214,10 +250,6 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
     allowed = frozenset(alphabet)
     pos = 0
     end = len(text)
-
-    def check_length(count: int) -> None:
-        if count > MAX_WORD_LETTERS:
-            raise WordError(f"{text!r} flattens to more than {MAX_WORD_LETTERS} letters")
 
     def sequence(depth: int) -> list[str]:
         nonlocal pos
@@ -254,7 +286,7 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
                 magnitude = digits.lstrip("+-").lstrip("0")
                 too_long = len(magnitude) > len(str(MAX_WORD_LETTERS))
                 k = MAX_WORD_LETTERS + 1 if too_long else int(magnitude or "0")
-                check_length(len(letters) + len(inner) * k)
+                _check_length(len(letters) + len(inner) * k, text)
                 if digits.startswith("-"):
                     inner.reverse()
                 letters.extend(inner * k)
@@ -273,8 +305,37 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
         return letters
 
     letters = sequence(0)
-    check_length(len(letters))
+    _check_length(len(letters), text)
     return tuple(letters)
+
+
+# the 48 signed permutation matrices as (perm, signs), indexed for the step
+# tables of eval_word
+_LINEAR_PARTS: tuple[tuple[Vec, Vec], ...] = tuple(
+    (perm, signs) for perm in permutations(_AXES) for signs in product((1, -1), repeat=3)
+)
+_LINEAR_INDEX = {part: l for l, part in enumerate(_LINEAR_PARTS)}
+_IDENTITY_INDEX = _LINEAR_INDEX[IDENTITY.perm, IDENTITY.signs]
+
+
+def _step_table(generators: Mapping[str, Isometry]) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """For each letter g and each linear part L (by index): the index of
+    L g's linear part and the translation L t_g, so that appending g to a
+    word with linear part L adds L t_g to its translation (the rule of
+    `Isometry.__mul__`)."""
+    table = {}
+    for letter, (gp, gs, gt) in generators.items():
+        steps = []
+        for p, s in _LINEAR_PARTS:
+            perm = (gp[p[0]], gp[p[1]], gp[p[2]])
+            signs = (s[0] * gs[p[0]], s[1] * gs[p[1]], s[2] * gs[p[2]])
+            trans = (s[0] * gt[p[0]], s[1] * gt[p[1]], s[2] * gt[p[2]])
+            steps.append((_LINEAR_INDEX[perm, signs], *trans))
+        table[letter] = tuple(steps)
+    return table
+
+
+_STEPS = _step_table(GENERATORS)
 
 
 def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | None = None) -> Isometry:
@@ -282,17 +343,22 @@ def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | No
 
     ``word`` is either a string in the grammar of parse_word or an already
     flattened iterable of letters.  ``generators`` overrides the default
-    letter table (used by the perturbation check).
+    letter table (used by the perturbation check).  Each letter is one step
+    table lookup and three integer additions; the table for GENERATORS is
+    built once, that of an override on each call.
     """
-    table = GENERATORS if generators is None else dict(generators)
-    letters = parse_word(word, alphabet=tuple(table)) if isinstance(word, str) else tuple(word)
-    out = IDENTITY
+    steps = _STEPS if generators is None else _step_table(generators)
+    letters = parse_word(word, alphabet=tuple(steps)) if isinstance(word, str) else word
+    l, x, y, z = _IDENTITY_INDEX, 0, 0, 0
     for letter in letters:
         try:
-            out = out * table[letter]
+            l, dx, dy, dz = steps[letter][l]
         except KeyError:
-            raise WordError(f"unknown generator {letter!r}") from None
-    return out
+            raise _unknown_letter(letter) from None
+        x += dx
+        y += dy
+        z += dz
+    return Isometry(*_LINEAR_PARTS[l], (x, y, z))
 
 
 # The ten defining relators, as (label, word) pairs.

@@ -14,9 +14,10 @@ a subgroup's `parent` is the full group, which is its own parent.
 Inside a group, an element (L, t) with t in [0, N)^3 is the integer code
 ``l * N^3 + (x * N + y) * N + z``, where l indexes the 48 signed
 permutation matrices ordered by flattened matrix.  A group holds its
-elements as a sorted int64 array of codes, and closure, containment,
-cosets and vertex images are numpy passes over such arrays.  The full group
-is every code from 0 to 48 N^3 - 1; only subgroups are closed.  Code order is
+elements as a sorted int64 array of codes, and containment, cosets and
+vertex images are numpy passes over such arrays.  The full group is every
+code from 0 to 48 N^3 - 1, and a subgroup is enumerated from its space-group
+form (see `_enumerate`), so no group is closed.  Code order is
 the canonical element order used for deterministic coset ids:
 lexicographic on (flattened linear matrix, translation), as `element_key`
 states it for `Isometry` values.  `elements` decodes the codes to a
@@ -33,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .isometry import IDENTITY, Isometry, eval_word, parse_word, translation
+from .isometry import IDENTITY, Isometry, check_letters, eval_word, parse_word, translation
 
 Vec = tuple[int, int, int]
 
@@ -284,30 +285,52 @@ class TorusGroup:
 
 
 def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
-    out = []
-    for g in gens:
-        out.append(parse_word(g) if isinstance(g, str) else tuple(g))
-    return tuple(out)
+    return tuple(parse_word(g) if isinstance(g, str) else check_letters(g) for g in gens)
 
 
-def _closure(modulus: int, words: Iterable[tuple[str, ...]]) -> ElementCodes:
-    """Smallest set of codes containing the identity and closed under right
-    multiplication by the word evaluations: in a finite group, the generated
-    subgroup.  Breadth-first, one array pass per generator and level; a
-    boolean mask over the 48 N^3 codes keeps each element once."""
+def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> ElementCodes:
+    """The image mod N of the subgroup H the words generate, from H's
+    space-group form: a point group of linear parts and a translation
+    lattice Lambda_H.
+
+    A breadth-first walk over linear parts, right-multiplying by the word
+    evaluations, picks one element u_L of H per linear part L.  Each step
+    x = u g that lands on a linear part already picked gives the Schreier
+    generator x u_L^-1, a pure translation, and these span Lambda_H
+    (Schreier's lemma).  With N e_1, N e_2 and N e_3 they span
+    Lambda_H + N Z^3, whose triangular basis b_1, b_2, b_3 has diagonal
+    entries dividing N; so Lambda_H mod N is every i b_1 + j b_2 + k b_3 mod
+    N with i < N / b_11, j < N / b_22, k < N / b_33, and H mod N is every
+    (L, t_L + lambda).  Exact for any words: reduction mod N only sees
+    Lambda_H + N Z^3, whatever the rank of Lambda_H.
+    """
     n = modulus
-    seeds = [encode(eval_word(w), n) for w in words]
-    seen = np.zeros(48 * n**3, dtype=bool)
-    seen[identity_code(n)] = True
-    frontier = np.array([identity_code(n)], dtype=np.int64)
-    while frontier.size:
-        fresh = np.zeros_like(seen)
-        for g in seeds:
-            fresh[multiply(frontier, g, n)] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-    return ElementCodes(n, np.flatnonzero(seen))
+    gens = [eval_word(w) for w in words]
+    lattice = IntegerLattice()
+    for row in ((n, 0, 0), (0, n, 0), (0, 0, n)):
+        lattice.add(row)
+    picked = {(IDENTITY.perm, IDENTITY.signs): IDENTITY}
+    walk = [IDENTITY]
+    for u in walk:
+        for g in gens:
+            x = u * g
+            part = (x.perm, x.signs)
+            if part not in picked:
+                picked[part] = x
+                walk.append(x)
+            else:
+                lattice.add(tuple((a - b) % n for a, b in zip(x.trans, picked[part].trans)))
+    # the multiples of each basis row that stay distinct mod N, then their sums
+    multiples = [
+        np.arange(n // row[k])[:, None] * [c % n for c in row] for k, row in enumerate(lattice.basis())
+    ]
+    lattice_mod_n = (
+        multiples[0][:, None, None] + multiples[1][None, :, None] + multiples[2][None, None, :]
+    ).reshape(-1, 3)
+    linear = np.array([_LINEAR_INDEX[part] for part in picked], dtype=np.int64)
+    shifts = np.array([u.trans for u in picked.values()], dtype=np.int64) % n
+    codes = join(linear[:, None], (shifts[:, None, :] + lattice_mod_n) % n, n)
+    return ElementCodes(n, np.sort(codes, axis=None))
 
 
 def build_group(modulus: int) -> TorusGroup:
@@ -328,7 +351,7 @@ def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     tuples), with the full group as its parent.  The result carries no
     translation certificate yet."""
     words = _normalize_words(gens)
-    return TorusGroup(group.modulus, words, _closure(group.modulus, words), _parent=group.parent)
+    return TorusGroup(group.modulus, words, _enumerate(group.modulus, words), _parent=group.parent)
 
 
 class IntegerLattice:
@@ -391,6 +414,11 @@ class IntegerLattice:
             co = self._combine(qv, bco, -qb, co)
             self._pivots[col] = (new_pivot, new_pco)
         return index
+
+    def basis(self) -> tuple[Vec, ...]:
+        """The triangular basis, one row per pivot column in column order:
+        each row is zero left of its pivot column and positive there."""
+        return tuple(self._pivots[col][0] for col in sorted(self._pivots))
 
     def solve(self, target: Vec) -> dict[int, int] | None:
         t = list(target)

@@ -25,10 +25,22 @@ def test_check_passes(capsys):
 def test_check_perturbed_fails(capsys):
     code, out, err = run(capsys, "check", "--perturb")
     assert code == 4
-    assert "relator (PQ)^4: FAIL, evaluates to translation (0, 0, 8)" in out
-    assert "relator (QR)^3: FAIL" in out
-    assert "relator (RS)^4: ok" in out
-    assert "check failed: 2 relator(s) broken" in out
+    assert out == (
+        "relator P^2: ok\n"
+        "relator Q^2: ok\n"
+        "relator R^2: ok\n"
+        "relator S^2: ok\n"
+        "relator (PQ)^4: FAIL, evaluates to translation (0, 0, 8)\n"
+        "relator (QR)^3: FAIL, evaluates to "
+        "Isometry(perm=(1, 0, 2), signs=(1, 1, -1), trans=(0, 0, -1))\n"
+        "relator (RS)^4: ok\n"
+        "relator (PR)^2: ok\n"
+        "relator (PS)^2: ok\n"
+        "relator (QS)^2: ok\n"
+        "mirror angles: pi/4 pi/3 pi/4 pi/2 pi/2 pi/2\n"
+        "angle multiset: ok\n"
+        "check failed: 2 relator(s) broken\n"
+    )
 
 
 def test_subgroup_with_cross_check(capsys):

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from honeycomb434.isometry import (
     RELATORS,
     Isometry,
     WordError,
+    check_letters,
     check_presentation,
     dihedral_angle,
     dihedral_angle_check,
@@ -146,8 +150,9 @@ def test_eval_word_custom_generators():
 
 def test_generator_lookup():
     assert generator("P") == GENERATORS["P"]
-    with pytest.raises(WordError):
+    with pytest.raises(WordError) as info:
         generator("Z")
+    assert str(info.value) == "unknown generator 'Z'"
 
 
 def test_perturbed_presentation_breaks_exactly_two_relators():
@@ -216,3 +221,45 @@ def test_linear_part_is_signed_permutation(word):
     cols = list(zip(*rows))
     for col in cols:
         assert sorted(abs(x) for x in col) == [0, 0, 1]
+
+
+long_letters = st.lists(st.sampled_from("PQRS"), max_size=300).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_letters)
+def test_step_table_matches_a_fold_of_generator_products(word):
+    # the step table agrees with Isometry.__mul__, letter by letter, for
+    # the real mirrors and for the perturbed ones
+    for table in (GENERATORS, perturbed_generators()):
+        expected = reduce(mul, (table[letter] for letter in word), IDENTITY)
+        assert eval_word(word, table) == expected
+        assert eval_word("".join(word) or "(P)^0", table) == expected
+    assert eval_word(word) == reduce(mul, (GENERATORS[c] for c in word), IDENTITY)
+
+
+def test_unknown_letters_keep_their_message():
+    with pytest.raises(WordError) as info:
+        eval_word(("P", "X"))
+    assert str(info.value) == "unknown generator 'X'"
+
+
+def test_check_letters_holds_tuple_words_to_the_word_rules():
+    assert check_letters(("P", "Q")) == ("P", "Q")
+    assert check_letters(iter("PQRS")) == ("P", "Q", "R", "S")
+    assert check_letters(()) == ()
+    assert check_letters(("P",) * MAX_WORD_LETTERS) == ("P",) * MAX_WORD_LETTERS
+    with pytest.raises(WordError, match="flattens to more than 10000 letters") as info:
+        check_letters(("P",) * (MAX_WORD_LETTERS + 1))
+    assert len(str(info.value)) < 200
+    with pytest.raises(WordError, match="unknown generator 'X'"):
+        check_letters(("P", "X"))
+    for bad in ("PQ", "p", "", 1, None):
+        with pytest.raises(WordError, match="unknown generator"):
+            check_letters(("P", bad))
+    # a long bogus letter is quoted in part, with its length
+    with pytest.raises(WordError) as info:
+        check_letters(("P" * 20_000,))
+    assert str(info.value).startswith("unknown generator 'PPPP")
+    assert str(info.value).endswith("(20002 characters)")
+    assert len(str(info.value)) < 200

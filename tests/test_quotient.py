@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from honeycomb434.isometry import GENERATORS, IDENTITY, Isometry, eval_word, translation
+from honeycomb434.isometry import (
+    GENERATORS,
+    IDENTITY,
+    MAX_WORD_LETTERS,
+    Isometry,
+    WordError,
+    eval_word,
+    translation,
+)
 from honeycomb434.quotient import (
     LINEAR_PARTS,
     MAX_MODULUS,
@@ -22,6 +30,7 @@ from honeycomb434.quotient import (
     element_key,
     encode,
     flat,
+    identity_code,
     images,
     index,
     left_cosets,
@@ -276,6 +285,26 @@ def isometry_closure(modulus, words):
     return seen
 
 
+def code_closure(modulus, words):
+    """The subgroup generated by the words, closed breadth-first over codes:
+    one array pass per generator and level, a boolean mask over the 48 N^3
+    codes keeping each element once.  The reference for the space-group
+    enumeration of `build_subgroup`."""
+    n = modulus
+    seeds = [encode(eval_word(w), n) for w in words]
+    seen = np.zeros(48 * n**3, dtype=bool)
+    seen[identity_code(n)] = True
+    frontier = np.array([identity_code(n)], dtype=np.int64)
+    while frontier.size:
+        fresh = np.zeros_like(seen)
+        for g in seeds:
+            fresh[multiply(frontier, g, n)] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return np.flatnonzero(seen)
+
+
 @pytest.mark.parametrize("modulus", [2, 4, 8, 16])
 def test_full_group_is_every_code(modulus):
     group = build_group(modulus)
@@ -284,6 +313,7 @@ def test_full_group_is_every_code(modulus):
     # P, Q, R and S really generate all of them
     closed = build_subgroup(group, ("P", "Q", "R", "S"))
     assert np.array_equal(closed.codes, every)
+    assert np.array_equal(code_closure(modulus, WORDS["full"]), every)
     assert group.certified
     assert group.parent is group
 
@@ -351,3 +381,91 @@ def test_left_cosets_match_the_oracle(modulus, subs2, subs4):
         )
         for cid, rep in enumerate(table.representatives):
             assert rep == min(table.cosets[cid], key=element_key)
+
+
+# point group, and the rank of the translation lattice, in the comments
+FIXED_WORD_SETS = {
+    "Q": ("Q",),  # order 2, rank 0
+    "Q,R": ("Q", "R"),  # order 6, rank 0
+    "P": ("P",),  # a mirror with a translated plane, rank 0
+    "SRQPQR": ("SRQPQR",),  # one screw-like element, rank 1
+    "P,QRSRQ,QPQ,RSR": ("P", "QRSRQ", "QPQ", "RSR"),  # rank 2
+    "eighth": WORDS["eighth"],  # all 48 linear parts, rank 3
+    "none": (),
+    "PP": ("PP",),
+}
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+@pytest.mark.parametrize("name", sorted(FIXED_WORD_SETS))
+def test_enumeration_matches_the_closure_oracle(modulus, name):
+    words = FIXED_WORD_SETS[name]
+    sub = build_subgroup(build_group(modulus), words)
+    assert np.array_equal(sub.codes, code_closure(modulus, sub.generator_words))
+    assert sub.codes.dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(alphabet="PQRS", min_size=1, max_size=12), min_size=1, max_size=3),
+    st.sampled_from([2, 4, 8]),
+)
+def test_enumeration_matches_the_closure_oracle_on_random_words(words, modulus):
+    sub = build_subgroup(build_group(modulus), words)
+    assert np.array_equal(sub.codes, code_closure(modulus, words))
+
+
+@pytest.mark.parametrize("name", sorted(WORDS))
+def test_preset_orders_at_modulus_16(name):
+    sub = build_subgroup(build_group(16), WORDS[name])
+    assert sub.order == 48 * 16**3 // INDICES[name]
+    assert list(sub.codes) == sorted(set(sub.codes.tolist()))
+
+
+def test_tuple_words_get_the_string_word_checks(group2):
+    # one letter over the cap is refused, as for a string word
+    with pytest.raises(WordError, match="flattens to more than 10000 letters"):
+        build_subgroup(group2, [tuple("P" * (MAX_WORD_LETTERS + 1))])
+    with pytest.raises(WordError, match="flattens to more than 10000 letters"):
+        build_subgroup(group2, ["P" * (MAX_WORD_LETTERS + 1)])
+    # a multi-letter "letter" is refused, and quoted in part
+    with pytest.raises(WordError, match="unknown generator") as info:
+        build_subgroup(group2, [("P" * 20_000,)])
+    assert len(str(info.value)) < 200
+    with pytest.raises(WordError, match="unknown generator 'X'"):
+        build_subgroup(group2, [("Q",), ("P", "X")])
+    # a word at the cap is accepted: P^10000 is the identity, P^9999 is P
+    assert build_subgroup(group2, [("P",) * MAX_WORD_LETTERS]).order == 1
+    assert build_subgroup(group2, [("P",) * (MAX_WORD_LETTERS - 1)]).order == 2
+    assert build_subgroup(group2, [("Q",), "R"]).generator_words == (("Q",), ("R",))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
+                max_size=8))
+def test_integer_lattice_basis_is_triangular_and_spans_the_rows(rows):
+    lattice = IntegerLattice()
+    for row in rows:
+        lattice.add(row)
+    basis = lattice.basis()
+    pivots = [next(k for k in range(3) if row[k]) for row in basis]
+    # one row per pivot column, in column order, zero left of its pivot
+    # and positive on it
+    assert pivots == sorted(set(pivots))
+    for row, col in zip(basis, pivots):
+        assert all(row[k] == 0 for k in range(col)) and row[col] > 0
+    for row in list(rows) + list(basis):
+        assert lattice.solve(row) is not None
+    # the basis spans no more than the rows: it has as many rows as their rank
+    assert len(basis) == np.linalg.matrix_rank(np.array(rows, dtype=float).reshape(-1, 3))
+
+
+def test_integer_lattice_basis_of_a_full_rank_lattice():
+    lattice = IntegerLattice()
+    for row in ((4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (0, 2, 2)):
+        lattice.add(row)
+    basis = lattice.basis()
+    assert len(basis) == 3
+    # the diagonal divides 4, and its product is the determinant: 16, that
+    # of twice the fcc lattice
+    assert [basis[k][k] for k in range(3)] == [2, 2, 4]
