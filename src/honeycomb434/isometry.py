@@ -30,7 +30,7 @@ arithmetic; nothing in this module touches floating point.
 
 from __future__ import annotations
 
-from itertools import islice, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Mapping, NamedTuple
 
 Vec = tuple[int, int, int]
@@ -199,40 +199,48 @@ class WordError(ValueError):
 
 # the longest word parse_word flattens; powers are checked before they expand
 MAX_WORD_LETTERS = 10_000
-# the most characters of a word or letter an error message quotes
+# the mirror letters a flattened word may hold
+_LETTERS = frozenset(GENERATORS)
+# the most characters of a word's text or of one letter an error message
+# quotes, and the most letters of a flattened word it spells out
 _QUOTED_CHARS = 60
+_SPELLED_LETTERS = 40
 
 
 def _quoted(value) -> str:
-    """repr of a word or letter, cut after _QUOTED_CHARS characters with its
-    length noted."""
+    """repr of a word's text or of one letter, cut after _QUOTED_CHARS
+    characters with its length noted."""
     text = repr(value)
     if len(text) <= _QUOTED_CHARS:
         return text
     return f"{text[:_QUOTED_CHARS]}…({len(text)} characters)"
 
 
-def _check_length(count: int, word) -> None:
-    if count > MAX_WORD_LETTERS:
-        raise WordError(f"{_quoted(word)} flattens to more than {MAX_WORD_LETTERS} letters")
+def _spelled(word: tuple[str, ...]) -> str:
+    """A flattened word's letters joined by '·', cut after _SPELLED_LETTERS
+    letters with its length noted."""
+    text = "·".join(word[:_SPELLED_LETTERS])
+    return text if len(word) <= _SPELLED_LETTERS else f"{text}…({len(word)} letters)"
+
+
+def _too_long(shown: str) -> WordError:
+    return WordError(f"{shown} flattens to more than {MAX_WORD_LETTERS} letters")
 
 
 def _unknown_letter(letter) -> WordError:
     return WordError(f"unknown generator {_quoted(letter)}")
 
 
-def check_letters(
-    word: Iterable[str], alphabet: Iterable[str] = ("P", "Q", "R", "S")
-) -> tuple[str, ...]:
+def check_letters(word: Iterable[str]) -> tuple[str, ...]:
     """An already flattened word as a letter tuple, held to parse_word's
-    rules: at most MAX_WORD_LETTERS letters, each one of the alphabet.  At
-    most one letter past the cap is read before the word is rejected."""
-    letters = tuple(islice(word, MAX_WORD_LETTERS + 1))
-    _check_length(len(letters), letters)
-    allowed = frozenset(alphabet)
+    rules: each letter one of P, Q, R, S, and at most MAX_WORD_LETTERS
+    letters."""
+    letters = tuple(word)
     for letter in letters:
-        if not isinstance(letter, str) or letter not in allowed:
+        if not isinstance(letter, str) or letter not in _LETTERS:
             raise _unknown_letter(letter)
+    if len(letters) > MAX_WORD_LETTERS:
+        raise _too_long(_spelled(letters))
     return letters
 
 
@@ -250,6 +258,10 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
     allowed = frozenset(alphabet)
     pos = 0
     end = len(text)
+
+    def check_length(count: int) -> None:
+        if count > MAX_WORD_LETTERS:
+            raise _too_long(_quoted(text))
 
     def sequence(depth: int) -> list[str]:
         nonlocal pos
@@ -286,7 +298,7 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
                 magnitude = digits.lstrip("+-").lstrip("0")
                 too_long = len(magnitude) > len(str(MAX_WORD_LETTERS))
                 k = MAX_WORD_LETTERS + 1 if too_long else int(magnitude or "0")
-                _check_length(len(letters) + len(inner) * k, text)
+                check_length(len(letters) + len(inner) * k)
                 if digits.startswith("-"):
                     inner.reverse()
                 letters.extend(inner * k)
@@ -305,17 +317,20 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
         return letters
 
     letters = sequence(0)
-    _check_length(len(letters), text)
+    check_length(len(letters))
     return tuple(letters)
 
 
-# the 48 signed permutation matrices as (perm, signs), indexed for the step
-# tables of eval_word
-_LINEAR_PARTS: tuple[tuple[Vec, Vec], ...] = tuple(
-    (perm, signs) for perm in permutations(_AXES) for signs in product((1, -1), repeat=3)
+# the 48 linear parts as (perm, signs), in canonical (flattened matrix)
+# order: the order of element codes in `quotient` and of the step tables
+LINEAR_PARTS: tuple[tuple[Vec, Vec], ...] = tuple(
+    sorted(
+        ((perm, signs) for perm in permutations(_AXES) for signs in product((1, -1), repeat=3)),
+        key=lambda part: sum(Isometry(*part, IDENTITY.trans).linear, ()),
+    )
 )
-_LINEAR_INDEX = {part: l for l, part in enumerate(_LINEAR_PARTS)}
-_IDENTITY_INDEX = _LINEAR_INDEX[IDENTITY.perm, IDENTITY.signs]
+_LINEAR_INDEX = {part: l for l, part in enumerate(LINEAR_PARTS)}
+_IDENTITY_LINEAR = _LINEAR_INDEX[IDENTITY.perm, IDENTITY.signs]
 
 
 def _step_table(generators: Mapping[str, Isometry]) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -326,7 +341,7 @@ def _step_table(generators: Mapping[str, Isometry]) -> dict[str, tuple[tuple[int
     table = {}
     for letter, (gp, gs, gt) in generators.items():
         steps = []
-        for p, s in _LINEAR_PARTS:
+        for p, s in LINEAR_PARTS:
             perm = (gp[p[0]], gp[p[1]], gp[p[2]])
             signs = (s[0] * gs[p[0]], s[1] * gs[p[1]], s[2] * gs[p[2]])
             trans = (s[0] * gt[p[0]], s[1] * gt[p[1]], s[2] * gt[p[2]])
@@ -349,7 +364,7 @@ def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | No
     """
     steps = _STEPS if generators is None else _step_table(generators)
     letters = parse_word(word, alphabet=tuple(steps)) if isinstance(word, str) else word
-    l, x, y, z = _IDENTITY_INDEX, 0, 0, 0
+    l, x, y, z = _IDENTITY_LINEAR, 0, 0, 0
     for letter in letters:
         try:
             l, dx, dy, dz = steps[letter][l]
@@ -358,7 +373,7 @@ def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | No
         x += dx
         y += dy
         z += dz
-    return Isometry(*_LINEAR_PARTS[l], (x, y, z))
+    return Isometry(*LINEAR_PARTS[l], (x, y, z))
 
 
 # The ten defining relators, as (label, word) pairs.

@@ -7,9 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .isometry import Isometry
-from .quotient import (LINEAR_PARTS, SubgroupError, TorusGroup, _next_unlabelled, apply_linear,
-                       coords, decode, flat, join, split)
+from .isometry import LINEAR_PARTS, Isometry
+from .quotient import (SubgroupError, TorusGroup, _next_unlabelled, apply_linear, coords, decode,
+                       flat, join, split)
 
 Vec = tuple[int, int, int]
 

@@ -29,12 +29,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import permutations, product
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .isometry import IDENTITY, Isometry, check_letters, eval_word, parse_word, translation
+from .isometry import (
+    IDENTITY,
+    LINEAR_PARTS,
+    _IDENTITY_LINEAR,
+    _LINEAR_INDEX,
+    Isometry,
+    _spelled,
+    check_letters,
+    eval_word,
+    parse_word,
+    translation,
+)
 
 Vec = tuple[int, int, int]
 
@@ -97,17 +107,8 @@ def check_radius(radius: int) -> None:
 
 # -- the code layer ----------------------------------------------------------
 
-# the 48 linear parts as (perm, signs), in canonical (flattened matrix) order
-LINEAR_PARTS: tuple[tuple[Vec, Vec], ...] = tuple(
-    sorted(
-        ((perm, signs) for perm in permutations(range(3)) for signs in product((1, -1), repeat=3)),
-        key=lambda part: element_key(Isometry(*part, (0, 0, 0))),
-    )
-)
-_LINEAR_INDEX = {part: l for l, part in enumerate(LINEAR_PARTS)}
 _PERM = np.array([perm for perm, _ in LINEAR_PARTS], dtype=np.int64)
 _SIGN = np.array([signs for _, signs in LINEAR_PARTS], dtype=np.int64)
-_IDENTITY_LINEAR = _LINEAR_INDEX[(IDENTITY.perm, IDENTITY.signs)]
 
 
 def _composition_table() -> np.ndarray:
@@ -510,17 +511,6 @@ def _certificate_search(
             return "spanned", lattice, row_word
         frontier = next_frontier
     return ("saturated" if not frontier else "truncated"), lattice, row_word
-
-
-# the most letters of one generator word an error message spells out
-_SPELLED_LETTERS = 40
-
-
-def _spelled(word: tuple[str, ...]) -> str:
-    """The word's letters joined by '·', cut after _SPELLED_LETTERS letters
-    with its length noted."""
-    text = "·".join(word[:_SPELLED_LETTERS])
-    return text if len(word) <= _SPELLED_LETTERS else f"{text}…({len(word)} letters)"
 
 
 def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> TorusGroup:

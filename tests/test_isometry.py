@@ -252,6 +252,12 @@ def test_check_letters_holds_tuple_words_to_the_word_rules():
     with pytest.raises(WordError, match="flattens to more than 10000 letters") as info:
         check_letters(("P",) * (MAX_WORD_LETTERS + 1))
     assert len(str(info.value)) < 200
+    # an over-cap word is spelled in part, with its letter count
+    with pytest.raises(WordError) as info:
+        check_letters(("P",) * 20_001)
+    assert str(info.value) == (
+        "·".join("P" * 40) + "…(20001 letters) flattens to more than 10000 letters"
+    )
     with pytest.raises(WordError, match="unknown generator 'X'"):
         check_letters(("P", "X"))
     for bad in ("PQ", "p", "", 1, None):

@@ -9,6 +9,7 @@ import oracle
 from honeycomb434.isometry import (
     GENERATORS,
     IDENTITY,
+    LINEAR_PARTS,
     MAX_WORD_LETTERS,
     Isometry,
     WordError,
@@ -16,7 +17,6 @@ from honeycomb434.isometry import (
     translation,
 )
 from honeycomb434.quotient import (
-    LINEAR_PARTS,
     MAX_MODULUS,
     MAX_RADIUS,
     CertificationError,
