@@ -22,6 +22,8 @@ import json
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from .coloring import (
     OrbitPlan,
     VertexColoring,
@@ -126,10 +128,14 @@ def validate_config(data) -> None:
         if not cond:
             raise ConfigError(message)
 
+    def integer(value) -> bool:
+        # JSON true and false load as bool, a subclass of int
+        return isinstance(value, int) and not isinstance(value, bool)
+
     need(isinstance(data, dict), "config must be a JSON object")
     need(isinstance(data.get("family"), str), "config needs a string 'family'")
-    need(isinstance(data.get("modulus", 2), int), "'modulus' must be an integer")
-    need(isinstance(data.get("radius", DEFAULT_RADIUS), int), "'radius' must be an integer")
+    need(integer(data.get("modulus", 2)), "'modulus' must be an integer")
+    need(integer(data.get("radius", DEFAULT_RADIUS)), "'radius' must be an integer")
     try:
         check_modulus(data.get("modulus", 2))
         check_radius(data.get("radius", DEFAULT_RADIUS))
@@ -155,7 +161,7 @@ def validate_config(data) -> None:
     for plan in plans:
         need(isinstance(plan, dict), "each plan must be an object")
         need(
-            isinstance(plan.get("orbit"), int) and plan["orbit"] >= 0,
+            integer(plan.get("orbit")) and plan["orbit"] >= 0,
             "each plan needs a non-negative 'orbit' index",
         )
         need(plan.get("subgroup") in subgroups, "each plan's 'subgroup' must be defined")
@@ -195,7 +201,7 @@ def validate_config(data) -> None:
         need(
             isinstance(region, list)
             and len(region) == 3
-            and all(isinstance(r, int) and r >= 0 for r in region),
+            and all(integer(r) and r >= 0 for r in region),
             "'region' must be three non-negative integers",
         )
         try:
@@ -268,8 +274,15 @@ MAX_EXPORT_SITES = 2**18
 
 def _region_shape(region, modulus: int) -> tuple[int, int, int]:
     """Extent in sites of `region` unit cells, one period each; checked
-    before anything is allocated."""
-    a, b, c = (int(r) for r in region)
+    before anything is allocated.  The counts must be integers, numpy ones
+    included: a bool, a float or a string is refused, never truncated."""
+    cells = tuple(region)
+    if len(cells) != 3:
+        raise ValueError(f"region must be three integers, got {len(cells)} values")
+    for r in cells:
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise ValueError(f"region counts must be integers, not {type(r).__name__}")
+    a, b, c = map(int, cells)
     if min(a, b, c) < 0:
         raise ValueError(f"region must be non-negative, got {region}")
     if a * b * c * modulus**3 > MAX_EXPORT_SITES:
@@ -298,9 +311,8 @@ def export_xyz(model: CrystalModel, region=(1, 1, 1)) -> str:
                 if info.element is None:
                     raise ValueError(f"color {info.label!r} has no element symbol")
                 rows.append(f"{info.element} {x} {y} {z}")
-    a, b, c = (int(r) for r in region)
     comment = (
-        f"{model.family} {model.formula} region={a}x{b}x{c} modulus={model.modulus}"
+        f"{model.family} {model.formula} region={sx // n}x{sy // n}x{sz // n} modulus={n}"
     )
     return "\n".join([str(len(rows)), comment, *rows]) + "\n"
 
@@ -315,47 +327,93 @@ _CUBE_FACES = (
 )
 # half the edge of each site's cube in the OFF export, in lattice units
 CUBE_HALF_WIDTH = 0.2
-# one site's 8 vertex lines, formatted over (x-, x+, y-, y+, z-, z+), and its
-# 6 face lines, over the site's 8 vertex numbers and its "r g b" string
-_VERTEX_BLOCK = "\n".join(
-    " ".join(f"{{{2 * axis + (d > 0)}}}" for axis, d in enumerate(corner))
-    for corner in _CUBE_CORNERS
-)
-_FACE_BLOCK = "\n".join(
-    "4 " + " ".join(f"{{{i}}}" for i in quad) + " {8}" for quad in _CUBE_FACES
-)
+# per corner, which cube edge (0 low, 1 high) it takes on each axis, and per
+# face, its four corners
+_CORNER_SIDES = (np.array(_CUBE_CORNERS) > 0).astype(np.intp)
+_FACE_CORNERS = np.array(_CUBE_FACES, dtype=np.intp)
+
+
+def _ascii_rows(strings: list[str]) -> np.ndarray:
+    """The strings as a uint8 matrix, one row each, NUL-padded to the
+    longest."""
+    table = np.array(strings, dtype=bytes)
+    return table.view(np.uint8).reshape(len(strings), table.itemsize)
+
+
+def _ascii_text(rows: np.ndarray) -> str:
+    """A NUL-padded uint8 matrix as text, in row order, NULs dropped."""
+    return str(rows[rows != 0], "ascii")
+
+
+def _vertex_numbers(count: int) -> np.ndarray:
+    """" k" for every vertex number k < count as uint8 rows, the digits
+    right-aligned after the space and NUL where a number is shorter."""
+    width = len(str(max(count - 1, 0)))
+    rows = np.empty((count, 1 + width), np.uint8)
+    rows[:, 0] = ord(" ")
+    rest = np.arange(count, dtype=np.int32)
+    for column in range(width, 0, -1):
+        # a digit is shown if it or a higher one is nonzero; the units always
+        shown = (rest > 0) | (column == width)
+        rest, digit = np.divmod(rest, 10)
+        rows[:, column] = np.where(shown, digit + ord("0"), 0)
+    return rows
+
+
+def _vertex_lines(sx: int, sy: int, sz: int) -> str:
+    """The 8 corner lines "x y z" of each site's cube, sites in x, y, z
+    order: a (site, corner, axis) matrix of padded cube-edge strings, each
+    with its separator."""
+    # both cube edges of each coordinate, v - 0.2 and v + 0.2
+    extent = max(sx, sy, sz)
+    edges = _ascii_rows(
+        [f"{v + side * CUBE_HALF_WIDTH:.3f}" for v in range(extent) for side in (-1, 1)]
+    )
+    w = edges.shape[1]
+    edges = edges.reshape(extent, 2, w)
+    lines = np.empty((sx, sy, sz, 8, 3, w + 1), np.uint8)
+    lines[..., 0, :w] = edges[:sx, _CORNER_SIDES[:, 0]][:, None, None]
+    lines[..., 1, :w] = edges[:sy, _CORNER_SIDES[:, 1]][None, :, None]
+    lines[..., 2, :w] = edges[:sz, _CORNER_SIDES[:, 2]][None, None, :]
+    lines[..., w] = np.frombuffer(b"  \n", np.uint8)
+    return _ascii_text(lines)
+
+
+def _face_lines(coloring: VertexColoring, sx: int, sy: int, sz: int) -> str:
+    """The 6 face lines "4 k k k k r g b" of each site's cube, sites in
+    x, y, z order and site s numbering its corners 8s to 8s + 7: a (site,
+    face) matrix of gathered vertex numbers and the site's color."""
+    n = coloring.modulus
+    sites = sx * sy * sz
+    rgb = _ascii_rows(
+        [" %d %d %d\n" % PALETTE.get(info.label, FALLBACK_COLOR) for info in coloring.color_table]
+    )
+    numbers = _vertex_numbers(8 * sites)
+    k = numbers.shape[1]
+    numbers = numbers.reshape(sites, 8, k)
+    lines = np.empty((sites, 6, 1 + 4 * k + rgb.shape[1]), np.uint8)
+    lines[:, :, 0] = ord("4")
+    for j in range(4):
+        lines[:, :, 1 + j * k : 1 + (j + 1) * k] = numbers[:, _FACE_CORNERS[:, j]]
+    ids = np.tile(coloring.assignment, (sx // n, sy // n, sz // n)).reshape(-1)
+    lines[:, :, 1 + 4 * k :] = rgb[ids][:, None]
+    return _ascii_text(lines)
 
 
 def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
     """Every site of the region as a small axis-aligned cube with
-    face colors from the palette; vacancies are drawn too."""
+    face colors from the palette; vacancies are drawn too.
+
+    Each section is built as one uint8 matrix of fixed-width rows, NUL
+    where a row is shorter, and written out with the NULs dropped; no
+    string is formatted per site."""
     sx, sy, sz = _region_shape(region, model.modulus)
-    n = model.modulus
-    # both cube edges of each coordinate, formatted once
-    edges = [
-        (f"{v - CUBE_HALF_WIDTH:.3f}", f"{v + CUBE_HALF_WIDTH:.3f}")
-        for v in range(max(sx, sy, sz))
-    ]
-    rgb = [
-        " ".join(map(str, PALETTE.get(info.label, FALLBACK_COLOR)))
-        for info in model.coloring.color_table
-    ]
-    ids = model.coloring.assignment.tolist()
-    verts: list[str] = []
-    faces: list[str] = []
-    base = 0
-    for x in range(sx):
-        x0, x1 = edges[x]
-        plane = ids[x % n]
-        for y in range(sy):
-            y0, y1 = edges[y]
-            line = plane[y % n]
-            for z in range(sz):
-                verts.append(_VERTEX_BLOCK.format(x0, x1, y0, y1, *edges[z]))
-                faces.append(_FACE_BLOCK.format(*range(base, base + 8), rgb[line[z % n]]))
-                base += 8
-    head = ["OFF", f"{8 * len(verts)} {6 * len(faces)} 0"]
-    return "\n".join(head + verts + faces) + "\n"
+    sites = sx * sy * sz
+    return (
+        f"OFF\n{8 * sites} {6 * sites} 0\n"
+        + _vertex_lines(sx, sy, sz)
+        + _face_lines(model.coloring, sx, sy, sz)
+    )
 
 
 def export_report(model: CrystalModel) -> str:

@@ -199,6 +199,9 @@ class WordError(ValueError):
 
 # the longest word parse_word flattens; powers are checked before they expand
 MAX_WORD_LETTERS = 10_000
+# the deepest nesting of "(...)^k" groups parse_word reads; each level is one
+# recursion and one copy of the letters inside it
+MAX_WORD_DEPTH = 100
 # the mirror letters a flattened word may hold
 _LETTERS = frozenset(GENERATORS)
 # the most characters of a word's text or of one letter an error message
@@ -253,7 +256,8 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
     are involutions, so the inverse of a subword is its reversal and every
     power flattens back to plain letters, e.g. ``(SRQPQR)^2`` or
     ``(QPQRQPQS)^-1``.  A word that would flatten to more than
-    MAX_WORD_LETTERS letters is rejected before it is expanded.
+    MAX_WORD_LETTERS letters is rejected before it is expanded, and so is
+    one that nests groups more than MAX_WORD_DEPTH deep.
     """
     allowed = frozenset(alphabet)
     pos = 0
@@ -276,14 +280,17 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
                 terms += 1
                 pos += 1
             elif ch == "(":
+                if depth == MAX_WORD_DEPTH:
+                    raise WordError(
+                        f"{_quoted(text)} nests groups more than {MAX_WORD_DEPTH} deep"
+                    )
                 terms += 1
                 pos += 1
                 inner = sequence(depth + 1)
-                if pos >= end or text[pos] != ")":
-                    raise WordError(f"missing ')' in {text!r}")
+                # the inner sequence returns only at its closing ')'
                 pos += 1
                 if pos >= end or text[pos] != "^":
-                    raise WordError(f"expected '^' after ')' at position {pos} in {text!r}")
+                    raise WordError(f"expected '^' after ')' at position {pos} in {_quoted(text)}")
                 pos += 1
                 start = pos
                 if pos < end and text[pos] in "+-":
@@ -292,7 +299,7 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
                     pos += 1
                 digits = text[start:pos]
                 if not digits.lstrip("+-"):
-                    raise WordError(f"missing exponent at position {start} in {text!r}")
+                    raise WordError(f"missing exponent at position {start} in {_quoted(text)}")
                 # int() refuses more than 4300 digits, leading zeros included;
                 # a magnitude with more digits than the cap exceeds it anyway
                 magnitude = digits.lstrip("+-").lstrip("0")
@@ -304,16 +311,16 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
                 letters.extend(inner * k)
             elif ch == ")":
                 if depth == 0:
-                    raise WordError(f"unbalanced ')' at position {pos} in {text!r}")
+                    raise WordError(f"unbalanced ')' at position {pos} in {_quoted(text)}")
                 if terms == 0:
-                    raise WordError(f"empty group at position {pos} in {text!r}")
+                    raise WordError(f"empty group at position {pos} in {_quoted(text)}")
                 return letters
             else:
-                raise WordError(f"unexpected character {ch!r} at position {pos} in {text!r}")
+                raise WordError(f"unexpected character {ch!r} at position {pos} in {_quoted(text)}")
         if depth != 0:
-            raise WordError(f"missing ')' in {text!r}")
+            raise WordError(f"missing ')' in {_quoted(text)}")
         if terms == 0:
-            raise WordError(f"empty word {text!r}")
+            raise WordError(f"empty word {_quoted(text)}")
         return letters
 
     letters = sequence(0)

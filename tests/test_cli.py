@@ -84,6 +84,24 @@ def test_bad_word_is_a_usage_error(capsys):
     assert "flattens to more than 10000 letters" in err
 
 
+def test_deeply_nested_word_is_a_usage_error(capsys):
+    # a usage error, not a RecursionError traceback with exit 1
+    code, out, err = run(capsys, "subgroup", "(" * 5000)
+    assert code == 2
+    assert err.startswith("error: '((((")
+    assert err.endswith("(5002 characters) nests groups more than 100 deep\n")
+
+
+def test_syntax_errors_quote_long_words_in_part(capsys):
+    # stderr stays short however long the word
+    code, out, err = run(capsys, "subgroup", "P" * 100_000 + "!")
+    assert code == 2
+    assert "unexpected character '!' at position 100000 in 'PPPP" in err
+    assert len(err.encode()) < 200
+    code, out, err = run(capsys, "subgroup", "P!")
+    assert err == "error: unexpected character '!' at position 1 in 'P!'\n"
+
+
 def test_finite_subgroup_fails_certification(capsys):
     code, out, err = run(capsys, "subgroup", "Q")
     assert code == 3
@@ -267,6 +285,10 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: c["coloring"]["plans"][0].update(subgroup="missing"), "subgroup"),
         (lambda c: c["exports"][0].update(format="stl"), "format"),
         (lambda c: c["exports"][0].update(region=[1, 1]), "region"),
+        # JSON true and false are bools, not the counts 1 and 0
+        (lambda c: c["exports"][0].update(region=[True, 1, 1]), "region"),
+        (lambda c: c.update(radius=True), "'radius' must be an integer"),
+        (lambda c: c["coloring"]["plans"][0].update(orbit=False), "'orbit' index"),
         (lambda c: c["exports"][0].update(path="/abs/path.xyz"), "path"),
         (lambda c: c["subgroups"].update(half="PQP"), "subgroup"),
         (lambda c: c.update(modulus=3), "even integer"),

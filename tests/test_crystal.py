@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,37 @@ def test_xyz_region_scaling(models):
     with pytest.raises(ValueError, match="more than 262144 sites"):
         export_off(rs, region=(33, 32, 32))
     assert _region_shape((32, 32, 32), 2) == (64, 64, 64)
+
+
+@pytest.mark.parametrize(
+    "region, message",
+    [
+        ((1.9, 1, 1), "not float"),
+        ((1, 1.0, 1), "not float"),
+        (("2", 1, 1), "not str"),
+        ((True, 1, 1), "not bool"),
+        ((1, 1, np.bool_(True)), "not bool"),
+        ((1, None, 1), "not NoneType"),
+        ((1, 1), "got 2 values"),
+        ((1, 1, 1, 1), "got 4 values"),
+    ],
+)
+def test_region_counts_must_be_integers(models, region, message):
+    # refused, never truncated: (1.9, 1, 1) is not one cell
+    for render in (export_xyz, export_off):
+        with pytest.raises(ValueError, match=message):
+            render(models["rock-salt"], region)
+
+
+def test_region_takes_numpy_integers(models):
+    rs = models["rock-salt"]
+    region = (np.int64(2), np.uint8(1), 1)
+    assert export_xyz(rs, region) == export_xyz(rs, (2, 1, 1))
+    assert export_xyz(rs, region).splitlines()[1] == "rock-salt NaCl region=2x1x1 modulus=2"
+    assert export_off(rs, np.array([1, 2, 1])) == export_off(rs, (1, 2, 1))
+    # converted before the cap is checked, so a numpy product cannot wrap
+    with pytest.raises(ValueError, match="more than 262144 sites"):
+        export_off(rs, (np.int64(2**40), np.int64(2**40), np.int64(2**40)))
 
 
 def test_xyz_reimport_reproduces_stoichiometry(models):
@@ -379,6 +411,24 @@ def test_exports_match_the_reference_renderers(models_by_modulus, modulus, name)
     for region in REGIONS:
         assert export_off(model, region) == reference_off(model, region), region
         assert export_xyz(model, region) == reference_xyz(model, region), region
+
+
+@pytest.mark.parametrize("region", [(4096, 1, 1), (1, 1, 4096), (0, 0, 0)])
+def test_off_matches_the_reference_renderer_where_numbers_widen(models, region):
+    # at N = 2, 4096 cells along one axis reach the coordinate 8191.200 and
+    # vertex numbers of 6 digits, where fixed-width rows could go wrong
+    rs = models["rock-salt"]
+    assert export_off(rs, region) == reference_off(rs, region)
+
+
+def test_off_of_a_single_color_matches_the_reference_renderer():
+    text = "modulus 2\ncolor red\n" + "".join(
+        f"{x} {y} {z} red\n" for x in range(2) for y in range(2) for z in range(2)
+    )
+    model = CrystalModel("one", VertexColoring.from_text(text))
+    for region in [*REGIONS, (0, 0, 0)]:
+        assert export_off(model, region) == reference_off(model, region), region
+    assert export_off(model, (0, 0, 0)) == "OFF\n0 0 0\n"
 
 
 def test_fallback_color_matches_the_reference_renderer(models):

@@ -10,6 +10,7 @@ from honeycomb434.isometry import (
     EXPECTED_ANGLES,
     GENERATORS,
     IDENTITY,
+    MAX_WORD_DEPTH,
     MAX_WORD_LETTERS,
     MIRROR_NORMALS,
     RELATORS,
@@ -132,6 +133,46 @@ def test_parse_word_accepts_a_word_at_the_cap():
 def test_parse_word_rejects(bad):
     with pytest.raises(WordError):
         parse_word(bad)
+
+
+def test_parse_word_caps_the_nesting_depth():
+    assert MAX_WORD_DEPTH == 100
+    assert parse_word("(" * 100 + "P" + ")^1" * 100) == ("P",)
+    # a deeper word is a WordError, never a RecursionError
+    for bad in ["(" * 101 + "P" + ")^1" * 101, "(" * 50_000]:
+        with pytest.raises(WordError, match="nests groups more than 100 deep") as info:
+            parse_word(bad)
+        assert len(str(info.value)) < 200
+
+
+# each syntax error on a short word, with its message as it has always read
+SHORT_SYNTAX_ERRORS = {
+    "": "empty word ''",
+    "  ": "empty word '  '",
+    "P!": "unexpected character '!' at position 1 in 'P!'",
+    "(PQ)": "expected '^' after ')' at position 4 in '(PQ)'",
+    "(PQ)^x": "missing exponent at position 5 in '(PQ)^x'",
+    "()^2": "empty group at position 1 in '()^2'",
+    "PQ)": "unbalanced ')' at position 2 in 'PQ)'",
+    "(PQ": "missing ')' in '(PQ'",
+}
+
+
+def test_syntax_errors_quote_long_words_in_part():
+    for text, message in SHORT_SYNTAX_ERRORS.items():
+        with pytest.raises(WordError) as info:
+            parse_word(text)
+        assert str(info.value) == message
+    # the same errors on 100,000 more letters quote the word in part
+    body = "P" * 100_000
+    for text in [
+        " " * 100_000, body + "!", "(" + body + ")", "(" + body + ")^x", "()^2" + body,
+        body + ")", "(" + body,
+    ]:
+        with pytest.raises(WordError) as info:
+            parse_word(text)
+        assert len(str(info.value)) < 200, str(info.value)[:100]
+        assert "characters)" in str(info.value)
 
 
 def test_eval_word_rightmost_first():
