@@ -286,7 +286,7 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: c["exports"][0].update(format="stl"), "format"),
         (lambda c: c["exports"][0].update(region=[1, 1]), "region"),
         # JSON true and false are bools, not the counts 1 and 0
-        (lambda c: c["exports"][0].update(region=[True, 1, 1]), "region"),
+        (lambda c: c["exports"][0].update(region=[True, 1, 1]), "three non-negative integers"),
         (lambda c: c.update(radius=True), "'radius' must be an integer"),
         (lambda c: c["coloring"]["plans"][0].update(orbit=False), "'orbit' index"),
         (lambda c: c["exports"][0].update(path="/abs/path.xyz"), "path"),
