@@ -4,8 +4,9 @@
 Reducing coordinates mod an even N turns the infinite symmetry group into
 a finite one of order 48*N^3.  A subgroup given by generator words only
 represents its infinite counterpart faithfully if it contains the three
-axis translations by N; the certificate search proves that with explicit
-witness words.
+axis translations by N.  Certification decides that exactly from the
+subgroup's translation lattice, and proves a "yes" with explicit witness
+words.
 """
 
 from honeycomb434 import (
@@ -30,7 +31,7 @@ def main() -> None:
         group = build_group(n)
         print(f"== modulus {n}: full group order {group.order} ==")
         for name, words in NAMED.items():
-            sub = certify_translations(build_subgroup(group, words), radius=12)
+            sub = certify_translations(build_subgroup(group, words))
             print(
                 f"  {name:10s} <{','.join(words)}>: "
                 f"order {sub.order}, index {index(group, sub)}"
@@ -38,7 +39,7 @@ def main() -> None:
         print()
 
     group = build_group(2)
-    sub = certify_translations(build_subgroup(group, NAMED["index 8"]), radius=12)
+    sub = certify_translations(build_subgroup(group, NAMED["index 8"]))
     print("== witness words for the index-8 subgroup, modulus 2 ==")
     for witness in sub.translation_certificate:
         word = "".join(witness.word)
@@ -53,16 +54,16 @@ def main() -> None:
 
     print()
     print("== when certification cannot succeed ==")
-    try:
-        certify_translations(build_subgroup(group, ("Q", "R")), radius=12)
-    except CertificationError as exc:
-        print(f"  <Q,R>: {exc}")
-        print(f"  definitive: {exc.definitive} (the subgroup is finite)")
-    try:
-        certify_translations(build_subgroup(group, NAMED["index 4"]), radius=4)
-    except CertificationError as exc:
-        print(f"  <{','.join(NAMED['index 4'])}> at radius 4: {exc}")
-        print(f"  definitive: {exc.definitive} (a larger radius succeeds)")
+    for words, why in (
+        (("Q", "R"), "a finite group: no translations at all"),
+        (("P", "QRSRQ", "QPQ", "RSR"), "its translations span only a plane"),
+    ):
+        sub = build_subgroup(group, words)
+        print(f"  <{','.join(words)}>, {why}; lattice basis {sub.translation_lattice}")
+        try:
+            certify_translations(sub)
+        except CertificationError as exc:
+            print(f"    {exc}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from honeycomb434 import (
 
 
 def certified(group, words):
-    return certify_translations(build_subgroup(group, words), radius=12)
+    return certify_translations(build_subgroup(group, words))
 
 
 def describe(coloring) -> None:

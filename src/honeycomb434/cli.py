@@ -19,16 +19,10 @@ import sys
 from pathlib import Path
 
 from .coloring import PlanError, color_group, verify_theorem
-from .crystal import ConfigError, build_from_config, export, load_config
-from .isometry import (
-    WordError,
-    check_presentation,
-    dihedral_angle_check,
-    perturbed_generators,
-)
+from .crystal import build_from_config, export, load_config
+from .isometry import check_presentation, dihedral_angle_check, perturbed_generators
 from .orbits import decompose, stabilizer
 from .quotient import (
-    DEFAULT_RADIUS,
     MAX_MODULUS,
     CertificationError,
     SubgroupError,
@@ -37,7 +31,6 @@ from .quotient import (
     build_subgroup,
     certify_translations,
     check_modulus,
-    check_radius,
     index,
 )
 
@@ -77,19 +70,19 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _certified_subgroup(modulus: int, words, radius: int) -> TorusGroup:
+def _certified_subgroup(modulus: int, words) -> TorusGroup:
     group = build_group(modulus)
-    return certify_translations(build_subgroup(group, tuple(words)), radius)
+    return certify_translations(build_subgroup(group, tuple(words)))
 
 
 def cmd_subgroup(args) -> int:
-    sub = _certified_subgroup(args.modulus, args.words, args.radius)
+    sub = _certified_subgroup(args.modulus, args.words)
     idx = index(sub.parent, sub)
     print(f"modulus {args.modulus}: order {sub.order}, index {idx}, certificate yes")
     for witness in sub.translation_certificate:
         print(f"  translation {witness.target}: {''.join(witness.word)}")
     if args.cross_check:
-        doubled = _certified_subgroup(args.modulus * 2, args.words, args.radius)
+        doubled = _certified_subgroup(args.modulus * 2, args.words)
         idx2 = index(doubled.parent, doubled)
         agree = "agrees" if idx2 == idx else "DISAGREES"
         print(f"modulus {args.modulus * 2}: order {doubled.order}, index {idx2} ({agree})")
@@ -99,7 +92,7 @@ def cmd_subgroup(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    sub = _certified_subgroup(args.modulus, args.words, args.radius)
+    sub = _certified_subgroup(args.modulus, args.words)
     decomp = decompose(sub)
     print(
         f"modulus {args.modulus}: {len(decomp.orbits)} orbit(s) "
@@ -116,7 +109,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_color(args) -> int:
     config = load_config(args.config)
-    coloring = build_from_config(config, args.radius).coloring
+    coloring = build_from_config(config).coloring
     h, plans = coloring.recipe.group, coloring.recipe.plans
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,7 +141,7 @@ def cmd_color(args) -> int:
 
 def cmd_export(args) -> int:
     config = load_config(args.config)
-    model = build_from_config(config, args.radius)
+    model = build_from_config(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     requests = config.get("exports", [])
@@ -165,24 +158,18 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _checked(check, name: str):
-    """An argparse type: an integer that `check` accepts, checked before
-    anything is built."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        try:
-            check(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    parse.__name__ = name
-    return parse
+def _modulus(text: str) -> int:
+    """An argparse type: a modulus that `check_modulus` accepts, checked
+    before anything is built."""
+    value = int(text)
+    try:
+        check_modulus(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
-_modulus = _checked(check_modulus, "modulus")
-_radius = _checked(check_radius, "radius")
+_modulus.__name__ = "modulus"  # argparse names the type in its errors
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,12 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=2,
             help=f"torus period (even, at most {MAX_MODULUS}, default 2)",
         )
-        p.add_argument(
-            "--radius",
-            type=_radius,
-            default=DEFAULT_RADIUS,
-            help=f"word-length bound for the translation certificate (default {DEFAULT_RADIUS})",
-        )
 
     p = commands.add_parser(
         "subgroup", help="order, index and translation certificate of a subgroup"
@@ -234,9 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def config_arguments(p) -> None:
         p.add_argument("--config", required=True, help="config file path or bundled name")
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument(
-            "--radius", type=_radius, default=None, help="override the config's certificate radius"
-        )
 
     p = commands.add_parser(
         "color", help="build a coloring from a config, verify it, write the class file"
@@ -268,12 +246,7 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except CertificationError as exc:
         _fail(f"certification failed: {exc}")
-        if not exc.definitive:
-            _fail("advice: retry with a larger --radius to search longer words")
         return EXIT_PRECONDITION
-    except (ConfigError, WordError) as exc:
-        _fail(f"error: {exc}")
-        return EXIT_USAGE
     except ValueError as exc:
         _fail(f"error: {exc}")
         return EXIT_USAGE

@@ -30,6 +30,7 @@ from .quotient import (
     ElementCodes,
     TorusGroup,
     apply_linear,
+    check_modulus,
     coords,
     decode,
     encode,
@@ -218,8 +219,7 @@ class VertexColoring:
         if len(header) != 2 or header[0] != "modulus":
             raise ValueError("expected a 'modulus N' header line")
         n = int(header[1])
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"modulus must be an even integer >= 2, got {n}")
+        check_modulus(n)
         table: list[ColorInfo] = []
         body = 1
         for ln in lines[1:]:

@@ -34,12 +34,10 @@ from .coloring import (
 from .isometry import WordError, parse_word
 from .orbits import decompose
 from .quotient import (
-    DEFAULT_RADIUS,
     build_group,
     build_subgroup,
     certify_translations,
     check_modulus,
-    check_radius,
     index,
 )
 
@@ -135,10 +133,8 @@ def validate_config(data) -> None:
     need(isinstance(data, dict), "config must be a JSON object")
     need(isinstance(data.get("family"), str), "config needs a string 'family'")
     need(integer(data.get("modulus", 2)), "'modulus' must be an integer")
-    need(integer(data.get("radius", DEFAULT_RADIUS)), "'radius' must be an integer")
     try:
         check_modulus(data.get("modulus", 2))
-        check_radius(data.get("radius", DEFAULT_RADIUS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     subgroups = data.get("subgroups")
@@ -213,14 +209,12 @@ def validate_config(data) -> None:
         need(not Path(path).is_absolute(), "export paths must be relative to --out-dir")
 
 
-def build_from_config(config: dict, radius_override: int | None = None) -> CrystalModel:
+def build_from_config(config: dict) -> CrystalModel:
     """The model a validated config describes; its coloring's recipe holds
     the coloring group H and the plans."""
-    modulus = config.get("modulus", 2)
-    radius = radius_override if radius_override is not None else config.get("radius", DEFAULT_RADIUS)
-    group = build_group(modulus)
+    group = build_group(config.get("modulus", 2))
     subgroups = {
-        name: certify_translations(build_subgroup(group, tuple(words)), radius)
+        name: certify_translations(build_subgroup(group, tuple(words)))
         for name, words in config["subgroups"].items()
     }
     section = config["coloring"]

@@ -247,7 +247,7 @@ def check_letters(word: Iterable[str]) -> tuple[str, ...]:
     return letters
 
 
-def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tuple[str, ...]:
+def parse_word(text: str) -> tuple[str, ...]:
     """Flatten a word over the mirror letters into a plain letter tuple.
 
     Grammar: ``word := term+ ; term := letter | "(" word ")" "^" integer``.
@@ -256,10 +256,10 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
     are involutions, so the inverse of a subword is its reversal and every
     power flattens back to plain letters, e.g. ``(SRQPQR)^2`` or
     ``(QPQRQPQS)^-1``.  A word that would flatten to more than
-    MAX_WORD_LETTERS letters is rejected before it is expanded, and so is
-    one that nests groups more than MAX_WORD_DEPTH deep.
+    MAX_WORD_LETTERS letters is rejected before it is expanded: a power
+    before it is repeated, plain letters at the first one over the cap.  So
+    is a word that nests groups more than MAX_WORD_DEPTH deep.
     """
-    allowed = frozenset(alphabet)
     pos = 0
     end = len(text)
 
@@ -275,7 +275,8 @@ def parse_word(text: str, alphabet: Iterable[str] = ("P", "Q", "R", "S")) -> tup
             ch = text[pos]
             if ch.isspace():
                 pos += 1
-            elif ch in allowed:
+            elif ch in _LETTERS:
+                check_length(len(letters) + 1)
                 letters.append(ch)
                 terms += 1
                 pos += 1
@@ -370,7 +371,7 @@ def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | No
     built once, that of an override on each call.
     """
     steps = _STEPS if generators is None else _step_table(generators)
-    letters = parse_word(word, alphabet=tuple(steps)) if isinstance(word, str) else word
+    letters = parse_word(word) if isinstance(word, str) else word
     l, x, y, z = _IDENTITY_LINEAR, 0, 0, 0
     for letter in letters:
         try:

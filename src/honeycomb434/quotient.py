@@ -4,9 +4,10 @@ Reducing translations modulo an even N >= 2 turns the infinite symmetry
 group into a finite group of order 48 N^3 acting on the N^3 torus vertices.
 Index, coset and orbit computations in the quotient are exact for the
 original infinite subgroup whenever the subgroup provably contains the
-translations by (N,0,0), (0,N,0) and (0,0,N); `certify_translations`
-produces that proof as explicit witness words, found by a bounded search in
-the exact (unreduced) group.
+translations by (N,0,0), (0,N,0) and (0,0,N).  `build_subgroup` keeps the
+subgroup's exact translation lattice, so `certify_translations` decides
+that containment exactly, and on success spells the proof out as explicit
+witness words, checked in the exact (unreduced) group.
 
 One class, `TorusGroup`, holds the full group and each of its subgroups;
 a subgroup's `parent` is the full group, which is its own parent.
@@ -48,10 +49,6 @@ from .isometry import (
 
 Vec = tuple[int, int, int]
 
-DEFAULT_RADIUS = 12
-# the largest certificate radius accepted: the search keeps every product
-# within the radius, and their number grows with its cube
-MAX_RADIUS = 24
 # the largest modulus accepted: every bundled config builds, colors and
 # exports at N = 16 in a few seconds; the full group has 48 N^3 elements
 MAX_MODULUS = 16
@@ -62,17 +59,8 @@ class SubgroupError(ValueError):
 
 
 class CertificationError(Exception):
-    """Translation certificate not found.
-
-    `definitive` is True when the search saturated (the subgroup ever
-    reaches only finitely many elements and all were seen), so no larger
-    radius can succeed.  Otherwise the radius was exhausted and retrying
-    with a larger one may still find a certificate.
-    """
-
-    def __init__(self, message: str, definitive: bool):
-        super().__init__(message)
-        self.definitive = definitive
+    """No translation certificate: the subgroup does not contain the
+    translations by the modulus, or the witness search missed them."""
 
 
 class Witness(NamedTuple):
@@ -95,14 +83,6 @@ def check_modulus(modulus: int) -> None:
         raise ValueError(f"modulus must be an even integer >= 2, got {modulus}")
     if modulus > MAX_MODULUS:
         raise ValueError(f"modulus {modulus} is above the limit {MAX_MODULUS}")
-
-
-def check_radius(radius: int) -> None:
-    """Reject a certificate radius below 1 or above MAX_RADIUS."""
-    if radius < 1:
-        raise ValueError("radius must be positive")
-    if radius > MAX_RADIUS:
-        raise ValueError(f"radius {radius} is above the limit {MAX_RADIUS}")
 
 
 # -- the code layer ----------------------------------------------------------
@@ -234,6 +214,9 @@ class TorusGroup:
     modulo N, or a subgroup of it generated by words in P, Q, R, S.
 
     `parent` is the full group; the full group is its own parent.
+    `translation_lattice` is the triangular basis (at most three rows) of
+    the translations the underlying infinite group contains; a group built
+    without words, such as a color group, has none.
     `translation_certificate` is None until `certify_translations` has
     proven that the underlying infinite subgroup contains all translations
     by the modulus along each axis; with the certificate present, indices,
@@ -247,6 +230,7 @@ class TorusGroup:
     generator_words: tuple[tuple[str, ...], ...]
     element_codes: ElementCodes
     translation_certificate: tuple[Witness, Witness, Witness] | None = None
+    translation_lattice: tuple[Vec, ...] = field(default=(), compare=False, repr=False)
     _parent: TorusGroup | None = field(default=None, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -289,27 +273,34 @@ def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
     return tuple(parse_word(g) if isinstance(g, str) else check_letters(g) for g in gens)
 
 
-def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> ElementCodes:
-    """The image mod N of the subgroup H the words generate, from H's
-    space-group form: a point group of linear parts and a translation
-    lattice Lambda_H.
+def _span(rows: Iterable[Vec]) -> IntegerLattice:
+    """The lattice the rows span."""
+    lattice = IntegerLattice()
+    for row in rows:
+        lattice.add(row)
+    return lattice
+
+
+def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[ElementCodes, tuple[Vec, ...]]:
+    """The image mod N of the subgroup H the words generate, and the
+    triangular basis of H's translation lattice Lambda_H, from H's
+    space-group form: a point group of linear parts and Lambda_H.
 
     A breadth-first walk over linear parts, right-multiplying by the word
     evaluations, picks one element u_L of H per linear part L.  Each step
     x = u g that lands on a linear part already picked gives the Schreier
     generator x u_L^-1, a pure translation, and these span Lambda_H
-    (Schreier's lemma).  With N e_1, N e_2 and N e_3 they span
-    Lambda_H + N Z^3, whose triangular basis b_1, b_2, b_3 has diagonal
-    entries dividing N; so Lambda_H mod N is every i b_1 + j b_2 + k b_3 mod
-    N with i < N / b_11, j < N / b_22, k < N / b_33, and H mod N is every
-    (L, t_L + lambda).  Exact for any words: reduction mod N only sees
-    Lambda_H + N Z^3, whatever the rank of Lambda_H.
+    exactly (Schreier's lemma), kept unreduced.  With N e_1, N e_2 and
+    N e_3 they span Lambda_H + N Z^3, whose triangular basis b_1, b_2, b_3
+    has diagonal entries dividing N; so Lambda_H mod N is every
+    i b_1 + j b_2 + k b_3 mod N with i < N / b_11, j < N / b_22,
+    k < N / b_33, and H mod N is every (L, t_L + lambda).  Exact for any
+    words: reduction mod N only sees Lambda_H + N Z^3, whatever the rank of
+    Lambda_H.
     """
     n = modulus
     gens = [eval_word(w) for w in words]
-    lattice = IntegerLattice()
-    for row in ((n, 0, 0), (0, n, 0), (0, 0, n)):
-        lattice.add(row)
+    schreier: dict[Vec, None] = {}  # the distinct Schreier generators, in walk order
     picked = {(IDENTITY.perm, IDENTITY.signs): IDENTITY}
     walk = [IDENTITY]
     for u in walk:
@@ -320,7 +311,9 @@ def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> ElementCodes:
                 picked[part] = x
                 walk.append(x)
             else:
-                lattice.add(tuple((a - b) % n for a, b in zip(x.trans, picked[part].trans)))
+                schreier[tuple(a - b for a, b in zip(x.trans, picked[part].trans))] = None
+    basis = _span(schreier).basis()
+    lattice = _span(basis + ((n, 0, 0), (0, n, 0), (0, 0, n)))
     # the multiples of each basis row that stay distinct mod N, then their sums
     multiples = [
         np.arange(n // row[k])[:, None] * [c % n for c in row] for k, row in enumerate(lattice.basis())
@@ -331,7 +324,7 @@ def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> ElementCodes:
     linear = np.array([_LINEAR_INDEX[part] for part in picked], dtype=np.int64)
     shifts = np.array([u.trans for u in picked.values()], dtype=np.int64) % n
     codes = join(linear[:, None], (shifts[:, None, :] + lattice_mod_n) % n, n)
-    return ElementCodes(n, np.sort(codes, axis=None))
+    return ElementCodes(n, np.sort(codes, axis=None)), basis
 
 
 def build_group(modulus: int) -> TorusGroup:
@@ -342,17 +335,20 @@ def build_group(modulus: int) -> TorusGroup:
     each other.
     """
     check_modulus(modulus)
-    # P, Q, R and S generate every (L, t) mod N, so the group is every code
+    # P, Q, R and S generate every (L, t) mod N, so the group is every code;
+    # the infinite group holds every integer translation
     words = (("P",), ("Q",), ("R",), ("S",))
-    return TorusGroup(modulus, words, ElementCodes(modulus, np.arange(48 * modulus**3)))
+    codes = ElementCodes(modulus, np.arange(48 * modulus**3))
+    return TorusGroup(modulus, words, codes, translation_lattice=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     """Subgroup of `group` generated by the given words (strings or letter
-    tuples), with the full group as its parent.  The result carries no
-    translation certificate yet."""
+    tuples), with the full group as its parent and its exact translation
+    lattice.  The result carries no translation certificate yet."""
     words = _normalize_words(gens)
-    return TorusGroup(group.modulus, words, _enumerate(group.modulus, words), _parent=group.parent)
+    codes, basis = _enumerate(group.modulus, words)
+    return TorusGroup(group.modulus, words, codes, translation_lattice=basis, _parent=group.parent)
 
 
 class IntegerLattice:
@@ -442,24 +438,24 @@ class IntegerLattice:
         return {k: v for k, v in acc.items() if v}
 
 
-def _certificate_search(
-    words: tuple[tuple[str, ...], ...], radius: int, targets: tuple[Vec, ...]
-):
+# the most generator factors the witness search multiplies; it runs only
+# once the lattice holds the targets, and stops at the first depth whose
+# translations span them, so the bound never changes a witness
+_SEARCH_DEPTH = 24
+
+
+def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, ...]):
     """Breadth-first search over products of the generator evaluations
     (and their inverses) in the exact infinite group, collecting pure
-    translations until they span every target.  The depth bound counts
-    factors, i.e. length as a word in the subgroup's own generators, so
-    the search stops early on success and the radius cap only matters
-    for failures.
+    translations until they span every target.  The depth counts factors,
+    i.e. length as a word in the subgroup's own generators.
 
-    Returns (outcome, lattice, row_word): the lattice holds the pure
+    Returns (found, lattice, row_word): the lattice holds the pure
     translations (rows) in discovery order, and row_word(i) spells out the
     word that reached row i.  Each product keeps only a back-pointer (its
     parent product and last generator), so words are built only for the
-    rows asked for.  The outcome is "spanned" when the targets became
-    solvable, "saturated" when the whole subgroup was enumerated without
-    success (no radius can ever succeed), or "truncated" when the radius
-    ran out first.
+    rows asked for.  `found` is True when the targets became solvable
+    within _SEARCH_DEPTH factors.
     """
     gens: list[Isometry] = []
     gen_words: list[tuple[str, ...]] = []
@@ -489,9 +485,7 @@ def _certificate_search(
 
     seen = {IDENTITY}
     frontier: list[tuple[Isometry, int]] = [(IDENTITY, 0)]
-    for _ in range(radius):
-        if not frontier:
-            return "saturated", lattice, row_word
+    for _ in range(_SEARCH_DEPTH):
         next_frontier: list[tuple[Isometry, int]] = []
         fresh = False
         for el, i in frontier:
@@ -508,43 +502,44 @@ def _certificate_search(
                 parents.append(i)
                 factors.append(g)
         if fresh and spanned():
-            return "spanned", lattice, row_word
+            return True, lattice, row_word
         frontier = next_frontier
-    return ("saturated" if not frontier else "truncated"), lattice, row_word
+    return False, lattice, row_word
 
 
-def certify_translations(sub: TorusGroup, radius: int = DEFAULT_RADIUS) -> TorusGroup:
+def certify_translations(sub: TorusGroup) -> TorusGroup:
     """Prove the subgroup contains the three axis translations by N.
 
-    Bounded breadth-first search over products of the subgroup's generator
-    evaluations in the exact group, up to `radius` factors per product,
-    collecting pure translations; succeeds iff (N,0,0), (0,N,0), (0,0,N)
-    lie in the lattice those translations generate.  Witness words are
-    stored on the returned subgroup and re-evaluated exactly before being
-    accepted.
+    The decision is exact: the subgroup contains (N,0,0), (0,N,0) and
+    (0,0,N) iff they lie in its translation lattice, which `build_subgroup`
+    keeps.  Only then does a breadth-first search over products of the
+    generator evaluations collect pure translations until they span the
+    three; their combinations are the witness words, re-evaluated exactly
+    and stored on the returned subgroup.
 
-    Raises CertificationError otherwise; `definitive` distinguishes a
-    saturated search (no certificate can ever exist) from an exhausted
-    radius (try a larger one).
+    Raises CertificationError when the translations lie outside the
+    lattice (no certificate exists), or when the search finds no witness
+    within _SEARCH_DEPTH generator factors.
     """
-    check_radius(radius)
     n = sub.modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
-    outcome, lattice, row_word = _certificate_search(sub.generator_words, radius, targets)
-    if outcome != "spanned":
-        missing = [t for t in targets if lattice.solve(t) is None]
-        kind = "no certificate exists" if outcome == "saturated" else "radius exhausted"
+    words = [_spelled(w) for w in sub.generator_words]
+    held = _span(sub.translation_lattice)
+    missing = [t for t in targets if held.solve(t) is None]
+    if missing:
         raise CertificationError(
-            f"translations {missing[0]} not reachable from "
-            f"{[_spelled(w) for w in sub.generator_words]} within radius "
-            f"{radius} generator factors ({kind})",
-            definitive=outcome == "saturated",
+            f"translations {missing[0]} not reachable from {words} (no certificate exists)"
+        )
+    found, lattice, row_word = _certificate_search(sub.generator_words, targets)
+    if not found:
+        missing = [t for t in targets if lattice.solve(t) is None]
+        raise CertificationError(
+            f"translations {missing[0]} lie in the lattice of {words}, but no witness "
+            f"was found within {_SEARCH_DEPTH} generator factors"
         )
     witnesses = []
     for target in targets:
         coeffs = lattice.solve(target)
-        if coeffs is None:
-            raise AssertionError(f"search reported spanned but {target} is unsolvable")
         word: tuple[str, ...] = ()
         for idx in sorted(coeffs):
             w = row_word(idx)

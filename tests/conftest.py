@@ -2,8 +2,6 @@ import pytest
 
 from honeycomb434 import build_group, build_subgroup, certify_translations
 
-RADIUS = 12
-
 # named generating word sets used across the suite
 WORDS = {
     "full": ("P", "Q", "R", "S"),
@@ -27,7 +25,7 @@ def group4():
 @pytest.fixture(scope="session")
 def subs2(group2):
     return {
-        name: certify_translations(build_subgroup(group2, words), RADIUS)
+        name: certify_translations(build_subgroup(group2, words))
         for name, words in WORDS.items()
     }
 
@@ -35,6 +33,6 @@ def subs2(group2):
 @pytest.fixture(scope="session")
 def subs4(group4):
     return {
-        name: certify_translations(build_subgroup(group4, words), RADIUS)
+        name: certify_translations(build_subgroup(group4, words))
         for name, words in WORDS.items()
     }

@@ -38,8 +38,6 @@ from honeycomb434.quotient import (
     index,
 )
 
-RADIUS = 12
-
 WORDS_HALF = ("Q", "R", "S", "PQP")
 WORDS_QUARTER_AS_WRITTEN = ("Q", "R", "S", "PQRQP")
 WORDS_EIGHTH = ("Q", "R", "S", "(SRQPQR)^2")
@@ -49,7 +47,7 @@ WORDS_QUARTER = ("Q", "R", "S", "QPQRQPQRP")
 
 
 def certified(group, words):
-    return certify_translations(build_subgroup(group, words), RADIUS)
+    return certify_translations(build_subgroup(group, words))
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from honeycomb434 import quotient
 from honeycomb434.cli import main
 
 BUNDLED = ("rock-salt", "nbo", "reo3", "perovskite")
@@ -94,9 +95,14 @@ def test_deeply_nested_word_is_a_usage_error(capsys):
 
 def test_syntax_errors_quote_long_words_in_part(capsys):
     # stderr stays short however long the word
+    code, out, err = run(capsys, "subgroup", "P" * 10_000 + "!")
+    assert code == 2
+    assert "unexpected character '!' at position 10000 in 'PPPP" in err
+    assert len(err.encode()) < 200
+    # past the letter cap the word is refused at its 10,001st letter
     code, out, err = run(capsys, "subgroup", "P" * 100_000 + "!")
     assert code == 2
-    assert "unexpected character '!' at position 100000 in 'PPPP" in err
+    assert "(100003 characters) flattens to more than 10000 letters" in err
     assert len(err.encode()) < 200
     code, out, err = run(capsys, "subgroup", "P!")
     assert err == "error: unexpected character '!' at position 1 in 'P!'\n"
@@ -111,10 +117,17 @@ def test_finite_subgroup_fails_certification(capsys):
 
 
 def test_small_radius_gets_advice(capsys):
-    code, out, err = run(capsys, "subgroup", "SRQPQR", "--radius", "8")
+    # no search radius could certify SRQPQR: the error is an exact "no"
+    # with no advice, and there is no --radius option to retry with
+    code, out, err = run(capsys, "subgroup", "SRQPQR")
     assert code == 3
-    assert "radius exhausted" in err
-    assert "advice: retry with a larger --radius" in err
+    assert err == (
+        "certification failed: translations (2, 0, 0) not reachable from "
+        "['S·R·Q·P·Q·R'] (no certificate exists)\n"
+    )
+    code, out, err = run(capsys, "subgroup", "SRQPQR", "--radius", "8")
+    assert code == 2
+    assert "unrecognized arguments: --radius 8" in err
 
 
 def test_long_words_are_cut_short_in_certification_errors(capsys):
@@ -124,22 +137,24 @@ def test_long_words_are_cut_short_in_certification_errors(capsys):
     assert code == 3
     assert len(err.encode()) < 1024
     assert "(2, 0, 0)" in err
-    assert "radius exhausted" in err
+    assert "no certificate exists" in err
     assert err.count("…(1806 letters)") == 3
 
 
 def test_larger_radius_resolves_it(capsys):
+    # certified with no search radius to choose
     words = ("Q", "R", "S", "QPQRQPQRP")
-    code, out, err = run(
-        capsys, "subgroup", *words, "--radius", "4", "--no-cross-check"
-    )
-    assert code == 3
-    assert "radius exhausted" in err
-    code, out, err = run(
-        capsys, "subgroup", *words, "--radius", "12", "--no-cross-check"
-    )
+    code, out, err = run(capsys, "subgroup", *words, "--no-cross-check")
     assert code == 0
     assert "order 96, index 4" in out
+
+
+def test_a_missed_witness_is_a_precondition_error(monkeypatch, capsys):
+    monkeypatch.setattr(quotient, "_SEARCH_DEPTH", 1)
+    code, out, err = run(capsys, "subgroup", "Q", "R", "S", "QPQRQPQRP", "--no-cross-check")
+    assert code == 3
+    assert err.startswith("certification failed: translations (2, 0, 0) lie in the lattice")
+    assert err.endswith("but no witness was found within 1 generator factors\n")
 
 
 @pytest.mark.parametrize(
@@ -150,8 +165,6 @@ def test_larger_radius_resolves_it(capsys):
         (("orbits", "P", "--modulus", "3"), "even integer"),
         # the cross-check would build the group at twice the modulus
         (("subgroup", "P", "--modulus", "16"), "recomputes at modulus 32"),
-        (("subgroup", "P", "--radius", "25"), "radius 25 is above the limit 24"),
-        (("color", "--config", "nbo", "--radius", "1000"), "radius 1000 is above the limit"),
     ],
 )
 def test_sizes_above_the_limits_are_usage_errors(capsys, argv, message):
@@ -242,7 +255,6 @@ def test_config_from_explicit_path(tmp_path, capsys):
     cfg = {
         "family": "rock-salt",
         "modulus": 2,
-        "radius": 12,
         "subgroups": {"full": ["P", "Q", "R", "S"], "half": ["Q", "R", "S", "PQP"]},
         "coloring": {
             "group": "full",
@@ -287,14 +299,11 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: c["exports"][0].update(region=[1, 1]), "region"),
         # JSON true and false are bools, not the counts 1 and 0
         (lambda c: c["exports"][0].update(region=[True, 1, 1]), "three non-negative integers"),
-        (lambda c: c.update(radius=True), "'radius' must be an integer"),
         (lambda c: c["coloring"]["plans"][0].update(orbit=False), "'orbit' index"),
         (lambda c: c["exports"][0].update(path="/abs/path.xyz"), "path"),
         (lambda c: c["subgroups"].update(half="PQP"), "subgroup"),
         (lambda c: c.update(modulus=3), "even integer"),
         (lambda c: c.update(modulus=10**6), "modulus 1000000 is above the limit 16"),
-        (lambda c: c.update(radius=0), "radius must be positive"),
-        (lambda c: c.update(radius=10**9), "radius 1000000000 is above the limit 24"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, mangle, message):
@@ -358,9 +367,16 @@ def test_unwritable_out_dir_is_an_io_error(tmp_path, capsys):
 
 
 def test_radius_override_applies_to_config_runs(tmp_path, capsys):
+    # a config's "radius" is ignored, like any key the validator does not read
+    with open("src/honeycomb434/configs/reo3.json") as f:
+        cfg = json.load(f)
+    cfg["radius"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "color", "--config", str(path), "--out-dir", str(tmp_path))
+    assert code == 0, err
     code, out, err = run(
-        capsys, "color", "--config", "reo3", "--out-dir", str(tmp_path),
-        "--radius", "2",
+        capsys, "color", "--config", "reo3", "--out-dir", str(tmp_path), "--radius", "2"
     )
-    assert code == 3
-    assert "radius exhausted" in err
+    assert code == 2
+    assert "unrecognized arguments: --radius 2" in err

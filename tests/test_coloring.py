@@ -549,9 +549,14 @@ def test_from_text_errors(rock_salt):
     relabeled = "\n".join([lines[0], lines[1], lines[1]] + lines[2:]) + "\n"
     with pytest.raises(ValueError, match="declared twice"):
         VertexColoring.from_text(relabeled)
-    # rejected on the line count, before an N^3 array is allocated
-    with pytest.raises(ValueError, match="not total: 1 vertex lines for 262144"):
+    # the header is held to the modulus rule of the groups
+    with pytest.raises(ValueError, match="modulus 18 is above the limit 16"):
+        VertexColoring.from_text("modulus 18\ncolor a\n0 0 0 a\n")
+    with pytest.raises(ValueError, match="modulus 64 is above the limit 16"):
         VertexColoring.from_text("modulus 64\ncolor a\n0 0 0 a\n")
+    # rejected on the line count, before an N^3 array is allocated
+    with pytest.raises(ValueError, match="not total: 1 vertex lines for 4096"):
+        VertexColoring.from_text("modulus 16\ncolor a\n0 0 0 a\n")
 
 
 def test_equality_is_structural(rock_salt):

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 from operator import mul
 
@@ -120,6 +121,22 @@ def test_parse_word_accepts_a_word_at_the_cap():
     assert parse_word("(P)^" + "0" * 5000 + "1") == ("P",)
 
 
+def test_parse_word_refuses_a_run_of_letters_at_the_first_over_the_cap():
+    # the letter after the cap is refused before the syntax error behind it
+    with pytest.raises(WordError, match="flattens to more than 10000 letters"):
+        parse_word("P" * (MAX_WORD_LETTERS + 1) + "!")
+    text = "P" * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordError, match=r"\(1000002 characters\) flattens to more than"):
+            parse_word(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one quoted copy of the text (1 MB), not a list of a million letters (8 MB)
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -163,8 +180,9 @@ def test_syntax_errors_quote_long_words_in_part():
         with pytest.raises(WordError) as info:
             parse_word(text)
         assert str(info.value) == message
-    # the same errors on 100,000 more letters quote the word in part
-    body = "P" * 100_000
+    # the same errors on a word of as many letters as a word may hold
+    # quote the word in part
+    body = "P" * MAX_WORD_LETTERS
     for text in [
         " " * 100_000, body + "!", "(" + body + ")", "(" + body + ")^x", "()^2" + body,
         body + ")", "(" + body,

@@ -14,7 +14,7 @@ from honeycomb434.orbits import (
 )
 from honeycomb434.quotient import SubgroupError, build_group, build_subgroup, certify_translations, flat
 
-from conftest import RADIUS, WORDS
+from conftest import WORDS
 
 
 def all_vertices(modulus):
@@ -169,7 +169,7 @@ def test_decomposition_is_kept_per_group_object(group2, subs2, monkeypatch):
     assert decompose(raw) is first
     assert calls == [raw]
     # a certified copy is a new object with a decomposition of its own
-    done = certify_translations(raw, RADIUS)
+    done = certify_translations(raw)
     assert decompose(done).group is done
     assert len(calls) == 2
     assert [o.vertices for o in decompose(done).orbits] == [o.vertices for o in first.orbits]

@@ -16,9 +16,11 @@ from honeycomb434.isometry import (
     eval_word,
     translation,
 )
+from honeycomb434 import quotient
+from honeycomb434.coloring import color_group
+from honeycomb434.crystal import preset
 from honeycomb434.quotient import (
     MAX_MODULUS,
-    MAX_RADIUS,
     CertificationError,
     IntegerLattice,
     SubgroupError,
@@ -38,7 +40,7 @@ from honeycomb434.quotient import (
     multiply,
 )
 
-from conftest import RADIUS, WORDS
+from conftest import WORDS
 
 ORDERS = {
     2: {"full": 384, "half": 192, "literal-quarter": 192, "quarter": 96, "eighth": 48},
@@ -111,18 +113,18 @@ def test_certificate_words_stay_inside_the_subgroup(group2, subs2):
 
 
 def test_certificate_search_memory_does_not_grow_with_word_length(group2):
-    # three 1,806-letter translation words that never span at radius 12: the
-    # search keeps one back-pointer per product, not the product's word
-    words = ("(QPQRSR)^301", "(RQPQRS)^301", "(PQRSRQ)^301")
-    sub = build_subgroup(build_group(2), words)
+    # a certifiable set with one 1,803-letter word: the search keeps one
+    # back-pointer per product, not the product's word
+    sub = build_subgroup(group2, ("Q", "R", "S", "(QQ)^900PQP"))
     tracemalloc.start()
     try:
-        with pytest.raises(CertificationError):
-            certify_translations(sub, 12)
+        done = certify_translations(sub)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert done.certified
+    assert max(len(w.word) for w in done.translation_certificate) > 1803
+    assert peak < 4 * 2**20
 
 
 def test_uncertified_until_certified(group2):
@@ -135,7 +137,7 @@ def test_uncertified_until_certified(group2):
     assert raw.parent is group2
     assert not raw.certified
     assert raw.translation_certificate is None
-    done = certify_translations(raw, RADIUS)
+    done = certify_translations(raw)
     assert done.certified
     assert done.parent is group2
     assert done.elements is raw.elements
@@ -144,41 +146,131 @@ def test_uncertified_until_certified(group2):
 
 def test_finite_subgroup_fails_definitively(group2):
     with pytest.raises(CertificationError) as info:
-        certify_translations(build_subgroup(group2, ("Q",)), 12)
-    assert info.value.definitive
+        certify_translations(build_subgroup(group2, ("Q",)))
     assert "no certificate exists" in str(info.value)
 
 
 def test_small_radius_fails_inconclusively(group2):
+    # the translations of <SRQPQR> have rank 1, so no search radius could
+    # certify it: the answer is an exact "no"
     with pytest.raises(CertificationError) as info:
-        certify_translations(build_subgroup(group2, ("SRQPQR",)), 8)
-    assert not info.value.definitive
-    assert "radius exhausted" in str(info.value)
+        certify_translations(build_subgroup(group2, ("SRQPQR",)))
+    assert "no certificate exists" in str(info.value)
 
 
 def test_certification_errors_spell_out_at_most_40_letters_per_word(group2):
     # words of up to 40 letters are spelled out whole
     with pytest.raises(CertificationError) as info:
-        certify_translations(build_subgroup(group2, ("SRQPQR",)), 8)
+        certify_translations(build_subgroup(group2, ("SRQPQR",)))
     assert str(info.value) == (
-        "translations (2, 0, 0) not reachable from ['S·R·Q·P·Q·R'] "
-        "within radius 8 generator factors (radius exhausted)"
+        "translations (2, 0, 0) not reachable from ['S·R·Q·P·Q·R'] (no certificate exists)"
     )
     forty = "·".join("QPQRSR" * 6 + "QPQR")
     with pytest.raises(CertificationError) as info:
-        certify_translations(build_subgroup(group2, ("(QPQRSR)^6QPQR",)), 4)
+        certify_translations(build_subgroup(group2, ("(QPQRSR)^6QPQR",)))
     assert f"['{forty}']" in str(info.value)
     # a longer word keeps its first 40 letters and states its length
     with pytest.raises(CertificationError) as info:
-        certify_translations(build_subgroup(group2, ("(QPQRSR)^7",)), 4)
+        certify_translations(build_subgroup(group2, ("(QPQRSR)^7",)))
     assert f"['{forty}…(42 letters)']" in str(info.value)
 
 
-def test_radius_must_be_positive(group2):
-    with pytest.raises(ValueError):
-        certify_translations(build_subgroup(group2, ("Q",)), 0)
-    with pytest.raises(ValueError, match="above the limit"):
-        certify_translations(build_subgroup(group2, ("Q",)), MAX_RADIUS + 1)
+UNCERTIFIABLE = {
+    "Q": ("Q",),
+    "Q,R": ("Q", "R"),
+    "SRQPQR": ("SRQPQR",),
+    "P,QRSRQ,QPQ,RSR": ("P", "QRSRQ", "QPQ", "RSR"),
+    "1806-letter words": ("(QPQRSR)^301", "(RQPQRS)^301", "(PQRSRQ)^301"),
+}
+
+
+@pytest.mark.parametrize("modulus", [2, 8])
+@pytest.mark.parametrize("name", sorted(UNCERTIFIABLE))
+def test_exact_no_never_enters_the_search(monkeypatch, modulus, name):
+    def search(*args):
+        raise AssertionError("the witness search ran")
+
+    monkeypatch.setattr(quotient, "_certificate_search", search)
+    sub = build_subgroup(build_group(modulus), UNCERTIFIABLE[name])
+    with pytest.raises(CertificationError, match=r"\(no certificate exists\)$"):
+        certify_translations(sub)
+
+
+def test_a_group_without_words_has_no_certificate():
+    colors = color_group(preset("nbo").coloring).subgroup
+    assert colors.generator_words == () and colors.translation_lattice == ()
+    with pytest.raises(CertificationError, match="no certificate exists"):
+        certify_translations(colors)
+
+
+def test_a_missed_witness_is_a_certification_error(monkeypatch, group2):
+    # the lattice holds the targets, but a search cut at one factor cannot
+    # reach them; the error says so
+    monkeypatch.setattr(quotient, "_SEARCH_DEPTH", 1)
+    with pytest.raises(CertificationError) as info:
+        certify_translations(build_subgroup(group2, WORDS["quarter"]))
+    assert str(info.value).endswith(
+        "lie in the lattice of ['Q', 'R', 'S', 'Q·P·Q·R·Q·P·Q·R·P'], "
+        "but no witness was found within 1 generator factors"
+    )
+
+
+def oracle_lattice_holds(words, modulus):
+    """Does the translation lattice of <words> hold N e_1, N e_2 and N e_3?
+
+    Schreier generators from the oracle's unreduced matrices, then sympy's
+    Hermite normal form: no code shared with the package."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    gens = [oracle.eval_letters(w) for w in words]
+    picked = {oracle.IDENT[0]: oracle.IDENT}
+    walk = [oracle.IDENT]
+    rows = set()
+    for u in walk:
+        for g in gens:
+            x = oracle.compose(u, g)
+            if x[0] in picked:
+                rows.add(oracle.compose(x, oracle.inverse(picked[x[0]]))[1])
+            else:
+                picked[x[0]] = x
+                walk.append(x)
+    spanning = sympy.Matrix(sorted(rows) or [[0, 0, 0]]).T
+    if spanning.rank() < 3:
+        return False
+    basis = hermite_normal_form(spanning)
+    return all(entry.is_integer for entry in modulus * basis.inv())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(alphabet="PQRS", min_size=1, max_size=10), min_size=1, max_size=4),
+    st.sampled_from([2, 4, 8]),
+)
+def test_certification_succeeds_exactly_when_the_lattice_holds_the_targets(words, modulus):
+    sub = build_subgroup(build_group(modulus), words)
+    try:
+        done = certify_translations(sub)
+    except CertificationError as exc:
+        assert str(exc).endswith("(no certificate exists)")
+        assert not oracle_lattice_holds(words, modulus)
+    else:
+        assert oracle_lattice_holds(words, modulus)
+        for witness in done.translation_certificate:
+            assert eval_word(witness.word) == translation(witness.target)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8, 16])
+@pytest.mark.parametrize("name", sorted(INDICES))
+def test_point_group_and_lattice_give_the_index(modulus, name):
+    # [G : H] = [48 : |pi(H)|] [Z^3 : Lambda_H], read off the walk's
+    # linear parts and lattice, with no coset or orbit computed; the
+    # indices are those sympy's Todd-Coxeter enumeration gives in
+    # tests/test_todd_coxeter.py
+    sub = build_subgroup(build_group(modulus), WORDS[name])
+    point_group = len(np.unique(sub.codes // modulus**3))
+    (a, _, _), (_, b, _), (_, _, c) = sub.translation_lattice
+    assert 48 // point_group * a * b * c == INDICES[name]
 
 
 def test_index_requires_containment(subs2):
@@ -403,6 +495,16 @@ def test_enumeration_matches_the_closure_oracle(modulus, name):
     sub = build_subgroup(build_group(modulus), words)
     assert np.array_equal(sub.codes, code_closure(modulus, sub.generator_words))
     assert sub.codes.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "name, rank",
+    [("Q", 0), ("Q,R", 0), ("P", 0), ("SRQPQR", 1), ("P,QRSRQ,QPQ,RSR", 2), ("eighth", 3),
+     ("none", 0), ("PP", 0)],
+)
+def test_translation_lattice_has_the_stated_rank(name, rank):
+    sub = build_subgroup(build_group(2), FIXED_WORD_SETS[name])
+    assert len(sub.translation_lattice) == rank
 
 
 @settings(max_examples=60, deadline=None)
