@@ -27,8 +27,9 @@ from .isometry import Isometry
 from .orbits import decompose, stabilizer_codes
 from .quotient import (
     CosetTable,
-    ElementCodes,
     TorusGroup,
+    _lattice_mod_n,
+    _space_group_codes,
     apply_linear,
     check_modulus,
     coords,
@@ -474,14 +475,16 @@ def _induced(a: np.ndarray, b: np.ndarray, k: int) -> tuple[int, ...] | None:
 def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupResult:
     """The elements of `group`, the full group, that permute the colors.
 
-    The translations that do so form a group T, found by testing the
-    translations in order and skipping those already decided: a member
-    joins T with all its multiples, a non-member rules out its whole coset
-    of T as found so far.  For each linear part L, the elements (L, t) that
-    permute the colors are either none or one coset t0 + T, because two of
-    them differ by a translation that permutes the colors; so one candidate
-    t0 per coset of T decides L.  Every test is `color_action`'s predicate
-    on the whole assignment; the extra memory is O(N^3).
+    The translations that do so form a group T, a lattice holding N Z^3.
+    It is found by testing the translations in order and skipping those
+    already decided: a member joins T's lattice, and a non-member rules
+    out its whole coset of T as found so far.  For each linear part L, the
+    elements (L, t) that permute the colors are either none or one coset
+    t0 + T, because two of them differ by a translation that permutes the
+    colors; so one candidate t0 per coset of T decides L, and the box under
+    the diagonal of T's triangular basis holds one t0 per coset.  Every
+    test is `color_action`'s predicate on the whole assignment; the extra
+    memory is O(N^3).
     """
     n = coloring.modulus
     n3 = n**3
@@ -492,44 +495,31 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     def permutes(image: np.ndarray) -> bool:
         return _induced(a, a[flat(image % n, n)], k) is not None
 
-    in_t = np.zeros(n3, dtype=bool)
-    in_t[0] = True
-    t_members = np.zeros(1, dtype=np.int64)
-    decided = in_t.copy()
+    rows: list[Vec] = []
+    basis, t_points = _lattice_mod_n(rows, n)
+    decided = np.zeros(n3, dtype=bool)
+    decided[0] = True
     for tau in range(1, n3):
         if decided[tau]:
             continue
         shift = coords(tau, n)
         if permutes(grid + shift):
-            # T grows by the cosets T + m * tau until they come round into T
-            block, grown = t_members, [t_members]
-            while True:
-                block = flat((coords(block, n) + shift) % n, n)
-                if in_t[block[0]]:
-                    break
-                in_t[block] = True
-                grown.append(block)
-            t_members = np.concatenate(grown)
-            decided[t_members] = True
+            rows.append(tuple(shift.tolist()))
+            basis, t_points = _lattice_mod_n(rows, n)
+            decided[flat(t_points, n)] = True
         else:
-            decided[flat((coords(t_members, n) + shift) % n, n)] = True
+            decided[flat((t_points + shift) % n, n)] = True
 
-    t_coords = coords(np.flatnonzero(in_t), n)
-    covered = np.zeros(n3, dtype=bool)
-    transversal = []
-    for t0 in range(n3):
-        if not covered[t0]:
-            transversal.append(coords(t0, n))
-            covered[flat((t_coords + transversal[-1]) % n, n)] = True
-
-    blocks = []
-    for linear in range(48):
-        moved = apply_linear(linear, grid, n)
+    transversal = np.indices([row[i] for i, row in enumerate(basis)]).reshape(3, -1).T
+    linear, shifts = [], []
+    for l in range(48):
+        moved = apply_linear(l, grid, n)
         for t0 in transversal:
             if permutes(moved + t0):
-                blocks.append(linear * n3 + np.sort(flat((t_coords + t0) % n, n)))
+                linear.append(l)
+                shifts.append(t0)
                 break
-    codes = ElementCodes(n, np.concatenate(blocks))
+    codes = _space_group_codes(np.array(linear), np.array(shifts), t_points, n)
     sub = TorusGroup(n, (), codes, _parent=group)
     class_vertices = np.full(k, n3, dtype=np.int64)
     np.minimum.at(class_vertices, a, np.arange(n3))

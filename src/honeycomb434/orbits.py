@@ -7,9 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .isometry import LINEAR_PARTS, Isometry
-from .quotient import (SubgroupError, TorusGroup, _next_unlabelled, apply_linear, coords, decode,
-                       flat, join, split)
+from .isometry import Isometry
+from .quotient import (SubgroupError, TorusGroup, _partition, apply_linear, coords, decode, flat, join,
+                       split)
 
 Vec = tuple[int, int, int]
 
@@ -64,16 +64,7 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
 def _orbit_decomposition(acting: TorusGroup) -> OrbitDecomposition:
     n = acting.modulus
     linear, t = split(acting.codes, n)
-    parts = np.array(LINEAR_PARTS, dtype=np.int64)[linear]
-    perm, signs = parts[:, 0], parts[:, 1]
-    ids = np.full(n**3, -1, dtype=np.int64)
-    count = 0
-    pos = 0
-    while pos < len(ids):
-        v = np.array((pos // (n * n), pos // n % n, pos % n))  # coords(pos, n)
-        ids[flat((signs * v[perm] + t) % n, n)] = count
-        count += 1
-        pos = _next_unlabelled(ids, pos + 1)
+    ids, _ = _partition(n**3, lambda pos: flat((apply_linear(linear, coords(pos, n), n) + t) % n, n))
     ids.setflags(write=False)
     # vertices grouped by orbit, each group in flat (lexicographic) order
     grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))

@@ -91,26 +91,6 @@ _PERM = np.array([perm for perm, _ in LINEAR_PARTS], dtype=np.int64)
 _SIGN = np.array([signs for _, signs in LINEAR_PARTS], dtype=np.int64)
 
 
-def _composition_table() -> np.ndarray:
-    """table[a, b] is the linear index of L_a L_b, from the perm and sign
-    arrays (the rule of `Isometry.__mul__`)."""
-    shape = (48, 48, 3)
-    inner = np.broadcast_to(_PERM[:, None, :], shape)
-    perm = np.take_along_axis(np.broadcast_to(_PERM[None], shape), inner, axis=2)
-    signs = _SIGN[:, None, :] * np.take_along_axis(np.broadcast_to(_SIGN[None], shape), inner, axis=2)
-
-    def key(perm, signs):
-        return ((perm[..., 0] * 3 + perm[..., 1]) * 8 + (signs[..., 0] + 1) * 2
-                + (signs[..., 1] + 1) + (signs[..., 2] + 1) // 2)
-
-    lookup = np.full(72, -1, dtype=np.int64)
-    lookup[key(_PERM, _SIGN)] = np.arange(48)
-    return lookup[key(perm, signs)]
-
-
-_MUL = _composition_table()
-
-
 def flat(xyz: np.ndarray, n: int) -> np.ndarray:
     """Vertex (or translation) coordinates in [0, n), shape (..., 3), to
     indices (x * n + y) * n + z, the C order of an (n, n, n) array."""
@@ -134,26 +114,48 @@ def join(linear, xyz: np.ndarray, n: int) -> np.ndarray:
     return linear * n**3 + flat(xyz, n)
 
 
-def apply_linear(linear, xyz: np.ndarray, n: int) -> np.ndarray:
-    """L v mod n for linear indices and coordinates, broadcast together."""
-    perm, signs = _PERM[linear], _SIGN[linear]
-    shape = np.broadcast_shapes(perm.shape, np.shape(xyz))
-    picked = np.take_along_axis(np.broadcast_to(xyz, shape), np.broadcast_to(perm, shape), axis=-1)
-    return signs * picked % n
+def apply_linear(linear, xyz, n: int) -> np.ndarray:
+    """L v mod n, with one factor fixed: one linear index and coordinates
+    of shape (..., 3), or linear indices of any shape and one vertex, whose
+    48 images are computed once and gathered.  The package's one rule for
+    how a linear part acts: coordinate i of L v is signs[i] * v[perm[i]].
+    Raises ValueError when both factors vary."""
+    xyz = np.asarray(xyz)
+    if xyz.ndim == 1:
+        return (_SIGN * xyz[_PERM] % n)[linear]
+    if np.ndim(linear):
+        raise ValueError("apply_linear takes one linear index or one vertex")
+    return _SIGN[linear] * xyz[..., _PERM[linear]] % n
+
+
+def _composition_table() -> np.ndarray:
+    """table[a, b] is the linear index of L_a L_b: the part that sends a
+    probe vector, on which the 48 parts differ, where L_a sends L_b's image
+    of it."""
+    n, probe = 8, (1, 2, 3)
+    lookup = np.full(n**3, -1, dtype=np.int64)
+    moved = apply_linear(np.arange(48), probe, n)
+    lookup[flat(moved, n)] = np.arange(48)
+    return np.stack([lookup[flat(apply_linear(a, moved, n), n)] for a in range(48)])
+
+
+_MUL = _composition_table()
 
 
 def multiply(a, b, n: int) -> np.ndarray:
-    """Codes of the products a * b ("b first, then a"), broadcast together."""
+    """Codes of the products a * b ("b first, then a"); one of a and b is a
+    single code, the other any array of codes."""
     la, ta = split(a, n)
     lb, tb = split(b, n)
     return join(_MUL[la, lb], (apply_linear(la, tb, n) + ta) % n, n)
 
 
 def images(codes, v, n: int) -> np.ndarray:
-    """Vertex indices (see `flat`) of the images of the vertex v, or of
-    vertices given as coordinates of shape (..., 3), under coded elements."""
+    """Vertex indices (see `flat`) of the images of one vertex v under
+    coded elements, or of vertices given as coordinates of shape (..., 3)
+    under one coded element."""
     linear, t = split(codes, n)
-    return flat((apply_linear(linear, np.asarray(v), n) + t) % n, n)
+    return flat((apply_linear(linear, v, n) + t) % n, n)
 
 
 def encode(g: Isometry, n: int) -> int:
@@ -291,12 +293,9 @@ def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[ElementC
     x = u g that lands on a linear part already picked gives the Schreier
     generator x u_L^-1, a pure translation, and these span Lambda_H
     exactly (Schreier's lemma), kept unreduced.  With N e_1, N e_2 and
-    N e_3 they span Lambda_H + N Z^3, whose triangular basis b_1, b_2, b_3
-    has diagonal entries dividing N; so Lambda_H mod N is every
-    i b_1 + j b_2 + k b_3 mod N with i < N / b_11, j < N / b_22,
-    k < N / b_33, and H mod N is every (L, t_L + lambda).  Exact for any
-    words: reduction mod N only sees Lambda_H + N Z^3, whatever the rank of
-    Lambda_H.
+    N e_3 they span Lambda_H + N Z^3 (see `_lattice_mod_n`), and H mod N is
+    every (L, t_L + lambda).  Exact for any words: reduction mod N only
+    sees Lambda_H + N Z^3, whatever the rank of Lambda_H.
     """
     n = modulus
     gens = [eval_word(w) for w in words]
@@ -313,18 +312,29 @@ def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[ElementC
             else:
                 schreier[tuple(a - b for a, b in zip(x.trans, picked[part].trans))] = None
     basis = _span(schreier).basis()
-    lattice = _span(basis + ((n, 0, 0), (0, n, 0), (0, 0, n)))
-    # the multiples of each basis row that stay distinct mod N, then their sums
-    multiples = [
-        np.arange(n // row[k])[:, None] * [c % n for c in row] for k, row in enumerate(lattice.basis())
-    ]
-    lattice_mod_n = (
-        multiples[0][:, None, None] + multiples[1][None, :, None] + multiples[2][None, None, :]
-    ).reshape(-1, 3)
+    _, points = _lattice_mod_n(basis, n)
     linear = np.array([_LINEAR_INDEX[part] for part in picked], dtype=np.int64)
-    shifts = np.array([u.trans for u in picked.values()], dtype=np.int64) % n
+    shifts = np.array([u.trans for u in picked.values()], dtype=np.int64)
+    return _space_group_codes(linear, shifts, points, n), basis
+
+
+def _lattice_mod_n(rows: Iterable[Vec], n: int) -> tuple[tuple[Vec, ...], np.ndarray]:
+    """The triangular basis b_1, b_2, b_3 of the lattice the rows span with
+    N e_1, N e_2 and N e_3, and that lattice's points mod N, shape (m, 3):
+    the diagonal entries divide N, so they are every i b_1 + j b_2 + k b_3
+    mod N with i < N / b_11, j < N / b_22 and k < N / b_33."""
+    basis = _span((*rows, (n, 0, 0), (0, n, 0), (0, 0, n))).basis()
+    # the multiples of each basis row that stay distinct mod N, then their sums
+    multiples = [np.arange(n // row[k])[:, None] * [c % n for c in row] for k, row in enumerate(basis)]
+    points = multiples[0][:, None, None] + multiples[1][None, :, None] + multiples[2][None, None, :]
+    return basis, points.reshape(-1, 3) % n
+
+
+def _space_group_codes(linear: np.ndarray, shifts: np.ndarray, lattice_mod_n: np.ndarray, n: int) -> ElementCodes:
+    """The group of every (L, t_L + lambda): one shift t_L per linear index
+    L, and every lambda of a translation group given by its points mod N."""
     codes = join(linear[:, None], (shifts[:, None, :] + lattice_mod_n) % n, n)
-    return ElementCodes(n, np.sort(codes, axis=None)), basis
+    return ElementCodes(n, np.sort(codes, axis=None))
 
 
 def build_group(modulus: int) -> TorusGroup:
@@ -600,28 +610,30 @@ def left_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
     if not j.within(h):
         raise SubgroupError("J is not contained in H")
     n = h.modulus
-    ids = np.full(h.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    pos = _next_unlabelled(ids, 0)
-    while pos < len(ids):
-        g = h.codes[pos]
-        ids[h.locate(multiply(g, j.codes, n))] = len(reps)
-        reps.append(int(g))
-        pos = _next_unlabelled(ids, pos + 1)
-    return CosetTable(h, ids, np.array(reps, dtype=np.int64))
+    ids, firsts = _partition(h.order, lambda pos: h.locate(multiply(h.codes[pos], j.codes, n)))
+    return CosetTable(h, ids, h.codes[firsts])
 
 
-def _next_unlabelled(ids: np.ndarray, pos: int) -> int:
-    """The first position from `pos` on whose id is still -1, or len(ids);
-    the window doubles, so the scan costs O(distance) array work."""
-    width = 64
-    while pos < len(ids):
+def _partition(size: int, block_of) -> tuple[np.ndarray, np.ndarray]:
+    """Label positions 0 .. size - 1 by blocks, walking in order: each
+    position not yet labelled starts the next block, and block_of(pos)
+    gives all its positions.  Returns the labels and each block's first
+    position.  Free positions are sought in windows that double from 64,
+    so the scan costs array work in proportion to the distance covered."""
+    ids = np.full(size, -1, dtype=np.int64)
+    firsts: list[int] = []
+    pos, width = 0, 64
+    while pos < size:
         free = np.flatnonzero(ids[pos:pos + width] < 0)
-        if free.size:
-            return pos + int(free[0])
-        pos += width
-        width *= 2
-    return len(ids)
+        if not free.size:
+            pos += width
+            width *= 2
+            continue
+        pos += int(free[0])
+        ids[block_of(pos)] = len(firsts)
+        firsts.append(pos)
+        pos, width = pos + 1, 64
+    return ids, np.array(firsts, dtype=np.int64)
 
 
 def member(sub: TorusGroup, g: Isometry) -> bool:

@@ -21,13 +21,16 @@ from honeycomb434.coloring import color_group
 from honeycomb434.crystal import preset
 from honeycomb434.quotient import (
     MAX_MODULUS,
+    _MUL,
     CertificationError,
     IntegerLattice,
     SubgroupError,
     TorusGroup,
+    apply_linear,
     build_group,
     build_subgroup,
     certify_translations,
+    coords,
     decode,
     element_key,
     encode,
@@ -427,6 +430,29 @@ def test_linear_parts_are_the_48_signed_permutations_in_canonical_order():
     assert sorted(mats) == sorted(oracle.signed_permutation_matrices())
     flattened = [m[0] + m[1] + m[2] for m in mats]
     assert flattened == sorted(flattened) and len(set(flattened)) == 48
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_apply_linear_matches_isometry_apply_with_either_factor_fixed(modulus):
+    n = modulus
+    vertices = coords(np.arange(n**3), n)
+    linear_parts = [Isometry(perm, signs, (0, 0, 0)) for perm, signs in LINEAR_PARTS]
+    expected = np.array([[[c % n for c in el.apply(v)] for v in vertices.tolist()] for el in linear_parts])
+    for l in range(48):
+        # one linear index, every vertex
+        assert np.array_equal(apply_linear(l, vertices, n), expected[l])
+    for i, v in enumerate(vertices):
+        # every linear index, one vertex
+        assert np.array_equal(apply_linear(np.arange(48), v, n), expected[:, i])
+    with pytest.raises(ValueError, match="one linear index or one vertex"):
+        apply_linear(np.arange(48), vertices, n)
+
+
+def test_composition_table_matches_isometry_products():
+    linear_parts = [Isometry(perm, signs, (0, 0, 0)) for perm, signs in LINEAR_PARTS]
+    position = {el: l for l, el in enumerate(linear_parts)}
+    expected = [[position[a * b] for b in linear_parts] for a in linear_parts]
+    assert _MUL.tolist() == expected
 
 
 element_words = st.text(alphabet="PQRS", min_size=0, max_size=12)
