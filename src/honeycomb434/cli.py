@@ -21,7 +21,7 @@ from pathlib import Path
 from .coloring import PlanError, color_group, verify_theorem
 from .crystal import build_from_config, export, load_config
 from .isometry import check_presentation, dihedral_angle_check, perturbed_generators
-from .orbits import decompose, stabilizer
+from .orbits import decompose, stabilizer_codes
 from .quotient import (
     MAX_MODULUS,
     CertificationError,
@@ -99,10 +99,10 @@ def cmd_orbits(args) -> int:
         f"under a subgroup of order {sub.order}"
     )
     for orbit in decomp.orbits:
-        stab = stabilizer(sub, orbit.representative)
+        stab_order = len(stabilizer_codes(sub, orbit.representative))
         print(
             f"  orbit {orbit.index}: representative {orbit.representative}, "
-            f"size {len(orbit.vertices)}, stabilizer order {stab.order}"
+            f"size {len(orbit.vertices)}, stabilizer order {stab_order}"
         )
     return EXIT_OK
 

@@ -16,6 +16,7 @@ whole group exactly when the coloring is perfect.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,9 @@ from .quotient import (
 )
 
 Vec = tuple[int, int, int]
+
+# the runs between the line breaks of str.splitlines: a coloring file's lines
+_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 class PlanError(ValueError):
@@ -215,18 +219,17 @@ class VertexColoring:
 
     @classmethod
     def from_text(cls, text: str) -> "VertexColoring":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split() if lines else []
+        # read one line at a time, so a text longer than N^3 vertex lines is
+        # refused at the first line past them, without splitting the rest
+        lines = (m[0] for m in _LINE.finditer(text) if not m[0].isspace())
+        header = next(lines, "").split()
         if len(header) != 2 or header[0] != "modulus":
             raise ValueError("expected a 'modulus N' header line")
         n = int(header[1])
         check_modulus(n)
         table: list[ColorInfo] = []
-        body = 1
-        for ln in lines[1:]:
-            if not ln.startswith("color "):
-                break
-            body += 1
+        ln = next(lines, None)
+        while ln is not None and ln.startswith("color "):
             parts = ln.split()
             if len(parts) < 2:
                 raise ValueError(f"bad color line: {ln!r}")
@@ -246,21 +249,25 @@ class VertexColoring:
             if any(info.label == label for info in table):
                 raise ValueError(f"color {label!r} is declared twice")
             table.append(ColorInfo(label, element, background))
+            ln = next(lines, None)
         ids = {info.label: cid for cid, info in enumerate(table)}
         rows = []
-        for ln in lines[body:]:
+        while ln is not None:
+            if len(rows) == n**3:
+                raise ValueError(
+                    f"more than {n**3} vertex lines for {n**3} vertices: some vertex is listed twice"
+                )
             parts = ln.split()
             if len(parts) != 4:
                 raise ValueError(f"bad vertex line: {ln!r}")
             if parts[3] not in ids:
                 raise ValueError(f"undeclared color {parts[3]!r}")
             rows.append((tuple(int(p) % n for p in parts[:3]), ids[parts[3]]))
+            ln = next(lines, None)
         # counted before allocating, so a short file cannot ask for N^3 cells;
         # with N^3 lines and no vertex listed twice, every vertex has one
         if len(rows) < n**3:
             raise ValueError(f"coloring is not total: {len(rows)} vertex lines for {n**3} vertices")
-        if len(rows) > n**3:
-            raise ValueError(f"{len(rows)} vertex lines for {n**3} vertices: some vertex is listed twice")
         assignment = np.full((n, n, n), -1, dtype=np.int16)
         for v, cid in rows:
             if assignment[v] >= 0:

@@ -212,11 +212,15 @@ _SPELLED_LETTERS = 40
 
 def _quoted(value) -> str:
     """repr of a word's text or of one letter, cut after _QUOTED_CHARS
-    characters with its length noted."""
-    text = repr(value)
-    if len(text) <= _QUOTED_CHARS:
+    characters with its length noted.  A long text is quoted from its first
+    _QUOTED_CHARS characters, never copied whole, and its length is the
+    text's own."""
+    whole = not isinstance(value, str) or len(value) <= _QUOTED_CHARS
+    text = repr(value if whole else value[:_QUOTED_CHARS])
+    if whole and len(text) <= _QUOTED_CHARS:
         return text
-    return f"{text[:_QUOTED_CHARS]}…({len(text)} characters)"
+    length = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:_QUOTED_CHARS]}…({length} characters)"
 
 
 def _spelled(word: tuple[str, ...]) -> str:

@@ -452,6 +452,9 @@ class IntegerLattice:
 # once the lattice holds the targets, and stops at the first depth whose
 # translations span them, so the bound never changes a witness
 _SEARCH_DEPTH = 24
+# the most letters a witness word may spell; lattice coefficients can ask
+# for astronomically many, and the bundled subgroups need a few thousand
+_WITNESS_LETTERS = 10**6
 
 
 def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, ...]):
@@ -528,8 +531,9 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     and stored on the returned subgroup.
 
     Raises CertificationError when the translations lie outside the
-    lattice (no certificate exists), or when the search finds no witness
-    within _SEARCH_DEPTH generator factors.
+    lattice (no certificate exists), when the search finds no witness
+    within _SEARCH_DEPTH generator factors, or when a witness would spell
+    more than _WITNESS_LETTERS letters.
     """
     n = sub.modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
@@ -547,13 +551,19 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
             f"translations {missing[0]} lie in the lattice of {words}, but no witness "
             f"was found within {_SEARCH_DEPTH} generator factors"
         )
+    # each witness is counted before any is built
+    terms = {t: [(row_word(i), c) for i, c in sorted(lattice.solve(t).items())] for t in targets}
+    for target, row_terms in terms.items():
+        letters = sum(len(w) * abs(c) for w, c in row_terms)
+        if letters > _WITNESS_LETTERS:
+            raise CertificationError(
+                f"the witness for {target} would spell {letters} letters, above the limit "
+                f"{_WITNESS_LETTERS}"
+            )
     witnesses = []
-    for target in targets:
-        coeffs = lattice.solve(target)
+    for target, row_terms in terms.items():
         word: tuple[str, ...] = ()
-        for idx in sorted(coeffs):
-            w = row_word(idx)
-            c = coeffs[idx]
+        for w, c in row_terms:
             word += w * c if c > 0 else tuple(reversed(w)) * (-c)
         el = eval_word(word)
         if el != translation(target):

@@ -5,6 +5,8 @@ import pytest
 from honeycomb434 import quotient
 from honeycomb434.cli import main
 
+from conftest import oversized_witness_words
+
 BUNDLED = ("rock-salt", "nbo", "reo3", "perovskite")
 
 
@@ -90,7 +92,7 @@ def test_deeply_nested_word_is_a_usage_error(capsys):
     code, out, err = run(capsys, "subgroup", "(" * 5000)
     assert code == 2
     assert err.startswith("error: '((((")
-    assert err.endswith("(5002 characters) nests groups more than 100 deep\n")
+    assert err.endswith("(5000 characters) nests groups more than 100 deep\n")
 
 
 def test_syntax_errors_quote_long_words_in_part(capsys):
@@ -102,7 +104,7 @@ def test_syntax_errors_quote_long_words_in_part(capsys):
     # past the letter cap the word is refused at its 10,001st letter
     code, out, err = run(capsys, "subgroup", "P" * 100_000 + "!")
     assert code == 2
-    assert "(100003 characters) flattens to more than 10000 letters" in err
+    assert "(100001 characters) flattens to more than 10000 letters" in err
     assert len(err.encode()) < 200
     code, out, err = run(capsys, "subgroup", "P!")
     assert err == "error: unexpected character '!' at position 1 in 'P!'\n"
@@ -155,6 +157,16 @@ def test_a_missed_witness_is_a_precondition_error(monkeypatch, capsys):
     assert code == 3
     assert err.startswith("certification failed: translations (2, 0, 0) lie in the lattice")
     assert err.endswith("but no witness was found within 1 generator factors\n")
+
+
+def test_an_oversized_witness_is_a_precondition_error(capsys):
+    words = oversized_witness_words()
+    code, out, err = run(capsys, "subgroup", *words, "--modulus", "16", "--no-cross-check")
+    assert (code, out) == (3, "")
+    assert err == (
+        "certification failed: the witness for (16, 0, 0) would spell "
+        "33382178989097837440000 letters, above the limit 1000000\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -557,6 +559,24 @@ def test_from_text_errors(rock_salt):
     # rejected on the line count, before an N^3 array is allocated
     with pytest.raises(ValueError, match="not total: 1 vertex lines for 4096"):
         VertexColoring.from_text("modulus 16\ncolor a\n0 0 0 a\n")
+
+
+def test_from_text_stops_at_the_first_vertex_line_past_n_cubed(rock_salt):
+    lines = rock_salt.to_text().splitlines()
+    # the duplicate is refused before the line after it is read
+    text = "\n".join(lines + [lines[-1], "garbage"]) + "\n"
+    with pytest.raises(ValueError, match="more than 8 vertex lines for 8 vertices: some vertex is listed twice"):
+        VertexColoring.from_text(text)
+    long = "\n".join(lines) + "\n" + "0 0 0 a\n" * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="listed twice"):
+            VertexColoring.from_text(long)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the million lines past the first are never split out (tens of MB)
+    assert peak < 2**20
 
 
 def test_equality_is_structural(rock_salt):

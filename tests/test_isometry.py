@@ -128,13 +128,29 @@ def test_parse_word_refuses_a_run_of_letters_at_the_first_over_the_cap():
     text = "P" * 10**6
     tracemalloc.start()
     try:
-        with pytest.raises(WordError, match=r"\(1000002 characters\) flattens to more than"):
+        with pytest.raises(WordError, match=r"\(1000000 characters\) flattens to more than"):
             parse_word(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one quoted copy of the text (1 MB), not a list of a million letters (8 MB)
+    # not a list of a million letters (8 MB)
     assert peak < 2 * 2**20
+
+
+def test_errors_on_a_long_word_quote_it_without_copying_it():
+    text = "P" * 10**7
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordError) as info:
+            parse_word(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "'" + "P" * 59 + "…(10000000 characters) flattens to more than 10000 letters"
+    )
+    # a whole-text repr would take 10 MB
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -326,5 +342,5 @@ def test_check_letters_holds_tuple_words_to_the_word_rules():
     with pytest.raises(WordError) as info:
         check_letters(("P" * 20_000,))
     assert str(info.value).startswith("unknown generator 'PPPP")
-    assert str(info.value).endswith("(20002 characters)")
+    assert str(info.value).endswith("(20000 characters)")
     assert len(str(info.value)) < 200

@@ -43,7 +43,7 @@ from honeycomb434.quotient import (
     multiply,
 )
 
-from conftest import WORDS
+from conftest import WORDS, oversized_witness_words
 
 ORDERS = {
     2: {"full": 384, "half": 192, "literal-quarter": 192, "quarter": 96, "eighth": 48},
@@ -215,6 +215,16 @@ def test_a_missed_witness_is_a_certification_error(monkeypatch, group2):
     assert str(info.value).endswith(
         "lie in the lattice of ['Q', 'R', 'S', 'Q·P·Q·R·Q·P·Q·R·P'], "
         "but no witness was found within 1 generator factors"
+    )
+
+
+def test_an_oversized_witness_is_refused_before_it_is_built():
+    sub = build_subgroup(build_group(16), oversized_witness_words())
+    with pytest.raises(CertificationError) as info:
+        certify_translations(sub)
+    assert str(info.value) == (
+        "the witness for (16, 0, 0) would spell 33382178989097837440000 letters, "
+        "above the limit 1000000"
     )
 
 
