@@ -130,6 +130,10 @@ def validate_config(data) -> None:
         # JSON true and false load as bool, a subclass of int
         return isinstance(value, int) and not isinstance(value, bool)
 
+    def inside(path: str) -> bool:
+        # joined to --out-dir, the path names a file within it
+        return not Path(path).is_absolute() and ".." not in Path(path).parts
+
     need(isinstance(data, dict), "config must be a JSON object")
     need(isinstance(data.get("family"), str), "config needs a string 'family'")
     need(integer(data.get("modulus", 2)), "'modulus' must be an integer")
@@ -177,10 +181,10 @@ def validate_config(data) -> None:
         background is None or isinstance(background, str),
         "'coloring.background' must be a label or null",
     )
-    need(
-        isinstance(coloring.get("output", "out.coloring"), str),
-        "'coloring.output' must be a filename",
-    )
+    # the CLI's default output is named after the family
+    output = coloring.get("output", f"{data['family']}.coloring")
+    need(isinstance(output, str) and output, "'coloring.output' must be a filename")
+    need(inside(output), "'coloring.output' must stay inside --out-dir: no absolute path, no '..'")
     elements = data.get("elements", {})
     need(
         isinstance(elements, dict)
@@ -206,7 +210,7 @@ def validate_config(data) -> None:
             raise ConfigError(str(exc)) from None
         path = request.get("path")
         need(isinstance(path, str) and path, "each export needs a 'path'")
-        need(not Path(path).is_absolute(), "export paths must be relative to --out-dir")
+        need(inside(path), "export paths must stay inside --out-dir: no absolute path, no '..'")
 
 
 def build_from_config(config: dict) -> CrystalModel:

@@ -31,7 +31,7 @@ arithmetic; nothing in this module touches floating point.
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 Vec = tuple[int, int, int]
 
@@ -345,11 +345,11 @@ _LINEAR_INDEX = {part: l for l, part in enumerate(LINEAR_PARTS)}
 _IDENTITY_LINEAR = _LINEAR_INDEX[IDENTITY.perm, IDENTITY.signs]
 
 
-def _step_table(generators: Mapping[str, Isometry]) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """For each letter g and each linear part L (by index): the index of
-    L g's linear part and the translation L t_g, so that appending g to a
-    word with linear part L adds L t_g to its translation (the rule of
-    `Isometry.__mul__`)."""
+def _step_table(generators: Mapping[Hashable, Isometry]) -> dict[Hashable, tuple[tuple[int, ...], ...]]:
+    """For each key g (a letter, or a generator's position) and each
+    linear part L (by index): the index of L g's linear part and the
+    translation L t_g, so that appending g to a word with linear part L
+    adds L t_g to its translation (the rule of `Isometry.__mul__`)."""
     table = {}
     for letter, (gp, gs, gt) in generators.items():
         steps = []

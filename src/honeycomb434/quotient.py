@@ -22,8 +22,9 @@ form (see `_enumerate`), so no group is closed.  Code order is
 the canonical element order used for deterministic coset ids:
 lexicographic on (flattened linear matrix, translation), as `element_key`
 states it for `Isometry` values.  `elements` decodes the codes to a
-frozenset of `Isometry` on first use; words, certificates and reports
-keep using `Isometry`.
+frozenset of `Isometry` on first use.  The walks in the infinite group step
+integer states (linear index, x, y, z) through `isometry._step_table`, with
+no `Isometry` product; words, witnesses and reports keep `Isometry` values.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .isometry import (
-    IDENTITY,
     LINEAR_PARTS,
     _IDENTITY_LINEAR,
     _LINEAR_INDEX,
     Isometry,
     _spelled,
+    _step_table,
     check_letters,
     eval_word,
     parse_word,
@@ -289,32 +290,34 @@ def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[ElementC
     space-group form: a point group of linear parts and Lambda_H.
 
     A breadth-first walk over linear parts, right-multiplying by the word
-    evaluations, picks one element u_L of H per linear part L.  Each step
-    x = u g that lands on a linear part already picked gives the Schreier
-    generator x u_L^-1, a pure translation, and these span Lambda_H
-    exactly (Schreier's lemma), kept unreduced.  With N e_1, N e_2 and
-    N e_3 they span Lambda_H + N Z^3 (see `_lattice_mod_n`), and H mod N is
-    every (L, t_L + lambda).  Exact for any words: reduction mod N only
-    sees Lambda_H + N Z^3, whatever the rank of Lambda_H.
+    evaluations, picks one element u_L of H per linear part L, kept as its
+    shift t_L.  Each step x = u g (one step-table lookup and three integer
+    additions) that lands on a linear part already picked gives the
+    Schreier generator x u_L^-1, the pure translation t_x - t_L; these
+    span Lambda_H exactly (Schreier's lemma), kept unreduced.  With N e_1,
+    N e_2 and N e_3 they span Lambda_H + N Z^3 (see `_lattice_mod_n`), and
+    H mod N is every (L, t_L + lambda).  Exact for any words: reduction mod
+    N only sees Lambda_H + N Z^3, whatever the rank of Lambda_H.
     """
     n = modulus
-    gens = [eval_word(w) for w in words]
+    steps = _step_table(dict(enumerate(map(eval_word, words)))).values()
     schreier: dict[Vec, None] = {}  # the distinct Schreier generators, in walk order
-    picked = {(IDENTITY.perm, IDENTITY.signs): IDENTITY}
-    walk = [IDENTITY]
-    for u in walk:
-        for g in gens:
-            x = u * g
-            part = (x.perm, x.signs)
-            if part not in picked:
-                picked[part] = x
-                walk.append(x)
+    picked = {_IDENTITY_LINEAR: (0, 0, 0)}  # linear index -> the shift of u_L
+    walk = [_IDENTITY_LINEAR]
+    for l in walk:
+        x, y, z = picked[l]
+        for step in steps:
+            m, dx, dy, dz = step[l]
+            t = (x + dx, y + dy, z + dz)
+            if m not in picked:
+                picked[m] = t
+                walk.append(m)
             else:
-                schreier[tuple(a - b for a, b in zip(x.trans, picked[part].trans))] = None
+                schreier[tuple(a - b for a, b in zip(t, picked[m]))] = None
     basis = _span(schreier).basis()
     _, points = _lattice_mod_n(basis, n)
-    linear = np.array([_LINEAR_INDEX[part] for part in picked], dtype=np.int64)
-    shifts = np.array([u.trans for u in picked.values()], dtype=np.int64)
+    linear = np.array(walk, dtype=np.int64)
+    shifts = np.array(list(picked.values()), dtype=np.int64)
     return _space_group_codes(linear, shifts, points, n), basis
 
 
@@ -461,7 +464,8 @@ def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, 
     """Breadth-first search over products of the generator evaluations
     (and their inverses) in the exact infinite group, collecting pure
     translations until they span every target.  The depth counts factors,
-    i.e. length as a word in the subgroup's own generators.
+    i.e. length as a word in the subgroup's own generators.  A product is
+    the state (linear index, x, y, z), and a factor one step-table lookup.
 
     Returns (found, lattice, row_word): the lattice holds the pure
     translations (rows) in discovery order, and row_word(i) spells out the
@@ -480,6 +484,7 @@ def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, 
             gens.append(el)
             gen_words.append(ww)
 
+    steps = _step_table(dict(enumerate(gens)))
     lattice = IntegerLattice()
     # product 0 is the identity; product i > 0 is product parents[i] times
     # generator factors[i]
@@ -496,21 +501,24 @@ def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, 
     def spanned() -> bool:
         return all(lattice.solve(t) is not None for t in targets)
 
-    seen = {IDENTITY}
-    frontier: list[tuple[Isometry, int]] = [(IDENTITY, 0)]
+    identity = (_IDENTITY_LINEAR, 0, 0, 0)
+    seen = {identity}
+    frontier = [(identity, 0)]
     for _ in range(_SEARCH_DEPTH):
-        next_frontier: list[tuple[Isometry, int]] = []
+        next_frontier = []
         fresh = False
-        for el, i in frontier:
-            for g, gel in enumerate(gens):
-                ne = el * gel
-                if ne in seen:
+        for (l, x, y, z), i in frontier:
+            for g, step in steps.items():
+                m, dx, dy, dz = step[l]
+                state = (m, x + dx, y + dy, z + dz)
+                if state in seen:
                     continue
-                seen.add(ne)
-                next_frontier.append((ne, len(parents)))
-                if ne.is_translation and ne.trans != (0, 0, 0):
+                seen.add(state)
+                next_frontier.append((state, len(parents)))
+                # the identity is seen, so this translation is not zero
+                if m == _IDENTITY_LINEAR:
                     row_products.append(len(parents))
-                    lattice.add(ne.trans)
+                    lattice.add(state[1:])
                     fresh = True
                 parents.append(i)
                 factors.append(g)

@@ -316,6 +316,15 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: c["subgroups"].update(half="PQP"), "subgroup"),
         (lambda c: c.update(modulus=3), "even integer"),
         (lambda c: c.update(modulus=10**6), "modulus 1000000 is above the limit 16"),
+        # output paths are joined to --out-dir and must stay inside it
+        (lambda c: c["coloring"].update(output="/abs/escaped.coloring"), "'coloring.output' must stay inside"),
+        (lambda c: c["coloring"].update(output="../escaped.coloring"), "'coloring.output' must stay inside"),
+        (lambda c: c["coloring"].update(output="sub/../../escaped.coloring"), "no '..'"),
+        (lambda c: c["coloring"].update(output=""), "'coloring.output' must be a filename"),
+        # without an output, the CLI names the file after the family
+        (lambda c: (c["coloring"].pop("output"), c.update(family="../escaped")), "'coloring.output'"),
+        (lambda c: c["exports"][2].update(path="../escaped-report.txt"), "export paths must stay inside"),
+        (lambda c: c["exports"][0].update(path="a/../../escaped.xyz"), "no '..'"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, mangle, message):

@@ -14,11 +14,12 @@ from honeycomb434.isometry import (
     Isometry,
     WordError,
     eval_word,
+    parse_word,
     translation,
 )
 from honeycomb434 import quotient
 from honeycomb434.coloring import color_group
-from honeycomb434.crystal import preset
+from honeycomb434.crystal import PRESET_NAMES, load_config, preset
 from honeycomb434.quotient import (
     MAX_MODULUS,
     _MUL,
@@ -607,3 +608,194 @@ def test_integer_lattice_basis_of_a_full_rank_lattice():
     # the diagonal divides 4, and its product is the determinant: 16, that
     # of twice the fcc lattice
     assert [basis[k][k] for k in range(3)] == [2, 2, 4]
+
+
+def isometry_certificate_search(words, targets):
+    """The witness search over `Isometry` products, each frontier product
+    kept with its factor list: the reference for `_certificate_search`,
+    which walks integer states on a step table with back-pointers.  Same
+    generators, breadth-first order and first-spanning-depth stop.
+    Returns (found, lattice, the word of each lattice row)."""
+    gens, gen_words = [], []
+    for w in words:
+        for ww in (w, tuple(reversed(w))):
+            el = eval_word(ww)
+            if not el.is_identity and el not in gens:
+                gens.append(el)
+                gen_words.append(ww)
+    lattice = IntegerLattice()
+    row_factors = []
+    seen = {IDENTITY}
+    frontier = [(IDENTITY, ())]
+    found = False
+    for _ in range(quotient._SEARCH_DEPTH):
+        next_frontier = []
+        fresh = False
+        for el, factors in frontier:
+            for g, gel in enumerate(gens):
+                ne = el * gel
+                if ne in seen:
+                    continue
+                seen.add(ne)
+                next_frontier.append((ne, factors + (g,)))
+                if ne.is_translation and ne.trans != (0, 0, 0):
+                    row_factors.append(factors + (g,))
+                    lattice.add(ne.trans)
+                    fresh = True
+        if fresh and all(lattice.solve(t) is not None for t in targets):
+            found = True
+            break
+        frontier = next_frontier
+    row_words = [tuple(letter for g in f for letter in gen_words[g]) for f in row_factors]
+    return found, lattice, row_words
+
+
+def assert_searches_agree(words, modulus):
+    words = tuple(map(parse_word, words))
+    n = modulus
+    targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
+    found, lattice, row_word = quotient._certificate_search(words, targets)
+    expected_found, expected, row_words = isometry_certificate_search(words, targets)
+    assert found == expected_found
+    assert lattice._count == expected._count == len(row_words)
+    assert lattice.basis() == expected.basis()
+    assert [row_word(i) for i in range(len(row_words))] == row_words
+    assert [lattice.solve(t) for t in targets] == [expected.solve(t) for t in targets]
+    return found
+
+
+SEARCH_WORD_SETS = {**WORDS, "(QQ)^900PQP": ("Q", "R", "S", "(QQ)^900PQP")}
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8, 16])
+@pytest.mark.parametrize("name", sorted(SEARCH_WORD_SETS))
+def test_certificate_search_matches_the_isometry_search(modulus, name):
+    assert assert_searches_agree(SEARCH_WORD_SETS[name], modulus)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q,R", "SRQPQR", "P,QRSRQ,QPQ,RSR"])
+def test_a_search_without_witnesses_matches_the_isometry_search(name):
+    # the lattice misses the targets, so both searches run every level
+    assert not assert_searches_agree(UNCERTIFIABLE[name], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(alphabet="PQRS", min_size=1, max_size=12), min_size=1, max_size=4),
+    st.sampled_from([2, 4, 8, 16]),
+)
+def test_certificate_search_matches_the_isometry_search_on_random_words(words, modulus):
+    # the search runs once the lattice holds the targets, as in
+    # certify_translations; elsewhere it would walk all 24 levels of a
+    # group with infinitely many elements
+    held = quotient._span(build_subgroup(build_group(modulus), words).translation_lattice)
+    if all(held.solve(t) is not None for t in ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus))):
+        assert assert_searches_agree(words, modulus)
+
+
+# the witness words the cli-n2 `subgroup` commands print at N = 2
+PINNED_WITNESSES = {
+    "full": (
+        "QPQRSRQPQRSR",
+        "RQPQRSRQPQRS",
+        "PQRSRQPQRSRQ",
+    ),
+    "half": (
+        "QRSRPQPRSRSRQSRPQPRQQRSQRPQPRSPQPRQSRQSRPQPRQSRQSR",
+        "RSRPQPRSRQQRPQPRSQRSQRPQPRSQRSQRPQPRSQRSSRPQPRQSRQRSQRSQRPQPRSQRSQRPQP",
+        "RSRPQPRSRQQRPQPRSQRSSRPQPRQSRQ",
+    ),
+    "quarter": (
+        (
+            "RSPRQPQRQPQSPRQPQRQPQRSPRQPQRQPQSRSPRQPQRQPQSRSQPQRQPQRPSRSQPQRQPQRPSRPRQPQR"
+            "QPQSPRQPQRQPQSPRQPQRQPQSPRQPQRQPQS"
+        ),
+        (
+            "RQPQRQPQRPSQPQRQPQRPSRRSQPQRQPQRPSRSQPQRQPQRPSRSPRQPQRQPQSRSPRQPQRQPQSSQPQRQ"
+            "PQRPSQPQRQPQRPSQPQRQPQRPSQPQRQPQRPQPQRQPQRPSRSQPQRQPQRPSRS"
+        ),
+        "QRQPQRQPQRPSQPQRQPQRPSRQ",
+    ),
+    "eighth": (
+        (
+            "SRQPQRSRQPQRRSRQPQRSRQPQRRSRQPQRSRQPQRRSRQPQRSRQPQRRRQPQRSRQPQRSRQPQRSRQPQRS"
+            "RRQPQRSRQPQRSRRQPQRSRQPQRSRQPQRSRQPQRSRRQPQRSRQPQRSRSRQPQRSRQPQRSRQPQRSRQPQR"
+            "RRQPQRSRQPQRSRSRQPQRSRQPQRSRQPQRSRQPQRRRQPQRSRQPQRSRRSRQPQRSRQPQRSRQPQRSRQPQ"
+            "RRSRQPQRSRQPQRRSRQPQRSRQPQRSRQPQRSRQPQRRSRQPQRSRQPQRSRQPQRSRQPQRRRQPQRSRQPQR"
+            "SRQPQRSRQPQRSRSRQPQRSRQPQRRRQPQRSRQPQRSRQPQRSRQPQRSRRQPQRSRQPQRSRQPQRSRQPQRS"
+            "RSRQPQRSRQPQRRRQPQRSRQPQRSRQPQRSRQPQRSRSRQPQRSRQPQRRRRQPQRSRQPQRSRRQPQRSRQPQ"
+            "RSRQPQRSRQPQRS"
+        ),
+        (
+            "RRQPQRSRQPQRSRRQPQRSRQPQRSRSRQPQRSRQPQRRSRQPQRSRQPQRSRQPQRSRQPQRRSRQPQRSRQPQ"
+            "RRRQPQRSRQPQRSRQPQRSRQPQRSRQPQRSRQPQRSRRQPQRSRQPQRSRQPQRSRQPQRSRRSRQPQRSRQPQ"
+            "RSRQPQRSRQPQRRRQPQRSRQPQRSRRQPQRSRQPQRSRSRQPQRSRQPQRSRQPQRSRQPQR"
+        ),
+        "QRRQPQRSRQPQRSRQ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_witness_words_of_the_benchmark_word_sets_are_pinned(group2, name):
+    sub = certify_translations(build_subgroup(group2, WORDS[name]))
+    assert ["".join(w.word) for w in sub.translation_certificate] == list(PINNED_WITNESSES[name])
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 16])
+def test_subgroup_walks_form_no_isometry_product(monkeypatch, modulus):
+    def product(*args):
+        raise AssertionError("an Isometry product was formed")
+
+    monkeypatch.setattr(Isometry, "__mul__", product)
+    group = build_group(modulus)
+    for words in SEARCH_WORD_SETS.values():
+        assert certify_translations(build_subgroup(group, words)).certified
+    with pytest.raises(AssertionError, match="Isometry product"):
+        IDENTITY * IDENTITY
+
+
+def point_group_order(words):
+    """|pi(H)|: the linear parts of the word evaluations, closed under
+    products of the oracle's plain matrices."""
+    seen = {oracle.IDENT[0]}
+    frontier = list(seen)
+    gens = [oracle.eval_letters(parse_word(w))[0] for w in words]
+    while frontier:
+        fresh = {oracle.mat_mul(m, g) for m in frontier for g in gens} - seen
+        seen |= fresh
+        frontier = list(fresh)
+    return len(seen)
+
+
+def assert_order_without_enumeration(words, modulus):
+    # |H mod N| = |pi(H)| N^3 / det(Lambda_H + N Z^3): one coset of the
+    # lattice mod N per linear part, with no element listed
+    n = modulus
+    sub = build_subgroup(build_group(n), words)
+    basis, _ = quotient._lattice_mod_n(sub.translation_lattice, n)
+    det = basis[0][0] * basis[1][1] * basis[2][2]
+    order = point_group_order(words) * n**3 // det
+    assert order == sub.order == len(code_closure(n, sub.generator_words))
+
+
+PRESET_WORD_SETS = {
+    f"{family}:{name}": tuple(words)
+    for family in PRESET_NAMES
+    for name, words in load_config(family)["subgroups"].items()
+}
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+@pytest.mark.parametrize("name", sorted({**PRESET_WORD_SETS, **FIXED_WORD_SETS}))
+def test_order_from_point_group_and_lattice(modulus, name):
+    assert_order_without_enumeration({**PRESET_WORD_SETS, **FIXED_WORD_SETS}[name], modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(alphabet="PQRS", min_size=1, max_size=12), min_size=1, max_size=4),
+    st.sampled_from([2, 4, 8]),
+)
+def test_order_from_point_group_and_lattice_on_random_words(words, modulus):
+    assert_order_without_enumeration(words, modulus)
