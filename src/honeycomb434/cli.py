@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .coloring import PlanError, color_group, verify_theorem
 from .crystal import build_from_config, export, load_config
@@ -111,9 +112,8 @@ def cmd_color(args) -> int:
     config = load_config(args.config)
     coloring = build_from_config(config).coloring
     h, plans = coloring.recipe.group, coloring.recipe.plans
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / config["coloring"].get("output", f"{config['family']}.coloring")
+    out_path = Path(args.out_dir) / config["coloring"].get("output", f"{config['family']}.coloring")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(coloring.to_text())
     print(f"wrote {out_path}")
     counts = coloring.counts()
@@ -172,66 +172,99 @@ def _modulus(text: str) -> int:
 _modulus.__name__ = "modulus"  # argparse names the type in its errors
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="honeycomb434",
-        description="Exact symmetry computations and crystal colorings on the cubic honeycomb.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = commands.add_parser("check", help="verify the generator relations and mirror angles")
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--perturb",
         action="store_true",
         help="replace one mirror by a parallel plane and watch the relations fail",
     )
-    p.set_defaults(fn=cmd_check)
 
-    def word_arguments(p) -> None:
-        p.add_argument("words", nargs="+", help="generating words over P, Q, R, S")
-        p.add_argument(
-            "--modulus",
-            type=_modulus,
-            default=2,
-            help=f"torus period (even, at most {MAX_MODULUS}, default 2)",
-        )
 
-    p = commands.add_parser(
-        "subgroup", help="order, index and translation certificate of a subgroup"
+def _word_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("words", nargs="+", help="generating words over P, Q, R, S")
+    p.add_argument(
+        "--modulus",
+        type=_modulus,
+        default=2,
+        help=f"torus period (even, at most {MAX_MODULUS}, default 2)",
     )
-    word_arguments(p)
+
+
+def _subgroup_arguments(p: argparse.ArgumentParser) -> None:
+    _word_arguments(p)
     p.add_argument(
         "--cross-check",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="recompute at twice the modulus and compare the index",
     )
-    p.set_defaults(fn=cmd_subgroup)
 
-    p = commands.add_parser("orbits", help="orbit decomposition of the torus under a subgroup")
-    word_arguments(p)
-    p.set_defaults(fn=cmd_orbits)
 
-    def config_arguments(p) -> None:
-        p.add_argument("--config", required=True, help="config file path or bundled name")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
+def _config_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="config file path or bundled name")
+    p.add_argument("--out-dir", default=".", help="directory for output files")
 
-    p = commands.add_parser(
-        "color", help="build a coloring from a config, verify it, write the class file"
+
+class Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+PROG = "honeycomb434"
+
+# every command, in the order the top-level help lists them
+COMMANDS = {
+    "check": Command(
+        "verify the generator relations and mirror angles", _check_arguments, cmd_check
+    ),
+    "subgroup": Command(
+        "order, index and translation certificate of a subgroup", _subgroup_arguments, cmd_subgroup
+    ),
+    "orbits": Command(
+        "orbit decomposition of the torus under a subgroup", _word_arguments, cmd_orbits
+    ),
+    "color": Command(
+        "build a coloring from a config, verify it, write the class file",
+        _config_arguments,
+        cmd_color,
+    ),
+    "export": Command("write the exports requested by a config", _config_arguments, cmd_export),
+}
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, with the prog and help that the top-level
+    parser gives it as a subcommand."""
+    parser = argparse.ArgumentParser(prog=f"{PROG} {name}")
+    COMMANDS[name].add_arguments(parser)
+    return parser
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """Every command under one parser: only needed to list the commands or
+    to reject input that does not start with one."""
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="Exact symmetry computations and crystal colorings on the cubic honeycomb.",
     )
-    config_arguments(p)
-    p.set_defaults(fn=cmd_color)
-
-    p = commands.add_parser("export", help="write the exports requested by a config")
-    config_arguments(p)
-    p.set_defaults(fn=cmd_export)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in COMMANDS.items():
+        command.add_arguments(commands.add_parser(name, help=command.help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command builds its own parser only; argparse is a large share of a
+    # short command's time
+    if argv and argv[0] in COMMANDS:
+        name, parser, argv = argv[0], _command_parser(argv[0]), argv[1:]
+    else:
+        name, parser = None, _top_parser()
     try:
         args = parser.parse_args(argv)
+        name = name or args.command
         if getattr(args, "cross_check", False) and 2 * args.modulus > MAX_MODULUS:
             parser.error(
                 f"--cross-check recomputes at modulus {2 * args.modulus}, above the limit "
@@ -240,7 +273,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.fn(args)
+        return COMMANDS[name].run(args)
     except (PlanError, SubgroupError) as exc:
         _fail(f"precondition failed: {exc}")
         return EXIT_PRECONDITION

@@ -131,8 +131,10 @@ def validate_config(data) -> None:
         return isinstance(value, int) and not isinstance(value, bool)
 
     def inside(path: str) -> bool:
-        # joined to --out-dir, the path names a file within it
-        return not Path(path).is_absolute() and ".." not in Path(path).parts
+        # joined to --out-dir, the path names a file within it: "." and
+        # "./" have no parts and name --out-dir itself
+        parts = Path(path).parts
+        return bool(parts) and not Path(path).is_absolute() and ".." not in parts
 
     need(isinstance(data, dict), "config must be a JSON object")
     need(isinstance(data.get("family"), str), "config needs a string 'family'")
@@ -184,7 +186,11 @@ def validate_config(data) -> None:
     # the CLI's default output is named after the family
     output = coloring.get("output", f"{data['family']}.coloring")
     need(isinstance(output, str) and output, "'coloring.output' must be a filename")
-    need(inside(output), "'coloring.output' must stay inside --out-dir: no absolute path, no '..'")
+    need(
+        inside(output),
+        "'coloring.output' must stay inside --out-dir and name a file there: "
+        "no absolute path, no '..', not '.'",
+    )
     elements = data.get("elements", {})
     need(
         isinstance(elements, dict)
@@ -210,7 +216,11 @@ def validate_config(data) -> None:
             raise ConfigError(str(exc)) from None
         path = request.get("path")
         need(isinstance(path, str) and path, "each export needs a 'path'")
-        need(inside(path), "export paths must stay inside --out-dir: no absolute path, no '..'")
+        need(
+            inside(path),
+            "export paths must stay inside --out-dir and name a file there: "
+            "no absolute path, no '..', not '.'",
+        )
 
 
 def build_from_config(config: dict) -> CrystalModel:
@@ -228,7 +238,12 @@ def build_from_config(config: dict) -> CrystalModel:
     )
     merges = tuple((a, b) for a, b in section.get("merges", []))
     coloring = build_coloring(subgroups[section["group"]], plans, merges, section.get("background"))
-    return CrystalModel(config["family"], coloring.with_elements(config.get("elements", {})))
+    try:
+        coloring = coloring.with_elements(config.get("elements", {}))
+    except KeyError as exc:
+        # no plan makes the label; validate_config cannot tell without a build
+        raise ConfigError(f"'elements' names {exc.args[0]}") from None
+    return CrystalModel(config["family"], coloring)
 
 
 def preset(name: str, modulus: int = 2) -> CrystalModel:

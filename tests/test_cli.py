@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -194,6 +195,137 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert main(["paint"]) == 2
 
 
+# The -h texts and the top-level errors below were captured when main still
+# built every subcommand parser on each call; they must not change.
+HELP = {
+    (): '''\
+usage: honeycomb434 [-h] command ...
+
+Exact symmetry computations and crystal colorings on the cubic honeycomb.
+
+positional arguments:
+  command
+    check     verify the generator relations and mirror angles
+    subgroup  order, index and translation certificate of a subgroup
+    orbits    orbit decomposition of the torus under a subgroup
+    color     build a coloring from a config, verify it, write the class file
+    export    write the exports requested by a config
+
+options:
+  -h, --help  show this help message and exit
+''',
+    ("check",): '''\
+usage: honeycomb434 check [-h] [--perturb]
+
+options:
+  -h, --help  show this help message and exit
+  --perturb   replace one mirror by a parallel plane and watch the relations
+              fail
+''',
+    ("subgroup",): '''\
+usage: honeycomb434 subgroup [-h] [--modulus MODULUS]
+                             [--cross-check | --no-cross-check]
+                             words [words ...]
+
+positional arguments:
+  words                 generating words over P, Q, R, S
+
+options:
+  -h, --help            show this help message and exit
+  --modulus MODULUS     torus period (even, at most 16, default 2)
+  --cross-check, --no-cross-check
+                        recompute at twice the modulus and compare the index
+''',
+    ("orbits",): '''\
+usage: honeycomb434 orbits [-h] [--modulus MODULUS] words [words ...]
+
+positional arguments:
+  words              generating words over P, Q, R, S
+
+options:
+  -h, --help         show this help message and exit
+  --modulus MODULUS  torus period (even, at most 16, default 2)
+''',
+    ("color",): '''\
+usage: honeycomb434 color [-h] --config CONFIG [--out-dir OUT_DIR]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    config file path or bundled name
+  --out-dir OUT_DIR  directory for output files
+''',
+    ("export",): '''\
+usage: honeycomb434 export [-h] --config CONFIG [--out-dir OUT_DIR]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    config file path or bundled name
+  --out-dir OUT_DIR  directory for output files
+''',
+}
+
+TOP_USAGE = "usage: honeycomb434 [-h] command ...\n"
+CHOICES = "(choose from 'check', 'subgroup', 'orbits', 'color', 'export')"
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: " ".join(c) or "top")
+def test_help_texts_are_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    for flag in ("-h", "--help"):
+        assert run(capsys, *command, flag) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], "the following arguments are required: command"),
+        (["paint"], f"argument command: invalid choice: 'paint' {CHOICES}"),
+        (["--", "check"], f"argument command: invalid choice: '--' {CHOICES}"),
+    ],
+    ids=["nothing", "paint", "-- check"],
+)
+def test_input_without_a_command_gets_the_top_level_usage(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (2, "", f"{TOP_USAGE}honeycomb434: error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, usage, err",
+    [
+        (["check", "extra"], "usage: honeycomb434 check [-h] [--perturb]\n",
+         "unrecognized arguments: extra"),
+        (["check", "--", "x"], "usage: honeycomb434 check [-h] [--perturb]\n",
+         "unrecognized arguments: -- x"),
+        (
+            ["subgroup", "P", "--modulus", "16"],
+            "usage: honeycomb434 subgroup [-h] [--modulus MODULUS]\n"
+            "                             [--cross-check | --no-cross-check]\n"
+            "                             words [words ...]\n",
+            "--cross-check recomputes at modulus 32, above the limit 16; pass --no-cross-check",
+        ),
+    ],
+    ids=["check extra", "check -- x", "subgroup --modulus 16"],
+)
+def test_errors_after_a_command_show_that_commands_usage(monkeypatch, capsys, argv, usage, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    prog = f"honeycomb434 {argv[0]}"
+    assert run(capsys, *argv) == (2, "", f"{usage}{prog}: error: {err}\n")
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, err = run(capsys, "check")
+    assert code == 0, err
+    assert built == ["honeycomb434 check"]
+
+
 def test_color_command(tmp_path, capsys):
     code, out, err = run(
         capsys, "color", "--config", "perovskite", "--out-dir", str(tmp_path)
@@ -214,6 +346,34 @@ def test_color_command(tmp_path, capsys):
     coloring = VertexColoring.from_text(written.read_text())
     assert coloring.counts() == {"black": 1, "brown": 3, "yellow": 1, "white": 3}
     assert coloring.color_table[0].element == "Ca"
+
+
+def test_color_creates_the_directory_of_a_nested_output(tmp_path, capsys):
+    with open("src/honeycomb434/configs/rock-salt.json") as f:
+        cfg = json.load(f)
+    cfg["coloring"]["output"] = "nested/deeper/x.coloring"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "color", "--config", str(path), "--out-dir", str(out_dir))
+    assert code == 0, err
+    written = out_dir / "nested" / "deeper" / "x.coloring"
+    assert f"wrote {written}" in out
+    assert written.read_text().startswith("modulus 2\n")
+
+
+@pytest.mark.parametrize("command", ["color", "export"])
+def test_unknown_element_labels_are_config_errors(tmp_path, capsys, command):
+    with open("src/honeycomb434/configs/rock-salt.json") as f:
+        cfg = json.load(f)
+    cfg["elements"].update(zzz="X", aaa="Y")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--config", str(path), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == "error: 'elements' names unknown color labels: ['aaa', 'zzz']\n"
+    assert not out_dir.exists()
 
 
 def test_color_reports_a_perfect_group(tmp_path, capsys):
@@ -325,6 +485,11 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: (c["coloring"].pop("output"), c.update(family="../escaped")), "'coloring.output'"),
         (lambda c: c["exports"][2].update(path="../escaped-report.txt"), "export paths must stay inside"),
         (lambda c: c["exports"][0].update(path="a/../../escaped.xyz"), "no '..'"),
+        # a path with no parts names --out-dir itself, not a file in it
+        (lambda c: c["coloring"].update(output="."), "'coloring.output' must stay inside --out-dir and name a file"),
+        (lambda c: c["coloring"].update(output="./"), "and name a file there"),
+        (lambda c: c["exports"][1].update(path="."), "export paths must stay inside --out-dir and name a file"),
+        (lambda c: c["exports"][0].update(path="./."), "and name a file there"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, mangle, message):
@@ -333,10 +498,13 @@ def test_config_validation_errors(tmp_path, capsys, mangle, message):
     mangle(cfg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code, out, err = run(capsys, "color", "--config", str(path))
+    # a config the validator wrongly passed would be built and written here
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "color", "--config", str(path), "--out-dir", str(out_dir))
     assert code == 2
     assert "error:" in err
     assert message in err
+    assert not out_dir.exists()
 
 
 def test_config_plan_violation_is_a_precondition_error(tmp_path, capsys):
