@@ -141,13 +141,13 @@ def cmd_color(args) -> int:
 
 def cmd_export(args) -> int:
     config = load_config(args.config)
-    model = build_from_config(config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     requests = config.get("exports", [])
     if not requests:
         _fail("config lists no exports")
         return EXIT_USAGE
+    model = build_from_config(config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for request in requests:
         region = tuple(request.get("region", [1, 1, 1]))
         text = export(model, request["format"], region)

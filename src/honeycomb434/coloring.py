@@ -27,6 +27,7 @@ import numpy as np
 from .isometry import Isometry
 from .orbits import decompose, stabilizer_codes
 from .quotient import (
+    MAX_MODULUS,
     CosetTable,
     TorusGroup,
     _lattice_mod_n,
@@ -225,11 +226,18 @@ class VertexColoring:
         header = next(lines, "").split()
         if len(header) != 2 or header[0] != "modulus":
             raise ValueError("expected a 'modulus N' header line")
+        # refused unread: no modulus up to the limit needs this many digits
+        if len(header[1]) > 20:
+            raise ValueError(f"modulus is {len(header[1])} characters long; the limit is {MAX_MODULUS}")
         n = int(header[1])
         check_modulus(n)
+        # an onto coloring of the N^3 vertices uses at most N^3 colors
         table: list[ColorInfo] = []
+        ids: dict[str, int] = {}
         ln = next(lines, None)
         while ln is not None and ln.startswith("color "):
+            if len(table) == n**3:
+                raise ValueError(f"more than {n**3} colors for {n**3} vertices: some color is unused")
             parts = ln.split()
             if len(parts) < 2:
                 raise ValueError(f"bad color line: {ln!r}")
@@ -246,14 +254,16 @@ class VertexColoring:
                     rest = rest[1:]
                 else:
                     raise ValueError(f"bad color line: {ln!r}")
-            if any(info.label == label for info in table):
+            if label in ids:
                 raise ValueError(f"color {label!r} is declared twice")
+            ids[label] = len(table)
             table.append(ColorInfo(label, element, background))
             ln = next(lines, None)
-        ids = {info.label: cid for cid, info in enumerate(table)}
-        rows = []
+        # check_modulus caps the array at 4,096 cells
+        assignment = np.full((n, n, n), -1, dtype=np.int16)
+        count = 0
         while ln is not None:
-            if len(rows) == n**3:
+            if count == n**3:
                 raise ValueError(
                     f"more than {n**3} vertex lines for {n**3} vertices: some vertex is listed twice"
                 )
@@ -262,19 +272,16 @@ class VertexColoring:
                 raise ValueError(f"bad vertex line: {ln!r}")
             if parts[3] not in ids:
                 raise ValueError(f"undeclared color {parts[3]!r}")
-            rows.append((tuple(int(p) % n for p in parts[:3]), ids[parts[3]]))
-            ln = next(lines, None)
-        # counted before allocating, so a short file cannot ask for N^3 cells;
-        # with N^3 lines and no vertex listed twice, every vertex has one
-        if len(rows) < n**3:
-            raise ValueError(f"coloring is not total: {len(rows)} vertex lines for {n**3} vertices")
-        assignment = np.full((n, n, n), -1, dtype=np.int16)
-        for v, cid in rows:
+            v = tuple(int(p) % n for p in parts[:3])
             if assignment[v] >= 0:
                 raise ValueError(f"vertex {v} is listed twice")
-            assignment[v] = cid
-        used = set(np.unique(assignment).tolist())
-        if used != set(range(len(table))):
+            assignment[v] = ids[parts[3]]
+            count += 1
+            ln = next(lines, None)
+        # with N^3 lines and no vertex listed twice, every vertex has one
+        if count < n**3:
+            raise ValueError(f"coloring is not total: {count} vertex lines for {n**3} vertices")
+        if not np.bincount(assignment.ravel(), minlength=len(table)).all():
             raise ValueError("coloring is not onto: some declared color is unused")
         return cls(n, tuple(table), assignment)
 
@@ -399,9 +406,9 @@ def build_coloring(
                     )
                 if pa == pb:
                     raise PlanError(f"cannot merge two colors of the same orbit plan ({la!r})")
-                ja = h.element_codes if pa is None else plans[pa].subgroup.element_codes
-                jb = h.element_codes if pb is None else plans[pb].subgroup.element_codes
-                if ja != jb:
+                ja = h if pa is None else plans[pa].subgroup
+                jb = h if pb is None else plans[pb].subgroup
+                if not np.array_equal(ja.codes, jb.codes):
                     raise PlanError(
                         f"merge of {la!r} and {lb!r}: the plans use different subgroups"
                     )
@@ -589,30 +596,37 @@ def verify_theorem(
     coset_color = a[images(reps, x, n)]
 
     cg = color_group(coloring)
-    sigma = cg.sigma
+    defined = cg.subgroup.includes(h.codes)
+    # one pass over the colors: image is sigma(g)[c] for every g in H, read
+    # once.  Part 1 compares it with the coset action at each coset of color
+    # c, keeping bad[i], the first coset position where element i disagrees
+    # (k if none); part 3 keeps the image sets, which are the color orbits,
+    # since sigma restricted to H is an action.  Memory stays O(|H|).
+    colors = len(coloring.color_table)
+    bad = np.full(h.order, k)
+    image_sets = set()  # each as the bytes of a mask over the colors
+    for c in range(colors):
+        image = cg.sigma.image_colors(h.codes, c)
+        image_sets.add(np.bincount(image, minlength=colors).astype(bool).tobytes())
+        for pos in np.flatnonzero(coset_color == c).tolist():
+            moved = table.coset_ids[h.locate(multiply(h.codes, reps[pos], n))]
+            wrong = defined & (coset_color[moved] != image)
+            np.minimum(bad, np.where(wrong, pos, k), out=bad)
     # part 1 fails at the first element of H, in canonical order, that has
     # no sigma or whose sigma disagrees with the coset action at some coset
-    defined = cg.subgroup.includes(h.codes)
-    failing = ~defined
-    for pos in range(k):
-        moved = table.coset_ids[h.locate(multiply(h.codes, reps[pos], n))]
-        failing |= defined & (coset_color[moved] != sigma.image_colors(h.codes, coset_color[pos]))
+    failing = ~defined | (bad < k)
     ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
     if failing.any():
         i = int(np.argmax(failing))
         g = decode(h.codes[i], n)[0]
         ok1, detail1 = False, f"element {g} does not permute the colors"
         if defined[i]:
-            mapping = sigma[g]
-            for pos in range(k):
-                moved = int(table.coset_ids[h.locate(multiply(h.codes[i], reps[pos], n))])
-                c, d = int(coset_color[pos]), int(coset_color[moved])
-                if d != mapping[c]:
-                    detail1 = (
-                        f"element {g} sends coset {pos} to {moved} but color "
-                        f"{c} to {mapping[c]}"
-                    )
-                    break
+            pos, c = int(bad[i]), int(coset_color[bad[i]])
+            moved = int(table.coset_ids[h.locate(multiply(h.codes[i], reps[pos], n))])
+            detail1 = (
+                f"element {g} sends coset {pos} to {moved} but color "
+                f"{c} to {int(cg.sigma.image_colors(h.codes[i], c))}"
+            )
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
     orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
@@ -625,23 +639,8 @@ def verify_theorem(
     )
 
     if defined.all():
-        colors = len(coloring.color_table)
-        roots = list(range(colors))
-
-        def find(c):
-            while roots[c] != c:
-                roots[c] = roots[roots[c]]
-                c = roots[c]
-            return c
-
-        for c in range(colors):
-            hit = np.zeros(colors, dtype=bool)
-            hit[sigma.image_colors(h.codes, c)] = True
-            for d in np.flatnonzero(hit).tolist():
-                roots[find(d)] = find(c)
-        n_color_orbits = len({find(c) for c in range(len(roots))})
-        ok3 = n_color_orbits <= len(decomp.orbits)
-        detail3 = f"{n_color_orbits} color orbits vs {len(decomp.orbits)} vertex orbits"
+        ok3 = len(image_sets) <= len(decomp.orbits)
+        detail3 = f"{len(image_sets)} color orbits vs {len(decomp.orbits)} vertex orbits"
     else:
         ok3, detail3 = False, "sigma undefined for some element of H"
     parts.append(PartResult("3: color orbits <= vertex orbits", ok3, detail3))

@@ -157,7 +157,10 @@ def validate_config(data) -> None:
                 raise ConfigError(f"subgroup {name!r}: {exc}") from None
     coloring = data.get("coloring")
     need(isinstance(coloring, dict), "config needs a 'coloring' section")
-    need(coloring.get("group") in subgroups, "'coloring.group' must name a defined subgroup")
+    need(
+        isinstance(coloring.get("group"), str) and coloring["group"] in subgroups,
+        "'coloring.group' must name a defined subgroup",
+    )
     plans = coloring.get("plans")
     need(isinstance(plans, list) and plans, "'coloring.plans' must be a non-empty list")
     for plan in plans:
@@ -166,7 +169,10 @@ def validate_config(data) -> None:
             integer(plan.get("orbit")) and plan["orbit"] >= 0,
             "each plan needs a non-negative 'orbit' index",
         )
-        need(plan.get("subgroup") in subgroups, "each plan's 'subgroup' must be defined")
+        need(
+            isinstance(plan.get("subgroup"), str) and plan["subgroup"] in subgroups,
+            "each plan's 'subgroup' must be defined",
+        )
         labels = plan.get("labels")
         need(
             isinstance(labels, list) and labels and all(isinstance(s, str) for s in labels),
@@ -197,10 +203,12 @@ def validate_config(data) -> None:
         and all(isinstance(k, str) and isinstance(v, str) for k, v in elements.items()),
         "'elements' must map labels to symbols",
     )
-    for request in data.get("exports", []):
+    exports = data.get("exports", [])
+    need(isinstance(exports, list), "'exports' must be a list of export objects")
+    for request in exports:
         need(isinstance(request, dict), "each export must be an object")
         need(
-            request.get("format") in EXPORTERS,
+            isinstance(request.get("format"), str) and request["format"] in EXPORTERS,
             f"export format must be one of {', '.join(sorted(EXPORTERS))}",
         )
         region = request.get("region", [1, 1, 1])

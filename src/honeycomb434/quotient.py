@@ -21,10 +21,12 @@ code from 0 to 48 N^3 - 1, and a subgroup is enumerated from its space-group
 form (see `_enumerate`), so no group is closed.  Code order is
 the canonical element order used for deterministic coset ids:
 lexicographic on (flattened linear matrix, translation), as `element_key`
-states it for `Isometry` values.  `elements` decodes the codes to a
-frozenset of `Isometry` on first use.  The walks in the infinite group step
-integer states (linear index, x, y, z) through `isometry._step_table`, with
-no `Isometry` product; words, witnesses and reports keep `Isometry` values.
+states it for `Isometry` values.  The array is the group:
+`TorusGroup.codes` holds it read-only, `elements` decodes it to a frozenset
+of `Isometry` on first use, and two groups compare by identity, not by
+element set.  The walks in the infinite group step integer states (linear
+index, x, y, z) through `isometry._step_table`, with no `Isometry` product;
+words, witnesses and reports keep `Isometry` values.
 """
 
 from __future__ import annotations
@@ -181,44 +183,14 @@ def identity_code(n: int) -> int:
     return _IDENTITY_LINEAR * n**3
 
 
-class ElementCodes:
-    """The elements of one group as a sorted, read-only int64 code array.
-
-    Equal and hashed by modulus and codes, so by element set.  The decoded
-    frozenset is built on first use and kept here, so every group that
-    shares this object (a subgroup and its certified copy) shares it.
-    """
-
-    def __init__(self, modulus: int, codes: np.ndarray):
-        codes = np.asarray(codes, dtype=np.int64)
-        codes.setflags(write=False)
-        self.modulus = modulus
-        self.codes = codes
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ElementCodes):
-            return NotImplemented
-        return self.modulus == other.modulus and np.array_equal(self.codes, other.codes)
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.codes.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"ElementCodes(modulus={self.modulus}, order={len(self.codes)})"
-
-    @cached_property
-    def elements(self) -> frozenset[Isometry]:
-        return frozenset(decode(self.codes, self.modulus))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusGroup:
     """A group of torus symmetries: the full group with translations reduced
     modulo N, or a subgroup of it generated by words in P, Q, R, S.
 
+    `codes` is the sorted, read-only int64 array of the element codes, and
+    `elements` decodes it to a frozenset of `Isometry` on first use.  Groups
+    compare by identity; `within` compares element sets.
     `parent` is the full group; the full group is its own parent.
     `translation_lattice` is the triangular basis (at most three rows) of
     the translations the underlying infinite group contains; a group built
@@ -234,11 +206,11 @@ class TorusGroup:
 
     modulus: int
     generator_words: tuple[tuple[str, ...], ...]
-    element_codes: ElementCodes
+    codes: np.ndarray = field(repr=False)
     translation_certificate: tuple[Witness, Witness, Witness] | None = None
-    translation_lattice: tuple[Vec, ...] = field(default=(), compare=False, repr=False)
-    _parent: TorusGroup | None = field(default=None, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    translation_lattice: tuple[Vec, ...] = field(default=(), repr=False)
+    _parent: TorusGroup | None = field(default=None, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def parent(self) -> TorusGroup:
@@ -248,18 +220,13 @@ class TorusGroup:
     def certified(self) -> bool:
         return self._parent is None or self.translation_certificate is not None
 
-    @property
-    def codes(self) -> np.ndarray:
-        """The sorted element codes."""
-        return self.element_codes.codes
-
-    @property
+    @cached_property
     def elements(self) -> frozenset[Isometry]:
-        return self.element_codes.elements
+        return frozenset(decode(self.codes, self.modulus))
 
     @property
     def order(self) -> int:
-        return len(self.element_codes)
+        return len(self.codes)
 
     def locate(self, codes) -> np.ndarray:
         """Positions of the given element codes in `codes`; meaningful
@@ -287,7 +254,7 @@ def _span(rows: Iterable[Vec]) -> IntegerLattice:
     return lattice
 
 
-def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[ElementCodes, tuple[Vec, ...]]:
+def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[np.ndarray, tuple[Vec, ...]]:
     """The image mod N of the subgroup H the words generate, and the
     triangular basis of H's translation lattice Lambda_H, from H's
     space-group form: a point group of linear parts and Lambda_H.
@@ -336,11 +303,13 @@ def _lattice_mod_n(rows: Iterable[Vec], n: int) -> tuple[tuple[Vec, ...], np.nda
     return basis, points.reshape(-1, 3) % n
 
 
-def _space_group_codes(linear: np.ndarray, shifts: np.ndarray, lattice_mod_n: np.ndarray, n: int) -> ElementCodes:
-    """The group of every (L, t_L + lambda): one shift t_L per linear index
-    L, and every lambda of a translation group given by its points mod N."""
-    codes = join(linear[:, None], (shifts[:, None, :] + lattice_mod_n) % n, n)
-    return ElementCodes(n, np.sort(codes, axis=None))
+def _space_group_codes(linear: np.ndarray, shifts: np.ndarray, lattice_mod_n: np.ndarray, n: int) -> np.ndarray:
+    """The sorted, read-only codes of every (L, t_L + lambda): one shift
+    t_L per linear index L, and every lambda of a translation group given by
+    its points mod N."""
+    codes = np.sort(join(linear[:, None], (shifts[:, None, :] + lattice_mod_n) % n, n), axis=None)
+    codes.setflags(write=False)
+    return codes
 
 
 def build_group(modulus: int) -> TorusGroup:
@@ -354,7 +323,8 @@ def build_group(modulus: int) -> TorusGroup:
     # P, Q, R and S generate every (L, t) mod N, so the group is every code;
     # the infinite group holds every integer translation
     words = (("P",), ("Q",), ("R",), ("S",))
-    codes = ElementCodes(modulus, np.arange(48 * modulus**3))
+    codes = np.arange(48 * modulus**3, dtype=np.int64)
+    codes.setflags(write=False)
     return TorusGroup(modulus, words, codes, translation_lattice=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 

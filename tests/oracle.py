@@ -159,3 +159,21 @@ def permutes_classes(g, classes, n):
     if sorted(mapping.values()) != sorted(classes):
         return None
     return mapping
+
+
+def orbit_count(images):
+    """The number of classes of colors under the relation c ~ d for every d
+    in images[c], by union-find: the count of color orbits, for images[c]
+    the colors that c is sent to."""
+    roots = list(range(len(images)))
+
+    def find(c):
+        while roots[c] != c:
+            roots[c] = roots[roots[c]]
+            c = roots[c]
+        return c
+
+    for c, hit in enumerate(images):
+        for d in set(hit):
+            roots[find(d)] = find(c)
+    return len({find(c) for c in range(len(roots))})

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from honeycomb434 import quotient
+from honeycomb434 import cli, quotient
 from honeycomb434.cli import main
 
 from conftest import oversized_witness_words
@@ -490,6 +490,12 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: c["coloring"].update(output="./"), "and name a file there"),
         (lambda c: c["exports"][1].update(path="."), "export paths must stay inside --out-dir and name a file"),
         (lambda c: c["exports"][0].update(path="./."), "and name a file there"),
+        # each value's type is checked before it is iterated or looked up
+        (lambda c: c.update(exports=5), "'exports' must be a list of export objects"),
+        (lambda c: c.update(exports=None), "'exports' must be a list"),
+        (lambda c: c["coloring"].update(group=["full"]), "'coloring.group' must name a defined subgroup"),
+        (lambda c: c["coloring"]["plans"][0].update(subgroup={"a": 1}), "each plan's 'subgroup' must be defined"),
+        (lambda c: c["exports"][0].update(format=["xyz"]), "export format must be one of"),
     ],
 )
 def test_config_validation_errors(tmp_path, capsys, mangle, message):
@@ -505,6 +511,27 @@ def test_config_validation_errors(tmp_path, capsys, mangle, message):
     assert "error:" in err
     assert message in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "mangle", [lambda c: c.update(exports=[]), lambda c: c.pop("exports")], ids=["empty", "absent"]
+)
+def test_export_without_exports_builds_and_writes_nothing(monkeypatch, tmp_path, capsys, mangle):
+    with open("src/honeycomb434/configs/rock-salt.json") as f:
+        cfg = json.load(f)
+    mangle(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+
+    def build(config):
+        raise AssertionError("built a model for a config without exports")
+
+    monkeypatch.setattr(cli, "build_from_config", build)
+    out_dir = tmp_path / "made" / "here"
+    code, out, err = run(capsys, "export", "--config", str(path), "--out-dir", str(out_dir))
+    assert code == 2
+    assert err == "config lists no exports\n"
+    assert not (tmp_path / "made").exists()
 
 
 def test_config_plan_violation_is_a_precondition_error(tmp_path, capsys):

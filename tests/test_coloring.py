@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -283,6 +284,98 @@ def test_theorem_when_j_misses_the_smallest_element_of_h(group4, subs4):
     assert report.parts[0].detail == "checked 1536 elements on 32 cosets"
 
 
+PART_NAMES = (
+    "1: coset action equivalence",
+    "2: colors on orbit = [H:J]",
+    "3: color orbits <= vertex orbits",
+    "4a: Stab_H(x) inside J",
+    "4b: |orbit| = [H:J]*[J:Stab]",
+)
+# the details of each preset plan's report, in plan order, pinned literally
+# so that no rewrite of verify_theorem changes a report; every part holds
+PRESET_REPORTS = {
+    (2, "rock-salt"): [
+        ("checked 384 elements on 2 cosets", "2 colors vs index 2",
+         "1 color orbits vs 1 vertex orbits", "contained", "8 = 2*4"),
+    ],
+    (2, "nbo"): [
+        ("checked 96 elements on 2 cosets", "2 colors vs index 2",
+         "2 color orbits vs 2 vertex orbits", "contained", "6 = 2*3"),
+    ],
+    (2, "reo3"): [
+        ("checked 48 elements on 1 cosets", "1 colors vs index 1",
+         "3 color orbits vs 4 vertex orbits", "contained", "1 = 1*1"),
+        ("checked 48 elements on 1 cosets", "1 colors vs index 1",
+         "3 color orbits vs 4 vertex orbits", "contained", "3 = 1*3"),
+    ],
+    (2, "perovskite"): [
+        ("checked 48 elements on 1 cosets", "1 colors vs index 1",
+         "4 color orbits vs 4 vertex orbits", "contained", "1 = 1*1"),
+        ("checked 48 elements on 1 cosets", "1 colors vs index 1",
+         "4 color orbits vs 4 vertex orbits", "contained", "3 = 1*3"),
+        ("checked 48 elements on 1 cosets", "1 colors vs index 1",
+         "4 color orbits vs 4 vertex orbits", "contained", "1 = 1*1"),
+    ],
+    (4, "rock-salt"): [
+        ("checked 3072 elements on 2 cosets", "2 colors vs index 2",
+         "1 color orbits vs 1 vertex orbits", "contained", "64 = 2*32"),
+    ],
+    (4, "nbo"): [
+        ("checked 768 elements on 2 cosets", "2 colors vs index 2",
+         "2 color orbits vs 2 vertex orbits", "contained", "48 = 2*24"),
+    ],
+    (4, "reo3"): [
+        ("checked 384 elements on 1 cosets", "1 colors vs index 1",
+         "3 color orbits vs 4 vertex orbits", "contained", "8 = 1*8"),
+        ("checked 384 elements on 1 cosets", "1 colors vs index 1",
+         "3 color orbits vs 4 vertex orbits", "contained", "24 = 1*24"),
+    ],
+    (4, "perovskite"): [
+        ("checked 384 elements on 1 cosets", "1 colors vs index 1",
+         "4 color orbits vs 4 vertex orbits", "contained", "8 = 1*8"),
+        ("checked 384 elements on 1 cosets", "1 colors vs index 1",
+         "4 color orbits vs 4 vertex orbits", "contained", "24 = 1*24"),
+        ("checked 384 elements on 1 cosets", "1 colors vs index 1",
+         "4 color orbits vs 4 vertex orbits", "contained", "8 = 1*8"),
+    ],
+}
+
+
+@pytest.mark.parametrize("modulus, name", list(PRESET_REPORTS))
+def test_preset_theorem_reports_are_pinned(modulus, name):
+    coloring = preset(name, modulus).coloring
+    h = coloring.recipe.group
+    orbits = decompose(h).orbits
+    reports = [
+        verify_theorem(h, plan.subgroup, orbits[plan.orbit].representative, coloring).parts
+        for plan in coloring.recipe.plans
+    ]
+    assert reports == [
+        tuple(zip(PART_NAMES, (True,) * 5, details)) for details in PRESET_REPORTS[modulus, name]
+    ]
+
+
+def test_failing_theorem_reports_are_pinned(subs2, rock_salt, nbo):
+    report = verify_theorem(subs2["full"], subs2["quarter"], (0, 0, 0), rock_salt)
+    assert report.parts == tuple(zip(PART_NAMES, (False, False, True, True, True), (
+        "element Isometry(perm=(0, 1, 2), signs=(-1, -1, -1), trans=(1, 0, 0)) "
+        "sends coset 0 to 3 but color 0 to 1",
+        "2 colors vs index 4",
+        "1 color orbits vs 1 vertex orbits",
+        "contained",
+        "8 = 4*2",
+    )))
+    report = verify_theorem(subs2["full"], subs2["half"], (0, 0, 0), nbo)
+    assert report.parts == tuple(zip(PART_NAMES, (False, False, False, True, True), (
+        "element Isometry(perm=(0, 1, 2), signs=(-1, -1, -1), trans=(0, 0, 1)) "
+        "does not permute the colors",
+        "3 colors vs index 2",
+        "sigma undefined for some element of H",
+        "contained",
+        "8 = 2*4",
+    )))
+
+
 def test_nbo_counts_and_background(nbo):
     assert nbo.labels == ("dark-blue", "green", "white")
     assert nbo.counts() == {"dark-blue": 3, "green": 3, "white": 2}
@@ -499,6 +592,24 @@ def test_text_round_trip(coloring):
 
 
 @settings(max_examples=40, deadline=None)
+@given(coloring=colorings())
+# the parity coloring: one color orbit under the full group
+@example(coloring=tiled([0, 1, 1, 0, 1, 0, 0, 1], 2))
+# layers by x mod 2 at N = 4
+@example(coloring=tiled([0, 0, 0, 0, 1, 1, 1, 1], 4))
+def test_color_orbits_match_the_union_find_oracle(subs2, subs4, coloring):
+    # part 3 counts the distinct sigma-image sets; the oracle joins every
+    # color to its images and counts the classes
+    cg = color_group(coloring)
+    subs = {2: subs2, 4: subs4}[coloring.modulus]
+    for h in [cg.subgroup] + [sub for sub in subs.values() if sub.within(cg.subgroup)]:
+        images = [cg.sigma.image_colors(h.codes, c).tolist() for c in range(len(coloring.color_table))]
+        part = verify_theorem(h, h, (0, 0, 0), coloring).parts[2]
+        assert part.ok
+        assert part.detail.startswith(f"{oracle.orbit_count(images)} color orbits vs ")
+
+
+@settings(max_examples=40, deadline=None)
 @given(colorings())
 def test_classes_match_label_of(coloring):
     vertices = coloring.vertices()
@@ -556,9 +667,20 @@ def test_from_text_errors(rock_salt):
         VertexColoring.from_text("modulus 18\ncolor a\n0 0 0 a\n")
     with pytest.raises(ValueError, match="modulus 64 is above the limit 16"):
         VertexColoring.from_text("modulus 64\ncolor a\n0 0 0 a\n")
-    # rejected on the line count, before an N^3 array is allocated
+    # rejected on the line count
     with pytest.raises(ValueError, match="not total: 1 vertex lines for 4096"):
         VertexColoring.from_text("modulus 16\ncolor a\n0 0 0 a\n")
+    # a number too long for any modulus up to the limit is not converted
+    with pytest.raises(ValueError, match="modulus is 5000 characters long; the limit is 16"):
+        VertexColoring.from_text("modulus " + "9" * 5000 + "\ncolor a\n0 0 0 a\n")
+    # an onto coloring of N^3 vertices uses at most N^3 colors
+    many = "modulus 2\n" + "".join(f"color c{i}\n" for i in range(10**5))
+    with pytest.raises(ValueError, match="more than 8 colors for 8 vertices"):
+        VertexColoring.from_text(many)
+    # more colors than a 16-bit color id holds
+    many = "modulus 16\n" + "".join(f"color c{i}\n" for i in range(40_000))
+    with pytest.raises(ValueError, match="more than 4096 colors"):
+        VertexColoring.from_text(many)
 
 
 def test_from_text_stops_at_the_first_vertex_line_past_n_cubed(rock_salt):

@@ -144,7 +144,7 @@ def test_uncertified_until_certified(group2):
     done = certify_translations(raw)
     assert done.certified
     assert done.parent is group2
-    assert done.elements is raw.elements
+    assert done.codes is raw.codes
     assert done.generator_words == raw.generator_words
 
 

@@ -8,18 +8,28 @@ import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
+MATCHES = list(re.finditer(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S))
 # (first line of the code in README.md, code)
-BLOCKS = [
-    (TEXT.count("\n", 0, m.start(1)) + 1, m.group(1))
-    for m in re.finditer(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
-]
+BLOCKS = [(TEXT.count("\n", 0, m.start(1)) + 1, m.group(1)) for m in MATCHES]
+
+
+def block_ids() -> list[str]:
+    """Each block's id: the slug of the heading above it and its ordinal
+    in that section, so that lines added elsewhere rename no test."""
+    ids, counts = [], {}
+    for m in MATCHES:
+        headings = re.findall(r"^#+ (.*)$", TEXT[: m.start()], flags=re.M)
+        slug = re.sub(r"[^a-z0-9]+", "-", headings[-1].lower()).strip("-") if headings else "top"
+        counts[slug] = counts.get(slug, 0) + 1
+        ids.append(f"{slug}-{counts[slug]}")
+    return ids
 
 
 def test_readme_has_python_blocks():
     assert BLOCKS
 
 
-@pytest.mark.parametrize("line, code", BLOCKS, ids=[f"line{line}" for line, _ in BLOCKS])
+@pytest.mark.parametrize("line, code", BLOCKS, ids=block_ids())
 def test_readme_block_runs(line, code):
     # padded so that a traceback names the README's own line numbers
     exec(compile("\n" * (line - 1) + code, str(README), "exec"), {"__name__": "readme"})
