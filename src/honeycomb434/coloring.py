@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .isometry import Isometry
+from .isometry import Isometry, _quoted, eval_word
 from .orbits import decompose, stabilizer_codes
 from .quotient import (
     MAX_MODULUS,
@@ -49,6 +49,7 @@ Vec = tuple[int, int, int]
 
 # the runs between the line breaks of str.splitlines: a coloring file's lines
 _LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
+_INTEGER = re.compile(r"[+-]?[0-9]{1,20}")
 
 
 class PlanError(ValueError):
@@ -222,25 +223,30 @@ class VertexColoring:
     def from_text(cls, text: str) -> "VertexColoring":
         # read one line at a time, so a text longer than N^3 vertex lines is
         # refused at the first line past them, without splitting the rest
-        lines = (m[0] for m in _LINE.finditer(text) if not m[0].isspace())
-        header = next(lines, "").split()
+        lines = _numbered_lines(text)
+        number, ln = next(lines, (1, ""))
+        header = ln.split()
         if len(header) != 2 or header[0] != "modulus":
-            raise ValueError("expected a 'modulus N' header line")
+            raise ValueError(f"line {number}: expected a 'modulus N' header line")
         # refused unread: no modulus up to the limit needs this many digits
         if len(header[1]) > 20:
-            raise ValueError(f"modulus is {len(header[1])} characters long; the limit is {MAX_MODULUS}")
-        n = int(header[1])
+            raise ValueError(
+                f"line {number}: modulus is {len(header[1])} characters long; the limit is {MAX_MODULUS}"
+            )
+        n = _integer(header[1], number, "modulus")
         check_modulus(n)
         # an onto coloring of the N^3 vertices uses at most N^3 colors
         table: list[ColorInfo] = []
         ids: dict[str, int] = {}
-        ln = next(lines, None)
+        number, ln = next(lines, (None, None))
         while ln is not None and ln.startswith("color "):
             if len(table) == n**3:
-                raise ValueError(f"more than {n**3} colors for {n**3} vertices: some color is unused")
+                raise ValueError(
+                    f"line {number}: more than {n**3} colors for {n**3} vertices: some color is unused"
+                )
             parts = ln.split()
             if len(parts) < 2:
-                raise ValueError(f"bad color line: {ln!r}")
+                raise ValueError(f"line {number}: bad color line: {_quoted(ln)}")
             label = parts[1]
             element = None
             background = False
@@ -253,31 +259,32 @@ class VertexColoring:
                     background = True
                     rest = rest[1:]
                 else:
-                    raise ValueError(f"bad color line: {ln!r}")
+                    raise ValueError(f"line {number}: bad color line: {_quoted(ln)}")
             if label in ids:
-                raise ValueError(f"color {label!r} is declared twice")
+                raise ValueError(f"line {number}: color {_quoted(label)} is declared twice")
             ids[label] = len(table)
             table.append(ColorInfo(label, element, background))
-            ln = next(lines, None)
+            number, ln = next(lines, (None, None))
         # check_modulus caps the array at 4,096 cells
         assignment = np.full((n, n, n), -1, dtype=np.int16)
         count = 0
         while ln is not None:
             if count == n**3:
                 raise ValueError(
-                    f"more than {n**3} vertex lines for {n**3} vertices: some vertex is listed twice"
+                    f"line {number}: more than {n**3} vertex lines for {n**3} vertices: "
+                    "some vertex is listed twice"
                 )
             parts = ln.split()
             if len(parts) != 4:
-                raise ValueError(f"bad vertex line: {ln!r}")
+                raise ValueError(f"line {number}: bad vertex line: {_quoted(ln)}")
             if parts[3] not in ids:
-                raise ValueError(f"undeclared color {parts[3]!r}")
-            v = tuple(int(p) % n for p in parts[:3])
+                raise ValueError(f"line {number}: undeclared color {_quoted(parts[3])}")
+            v = tuple(_integer(p, number, f"coordinate {axis}") % n for p, axis in zip(parts, "xyz"))
             if assignment[v] >= 0:
-                raise ValueError(f"vertex {v} is listed twice")
+                raise ValueError(f"line {number}: vertex {v} is listed twice")
             assignment[v] = ids[parts[3]]
             count += 1
-            ln = next(lines, None)
+            number, ln = next(lines, (None, None))
         # with N^3 lines and no vertex listed twice, every vertex has one
         if count < n**3:
             raise ValueError(f"coloring is not total: {count} vertex lines for {n**3} vertices")
@@ -286,21 +293,52 @@ class VertexColoring:
         return cls(n, tuple(table), assignment)
 
 
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The lines of a coloring file that are not blank, each with its
+    number from 1 as str.splitlines counts lines.  The text between two
+    lines is line breaks only, a CR LF pair counting as one."""
+    number, end = 1, 0
+    for m in _LINE.finditer(text):
+        gap = text[end : m.start()]
+        number += len(gap) - gap.count("\r\n")
+        end = m.end()
+        if not m[0].isspace():
+            yield number, m[0]
+
+
+def _integer(value: str, number: int, field: str) -> int:
+    """A number of a coloring file: an optional sign and at most 20 ASCII
+    digits.  No Unicode digit is read, and no text longer than any modulus
+    or coordinate needs is converted."""
+    if not _INTEGER.fullmatch(value):
+        raise ValueError(
+            f"line {number}: {field} {_quoted(value)} is not an integer "
+            "(an optional sign and at most 20 ASCII digits)"
+        )
+    return int(value)
+
+
 def _ordered_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
     """Left cosets of J in H with J itself first, the rest in canonical order.
 
     Ids are positions in that ordering, and `representatives` stay each
     coset's smallest element.  Jx must get the first label, which pins J's
     own position; the canonical order of the remaining cosets keeps ids
-    deterministic.
+    deterministic.  Computed once per (H, J) pair of group objects and kept
+    on H, so `build_coloring` and `verify_theorem` share one table.
     """
-    table = left_cosets(h, j)
-    k = len(table.representative_codes)
-    first = int(table.coset_ids[h.locate(identity_code(h.modulus))])
-    order = np.array([first] + [c for c in range(k) if c != first], dtype=np.int64)
-    rank = np.empty(k, dtype=np.int64)
-    rank[order] = np.arange(k)
-    return CosetTable(h, rank[table.coset_ids], table.representative_codes[order])
+    memo = h._memo
+    if ("cosets", j) not in memo:
+        table = left_cosets(h, j)
+        k = len(table.representative_codes)
+        first = int(table.coset_ids[h.locate(identity_code(h.modulus))])
+        order = np.array([first] + [c for c in range(k) if c != first], dtype=np.int64)
+        rank = np.empty(k, dtype=np.int64)
+        rank[order] = np.arange(k)
+        ids = rank[table.coset_ids]
+        ids.setflags(write=False)
+        memo["cosets", j] = CosetTable(h, ids, table.representative_codes[order])
+    return memo["cosets", j]
 
 
 def _outside(codes: np.ndarray, j: TorusGroup) -> Isometry | None:
@@ -578,6 +616,17 @@ def verify_theorem(
     4. (a) Stab_H(x) <= J, and (b) per period, |orbit(x)| equals
        [H:J] * [J : Stab_J(x)].
 
+    Part 1 holds exactly when sigma is defined on all of H and the orbit
+    map agrees with the cosets: every g in H sends x into the color of the
+    coset gJ.  For sigma(g) sends the class of rep_p x to the class of
+    g rep_p x, and g rep_p ranges over H.  So a passing check makes one
+    pass over H; only a failing one walks the cosets, to name the first
+    failing element in canonical order.  Part 3 counts the orbits of the
+    colors under sigma of H's generator words, by a union-find, since
+    sigma is a homomorphism on H; a group without words, such as a color
+    group, counts the distinct image sets {sigma(g)[c] : g in H} instead.
+    The coset table is the one `build_coloring` made for the same H and J.
+
     Returns a report with one entry per part; failures carry the
     counterexample."""
     if not h.modulus == j.modulus == coloring.modulus:
@@ -587,46 +636,21 @@ def verify_theorem(
     decomp = decompose(h)
     orbit = decomp.orbit_of(x)
     table = _ordered_cosets(h, j)
-    reps = table.representative_codes
-    k = len(reps)
+    k = len(table.representative_codes)
     a = coloring.assignment.reshape(-1)
     parts: list[PartResult] = []
 
     # coset position -> color, read off each coset's representative
-    coset_color = a[images(reps, x, n)]
+    coset_color = a[images(table.representative_codes, x, n)]
 
     cg = color_group(coloring)
     defined = cg.subgroup.includes(h.codes)
-    # one pass over the colors: image is sigma(g)[c] for every g in H, read
-    # once.  Part 1 compares it with the coset action at each coset of color
-    # c, keeping bad[i], the first coset position where element i disagrees
-    # (k if none); part 3 keeps the image sets, which are the color orbits,
-    # since sigma restricted to H is an action.  Memory stays O(|H|).
-    colors = len(coloring.color_table)
-    bad = np.full(h.order, k)
-    image_sets = set()  # each as the bytes of a mask over the colors
-    for c in range(colors):
-        image = cg.sigma.image_colors(h.codes, c)
-        image_sets.add(np.bincount(image, minlength=colors).astype(bool).tobytes())
-        for pos in np.flatnonzero(coset_color == c).tolist():
-            moved = table.coset_ids[h.locate(multiply(h.codes, reps[pos], n))]
-            wrong = defined & (coset_color[moved] != image)
-            np.minimum(bad, np.where(wrong, pos, k), out=bad)
-    # part 1 fails at the first element of H, in canonical order, that has
-    # no sigma or whose sigma disagrees with the coset action at some coset
-    failing = ~defined | (bad < k)
-    ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
-    if failing.any():
-        i = int(np.argmax(failing))
-        g = decode(h.codes[i], n)[0]
-        ok1, detail1 = False, f"element {g} does not permute the colors"
-        if defined[i]:
-            pos, c = int(bad[i]), int(coset_color[bad[i]])
-            moved = int(table.coset_ids[h.locate(multiply(h.codes[i], reps[pos], n))])
-            detail1 = (
-                f"element {g} sends coset {pos} to {moved} but color "
-                f"{c} to {int(cg.sigma.image_colors(h.codes[i], c))}"
-            )
+    # the elements of H whose image of x is not in the color of their coset
+    broken = a[images(h.codes, x, n)] != coset_color[table.coset_ids]
+    if defined.all() and not broken.any():
+        ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
+    else:
+        ok1, detail1 = False, _part1_failure(h, table, coset_color, defined, broken, cg.sigma)
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
     orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
@@ -639,8 +663,9 @@ def verify_theorem(
     )
 
     if defined.all():
-        ok3 = len(image_sets) <= len(decomp.orbits)
-        detail3 = f"{len(image_sets)} color orbits vs {len(decomp.orbits)} vertex orbits"
+        count = _color_orbit_count(h, coloring, cg.sigma)
+        ok3 = count <= len(decomp.orbits)
+        detail3 = f"{count} color orbits vs {len(decomp.orbits)} vertex orbits"
     else:
         ok3, detail3 = False, "sigma undefined for some element of H"
     parts.append(PartResult("3: color orbits <= vertex orbits", ok3, detail3))
@@ -665,6 +690,69 @@ def verify_theorem(
         )
     )
     return TheoremReport(tuple(parts))
+
+
+def _part1_failure(
+    h: TorusGroup,
+    table: CosetTable,
+    coset_color: np.ndarray,
+    defined: np.ndarray,
+    broken: np.ndarray,
+    sigma: SigmaTable,
+) -> str:
+    """Part 1's counterexample: the first element g of H, in canonical
+    order, that has no sigma or whose sigma disagrees with the coset action
+    at some coset p, named with the first such p.  A g with sigma fails at
+    p exactly when g rep_p is broken, so one product pass per coset over
+    the elements before the first one without sigma finds it."""
+    n = h.modulus
+    reps = table.representative_codes
+    k = len(reps)
+    head = h.codes if defined.all() else h.codes[: int(np.argmin(defined))]
+    bad = np.full(len(head), k)  # the first coset at which each element fails
+    for pos in range(k if len(head) else 0):
+        failing = broken[h.locate(multiply(head, reps[pos], n))]
+        np.minimum(bad, np.where(failing, pos, k), out=bad)
+    failed = np.flatnonzero(bad < k)
+    i = int(failed[0]) if len(failed) else len(head)
+    g = decode(h.codes[i], n)[0]
+    if i == len(head):
+        return f"element {g} does not permute the colors"
+    pos, c = int(bad[i]), int(coset_color[bad[i]])
+    moved = int(table.coset_ids[h.locate(multiply(h.codes[i], reps[pos], n))])
+    return (
+        f"element {g} sends coset {pos} to {moved} but color "
+        f"{c} to {int(sigma.image_colors(h.codes[i], c))}"
+    )
+
+
+def _color_orbit_count(h: TorusGroup, coloring: VertexColoring, sigma: SigmaTable) -> int:
+    """The number of orbits of H on the colors through sigma, which must be
+    defined on all of H.  sigma(g)[c] is the color of g v for the first
+    vertex v of color c."""
+    colors = len(coloring.color_table)
+    if not h.generator_words:
+        masks = {
+            np.bincount(sigma.image_colors(h.codes, c), minlength=colors).astype(bool).tobytes()
+            for c in range(colors)
+        }
+        return len(masks)
+    n = h.modulus
+    a = coloring.assignment.reshape(-1)
+    firsts = coords(sigma._class_vertices, n)
+    roots = list(range(colors))
+
+    def find(c: int) -> int:
+        while roots[c] != c:
+            roots[c] = roots[roots[c]]
+            c = roots[c]
+        return c
+
+    for word in h.generator_words:
+        image = a[images(encode(eval_word(word), n), firsts, n)]
+        for c, d in enumerate(image.tolist()):
+            roots[find(c)] = find(d)
+    return sum(roots[c] == c for c in range(colors))
 
 
 class Stoichiometry(NamedTuple):

@@ -2,10 +2,11 @@
 
 Everything here is written against plain 3x3 integer matrices and exhaustive
 enumeration, deliberately sharing no code with the package under test.  The
-tests use it to recompute group orders, orbits, stabilizers, cosets and
-color classes from scratch and compare.
+tests use it to recompute group orders, orbits, stabilizers, cosets, color
+classes and the coset-coloring theorem's reports from scratch and compare.
 """
 
+import functools
 from itertools import permutations, product
 
 # Generators as (matrix rows, translation).
@@ -20,13 +21,14 @@ IDENT = (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
 
 
 def mat_vec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
+    return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in m)
 
 
 def mat_mul(a, b):
+    (b0, b1, b2) = b
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
+        tuple(r[0] * b0[j] + r[1] * b1[j] + r[2] * b2[j] for j in range(3))
+        for r in a
     )
 
 
@@ -177,3 +179,84 @@ def orbit_count(images):
         for d in set(hit):
             roots[find(d)] = find(c)
     return len({find(c) for c in range(len(roots))})
+
+
+def canonical_key(g):
+    """The package's canonical element order: the linear part's matrix
+    entries row by row, then the translation reduced mod N."""
+    return (sum(g[0], ()), g[1])
+
+
+def isometry_text(g):
+    """g written as the package prints an Isometry."""
+    m, t = g
+    perm = tuple(next(j for j in range(3) if row[j]) for row in m)
+    signs = tuple(row[p] for row, p in zip(m, perm))
+    return f"Isometry(perm={perm}, signs={signs}, trans={t})"
+
+
+@functools.cache
+def coset_action(h_elements, j_elements, n):
+    """H in canonical order, the representatives of the cosets of J in H in
+    the package's order (J's own coset first, the rest by their smallest
+    elements), and for each element g of H the coset of g rep_p for each
+    coset p in that order.  Kept per (H, J), which the theorem's part 1
+    reads for every vertex and coloring."""
+    h = sorted(h_elements, key=canonical_key)
+    identity = (IDENT[0], (0, 0, 0))
+    cosets = sorted(
+        left_cosets(h, j_elements, n),
+        key=lambda c: (identity not in c, min(map(canonical_key, c))),
+    )
+    reps = [min(c, key=canonical_key) for c in cosets]
+    coset_of = {g: p for p, c in enumerate(cosets) for g in c}
+    moved = [[coset_of[compose(g, r, n)] for r in reps] for g in h]
+    return h, reps, moved
+
+
+def theorem_report(h_elements, j_elements, x, color, sigma, n):
+    """The five parts of the coset-coloring theorem on the orbit of x, by
+    exhaustive walks, as (ok, detail) pairs worded as the package words
+    them.  The groups are frozensets; `color` maps each vertex to its color
+    id, and `sigma` maps each element of H to its permutation of the colors
+    (`permutes_classes`), or to None where it has none.
+
+    Part 1 walks H in canonical order, and for each element the cosets of
+    J in order: the counterexample is the first element without a
+    permutation, or whose permutation disagrees with left multiplication
+    at some coset."""
+    h, reps, moved = coset_action(h_elements, j_elements, n)
+    coset_color = [color[act(r, x, n)] for r in reps]
+    k = len(reps)
+
+    part1 = (True, f"checked {len(h)} elements on {k} cosets")
+    for g, row in zip(h, moved):
+        if sigma[g] is None:
+            part1 = (False, f"element {isometry_text(g)} does not permute the colors")
+            break
+        wrong = [(p, q) for p, q in enumerate(row) if sigma[g][coset_color[p]] != coset_color[q]]
+        if wrong:
+            (p, q), c = wrong[0], coset_color[wrong[0][0]]
+            part1 = (False, f"element {isometry_text(g)} sends coset {p} to {q} but color {c} to {sigma[g][c]}")
+            break
+
+    image = {g: act(g, x, n) for g in h}
+    orb = set(image.values())
+    stab = {g for g in h if image[g] == x}
+    on_orbit = len({color[v] for v in orb})
+    part2 = (on_orbit == k, f"{on_orbit} colors vs index {k}")
+
+    if any(sigma[g] is None for g in h):
+        part3 = (False, "sigma undefined for some element of H")
+    else:
+        images = [[sigma[g][c] for g in h] for c in range(len(set(color.values())))]
+        count, vertex_orbits = orbit_count(images), len(all_orbits(h, n))
+        part3 = (count <= vertex_orbits, f"{count} color orbits vs {vertex_orbits} vertex orbits")
+
+    loose = sorted(stab - j_elements, key=canonical_key)
+    part4a = (not loose, f"offending element {isometry_text(loose[0])}" if loose else "contained")
+
+    per_coset = len(j_elements) // len(stab & j_elements)
+    rhs = k * per_coset
+    part4b = (len(orb) == rhs, f"{len(orb)} = {k}*{per_coset}" if len(orb) == rhs else f"{len(orb)} != {rhs}")
+    return [part1, part2, part3, part4a, part4b]

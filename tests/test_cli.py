@@ -546,6 +546,23 @@ def test_config_plan_violation_is_a_precondition_error(tmp_path, capsys):
     assert "2 cosets but 1 labels" in err
 
 
+def test_color_passes_a_plan_with_one_coset_per_vertex(tmp_path, capsys):
+    # J = <Q, R, S> times 4 Z^3 fixes only the origin's class: [H:J] = 64
+    with open("src/honeycomb434/configs/rock-salt.json") as f:
+        cfg = json.load(f)
+    cfg["modulus"] = 4
+    cfg["subgroups"]["origin"] = ["Q", "R", "S", "(QPQRSR)^4", "(RQPQRS)^4", "(PQRSRQ)^4"]
+    cfg["coloring"]["plans"][0].update(subgroup="origin", labels=[f"c{i}" for i in range(64)])
+    cfg["elements"] = {}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "color", "--config", str(path), "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "color c63: 1 per period" in out
+    assert out.count(": ok\n") == 5
+    assert "FAIL" not in out
+
+
 def test_config_uncertifiable_subgroup_is_a_precondition_error(tmp_path, capsys):
     with open("src/honeycomb434/configs/rock-salt.json") as f:
         cfg = json.load(f)

@@ -1,3 +1,5 @@
+import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -161,6 +163,45 @@ def test_one_orbit_decomposition_per_subgroup(monkeypatch):
     color_group(coloring)
     export_report(model)
     assert [args[0] for args in calls] == [h]
+
+
+def adversarial_plan(group):
+    """H = the full group and J = <Q, R, S, (QPQRSR)^N, (RQPQRS)^N,
+    (PQRSRQ)^N>, the stabilizer of the origin times N Z^3: a valid plan
+    with [H:J] = N^3 cosets, one label each."""
+    n = group.modulus
+    j = quotient.certify_translations(
+        build_subgroup(group, ("Q", "R", "S", f"(QPQRSR)^{n}", f"(RQPQRS)^{n}", f"(PQRSRQ)^{n}"))
+    )
+    return OrbitPlan(0, j, tuple(f"c{i}" for i in range(n**3)))
+
+
+def test_the_theorem_check_makes_a_constant_number_of_passes_over_h(monkeypatch):
+    h = quotient.build_group(8)
+    plan = adversarial_plan(h)
+    assert len(plan.labels) == 512
+    cosets = count_calls(monkeypatch, coloring_module, "left_cosets")
+    coloring = build_coloring(h, [plan])
+    color_group(coloring)
+    passes = []
+
+    def counting(name, code_args):
+        original = getattr(coloring_module, name)
+
+        def counted(*args):
+            if any(np.size(args[i]) == h.order for i in code_args):
+                passes.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(coloring_module, name, counted)
+
+    counting("images", [0])
+    counting("multiply", [0, 1])
+    assert verify_theorem(h, plan.subgroup, (0, 0, 0), coloring).ok
+    # a pass per coset would be 512 of them
+    assert len(passes) <= 2, passes
+    # the coset table build_coloring made is the one the check reads
+    assert len(cosets) == 1
 
 
 @pytest.mark.parametrize("modulus", [2, 4])
@@ -374,6 +415,48 @@ def test_failing_theorem_reports_are_pinned(subs2, rock_salt, nbo):
         "contained",
         "8 = 2*4",
     )))
+
+
+# the groups of the oracle sweep: the preset word sets and the stabilizer of
+# (0, 0, 1), a finite group that no certificate covers
+SWEEP_WORDS = {
+    "full": ("P", "Q", "R", "S"),
+    "half": ("Q", "R", "S", "PQP"),
+    "quarter": ("Q", "R", "S", "QPQRQPQRP"),
+    "eighth": ("Q", "R", "S", "SRQPQRSRQPQR"),
+    "stabilizer": ("PQP", "R", "S"),
+}
+
+
+@functools.cache
+def oracle_groups(modulus):
+    return {
+        name: frozenset(oracle.closure([oracle.eval_letters(w) for w in words], modulus))
+        for name, words in SWEEP_WORDS.items()
+    }
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+@pytest.mark.parametrize("name", ["rock-salt", "nbo", "reo3", "perovskite"])
+def test_theorem_reports_match_the_oracle(group2, group4, modulus, name):
+    # every H >= J pair of the sweep groups, four vertices, one preset
+    # coloring: each full report against the brute-force one, failures too
+    group = {2: group2, 4: group4}[modulus]
+    subs = {key: build_subgroup(group, words) for key, words in SWEEP_WORDS.items()}
+    elements = oracle_groups(modulus)
+    coloring = preset(name, modulus).coloring
+    color = {v: coloring.color_id(v) for v in oracle.vertices(modulus)}
+    classes = oracle.color_classes(color)
+    sigma = {g: oracle.permutes_classes(g, classes, modulus) for g in elements["full"]}
+    pairs = [(a, b) for a in elements for b in elements if elements[b] <= elements[a]]
+    assert len(pairs) == 12
+    for a, b in pairs:
+        for x in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]:
+            report = verify_theorem(subs[a], subs[b], x, coloring)
+            expected = oracle.theorem_report(elements[a], elements[b], x, color, sigma, modulus)
+            assert report.parts == tuple(
+                (part, ok, detail) for part, (ok, detail) in zip(PART_NAMES, expected)
+            ), (a, b, x)
 
 
 def test_nbo_counts_and_background(nbo):
@@ -673,6 +756,32 @@ def test_from_text_errors(rock_salt):
     # a number too long for any modulus up to the limit is not converted
     with pytest.raises(ValueError, match="modulus is 5000 characters long; the limit is 16"):
         VertexColoring.from_text("modulus " + "9" * 5000 + "\ncolor a\n0 0 0 a\n")
+    # numbers are an optional sign and at most 20 ASCII digits, and each
+    # refusal names its line (blank lines and CR LF counted as splitlines
+    # counts them) and its field
+    last = lines[:-1]
+    not_an_integer = "is not an integer \\(an optional sign and at most 20 ASCII digits\\)"
+    for coordinates, field, shown in [
+        ("9" * 5000 + " 1 1", "coordinate x", "'" + "9" * 59 + "…\\(5000 characters\\)"),
+        ("1 x 1", "coordinate y", "'x'"),
+        ("1 1 1.5", "coordinate z", "'1.5'"),
+        ("٣ 1 1", "coordinate x", "'٣'"),
+        ("1 1 1_0", "coordinate z", "'1_0'"),
+        ("1 1 " + "1" * 21, "coordinate z", "'1{21}'"),
+    ]:
+        text = "\n".join(last + [f"{coordinates} white"]) + "\n"
+        with pytest.raises(ValueError, match=f"^line 11: {field} {shown} {not_an_integer}$"):
+            VertexColoring.from_text(text)
+        with pytest.raises(ValueError, match=f"^line 13: {field} {shown} "):
+            VertexColoring.from_text(text.replace(lines[1], "\r\n" + lines[1] + "\r\n"))
+    # the last line again, with signs and leading zeros: read as (1, 1, 1)
+    text = "\n".join(last + ["-1 +1 00000000000000000001 white"]) + "\n"
+    assert VertexColoring.from_text(text) == rock_salt
+    with pytest.raises(ValueError, match="^line 11: vertex \\(0, 0, 0\\) is listed twice$"):
+        VertexColoring.from_text("\n".join(last + ["2 -2 +4 light-blue"]) + "\n")
+    for modulus in ["٤", "1.5", "x", "+-2"]:
+        with pytest.raises(ValueError, match=f"^line 1: modulus '{re.escape(modulus)}' {not_an_integer}$"):
+            VertexColoring.from_text(f"modulus {modulus}\ncolor a\n0 0 0 a\n")
     # an onto coloring of N^3 vertices uses at most N^3 colors
     many = "modulus 2\n" + "".join(f"color c{i}\n" for i in range(10**5))
     with pytest.raises(ValueError, match="more than 8 colors for 8 vertices"):
