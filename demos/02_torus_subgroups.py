@@ -9,6 +9,8 @@ subgroup's translation lattice, and proves a "yes" with explicit witness
 words.
 """
 
+import numpy as np
+
 from honeycomb434 import (
     CertificationError,
     build_group,
@@ -17,6 +19,7 @@ from honeycomb434 import (
     index,
     left_cosets,
 )
+from honeycomb434.quotient import decode
 
 NAMED = {
     "full group": ("P", "Q", "R", "S"),
@@ -49,8 +52,9 @@ def main() -> None:
     print()
     print("== cosets of the index-8 subgroup ==")
     table = left_cosets(group, sub)
-    for i, rep in enumerate(table.representatives):
-        print(f"  coset {i}: size {len(table.cosets[i])}, smallest element {rep}")
+    sizes = np.bincount(table.coset_ids)
+    for i, rep in enumerate(decode(table.representative_codes, group.modulus)):
+        print(f"  coset {i}: size {sizes[i]}, smallest element {rep}")
 
     print()
     print("== when certification cannot succeed ==")

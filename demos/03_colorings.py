@@ -15,12 +15,12 @@ from honeycomb434 import (
     build_group,
     build_subgroup,
     certify_translations,
-    color_action,
     color_group,
     decompose,
     stoichiometry,
     verify_theorem,
 )
+from honeycomb434.quotient import encode
 
 
 def certified(group, words):
@@ -43,10 +43,12 @@ def main() -> None:
     print("== a 2-coloring from the index-2 subgroup ==")
     two = build_coloring(full, [OrbitPlan(0, half, ("light-blue", "white"))])
     describe(two)
-    for sym in "PQRS":
-        act = color_action(two, GENERATORS[sym])
-        print(f"    {sym} permutes the colors as {act.mapping}")
+    # sigma(g)[c], the color that g sends color c to, for each generator g
     cg = color_group(two)
+    for sym in "PQRS":
+        code = encode(GENERATORS[sym], group.modulus)
+        mapping = tuple(int(cg.image_colors(code, c)) for c in range(len(two.labels)))
+        print(f"    {sym} permutes the colors as {mapping}")
     verdict = "perfect" if cg.subgroup.order == group.order else "not perfect"
     print(f"    color group order {cg.subgroup.order} of {group.order}: {verdict}")
 
@@ -63,9 +65,9 @@ def main() -> None:
         background="white",
     )
     describe(three)
-    p = color_action(three, GENERATORS["P"])
-    print(f"    P permutes the colors: {p is not None}")
     cg = color_group(three)
+    p = encode(GENERATORS["P"], group.modulus)
+    print(f"    P permutes the colors: {bool(cg.subgroup.includes(p))}")
     print(f"    color group order {cg.subgroup.order} "
           f"(equals the constructing subgroup: {cg.subgroup.elements == quarter.elements})")
 

@@ -10,7 +10,6 @@ coset colorings with their color groups, and crystal-structure models
 """
 
 from .isometry import (
-    BASE_VERTEX,
     GENERATORS,
     IDENTITY,
     MIRROR_NORMALS,
@@ -21,10 +20,8 @@ from .isometry import (
     dihedral_angle,
     dihedral_angle_check,
     eval_word,
-    generator,
     parse_word,
     perturbed_generators,
-    presentation_holds,
     translation,
 )
 from .quotient import (
@@ -35,23 +32,15 @@ from .quotient import (
     build_group,
     build_subgroup,
     certify_translations,
-    element_key,
     index,
     left_cosets,
-    member,
 )
-from .orbits import (
-    Orbit,
-    decompose,
-    stabilizer,
-    stabilizer_contained,
-)
+from .orbits import Orbit, decompose
 from .coloring import (
     OrbitPlan,
     PlanError,
     VertexColoring,
     build_coloring,
-    color_action,
     color_group,
     stoichiometry,
     verify_theorem,
@@ -71,7 +60,6 @@ from .crystal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASE_VERTEX",
     "GENERATORS",
     "IDENTITY",
     "MIRROR_NORMALS",
@@ -82,10 +70,8 @@ __all__ = [
     "dihedral_angle",
     "dihedral_angle_check",
     "eval_word",
-    "generator",
     "parse_word",
     "perturbed_generators",
-    "presentation_holds",
     "translation",
     "CertificationError",
     "IntegerLattice",
@@ -94,19 +80,14 @@ __all__ = [
     "build_group",
     "build_subgroup",
     "certify_translations",
-    "element_key",
     "index",
     "left_cosets",
-    "member",
     "Orbit",
     "decompose",
-    "stabilizer",
-    "stabilizer_contained",
     "OrbitPlan",
     "PlanError",
     "VertexColoring",
     "build_coloring",
-    "color_action",
     "color_group",
     "stoichiometry",
     "verify_theorem",

@@ -80,53 +80,25 @@ class ColoringRecipe(NamedTuple):
     background: str | None
 
 
-class ColorPermutation(NamedTuple):
-    element: Isometry
-    mapping: tuple[int, ...]  # mapping[c] = color id of the image class
-
-
-class SigmaTable(Mapping):
-    """sigma(g) for every g of a color group: the permutation of the colors
-    that g induces, mapping[c] = color id of the image of class c.
-
-    A read-only mapping from `Isometry` to tuple.  It stores the color
-    group's codes and one vertex per color class, and reads each mapping
-    off the image of those vertices when asked, so it holds no entry per
-    element."""
-
-    def __init__(self, group: TorusGroup, assignment: np.ndarray, class_vertices: np.ndarray):
-        self._group = group
-        self._assignment = assignment
-        self._class_vertices = class_vertices
-
-    def image_colors(self, codes: np.ndarray, color: int) -> np.ndarray:
-        """sigma(g)[color] for each code g; meaningful where g is a key."""
-        n = self._group.modulus
-        return self._assignment[images(codes, coords(self._class_vertices[color], n), n)]
-
-    def __getitem__(self, g) -> tuple[int, ...]:
-        if not isinstance(g, Isometry):
-            raise KeyError(g)
-        n = self._group.modulus
-        code = encode(g, n)
-        if not self._group.includes(code):
-            raise KeyError(g)
-        return tuple(self._assignment[images(code, coords(self._class_vertices, n), n)].tolist())
-
-    def __iter__(self) -> Iterator[Isometry]:
-        return iter(decode(self._group.codes, self._group.modulus))
-
-    def __len__(self) -> int:
-        return self._group.order
-
-
 class ColorGroupResult(NamedTuple):
-    """All elements that permute the color classes, with their sigma table.
+    """All elements of the full group that permute the color classes, and
+    the permutation sigma(g) each one induces: sigma(g)[c] is the color of
+    the image under g of the first vertex of color c.
 
-    `subgroup` carries no generating words; it is derived element-wise."""
+    `subgroup` carries no generating words; it is derived element-wise.
+    `assignment` is the coloring's color ids by flat vertex index (see
+    `quotient.flat`), and `class_vertices[c]` the flat index of the first
+    vertex of color c."""
 
     subgroup: TorusGroup
-    sigma: SigmaTable
+    assignment: np.ndarray
+    class_vertices: np.ndarray
+
+    def image_colors(self, codes, color: int) -> np.ndarray:
+        """sigma(g)[color] for each code g; meaningful where `subgroup`
+        includes g."""
+        n = self.subgroup.modulus
+        return self.assignment[images(codes, coords(self.class_vertices[color], n), n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +140,6 @@ class VertexColoring:
     def vertices(self) -> tuple[Vec, ...]:
         n = self.modulus
         return tuple((x, y, z) for x in range(n) for y in range(n) for z in range(n))
-
-    def classes(self) -> dict[str, tuple[Vec, ...]]:
-        out: list[list[Vec]] = [[] for _ in self.color_table]
-        for v, cid in zip(self.vertices(), self.assignment.ravel().tolist()):
-            out[cid].append(v)
-        return {info.label: tuple(vs) for info, vs in zip(self.color_table, out)}
 
     def counts(self) -> dict[str, int]:
         flat = self.assignment.ravel()
@@ -498,18 +464,6 @@ def build_coloring(
     return VertexColoring(n, table, assignment, recipe)
 
 
-def color_action(coloring: VertexColoring, g: Isometry) -> ColorPermutation | None:
-    """The permutation g induces on color classes, or None if g maps some
-    class across several classes (no permutation is induced)."""
-    n = coloring.modulus
-    g = Isometry(g.perm, g.signs, tuple(t % n for t in g.trans))
-    a = coloring.assignment
-    idx = np.indices((n, n, n))
-    image = [(g.signs[i] * idx[g.perm[i]] + g.trans[i]) % n for i in range(3)]
-    perm = _induced(a.ravel(), a[image[0], image[1], image[2]].ravel(), len(coloring.color_table))
-    return None if perm is None else ColorPermutation(g, perm)
-
-
 def _induced(a: np.ndarray, b: np.ndarray, k: int) -> tuple[int, ...] | None:
     """The map on the k colors that sends a[v] to b[v] for every vertex v,
     if it is well defined and a permutation; None otherwise.  Here b is the
@@ -535,8 +489,9 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     t0 + T, because two of them differ by a translation that permutes the
     colors; so one candidate t0 per coset of T decides L, and the box under
     the diagonal of T's triangular basis holds one t0 per coset.  Every
-    test is `color_action`'s predicate on the whole assignment; the extra
-    memory is O(N^3).
+    test is `_induced`'s predicate on the whole assignment; the extra
+    memory is O(N^3).  sigma is not tabulated: `ColorGroupResult.image_colors`
+    reads it off the images of one vertex per color.
     """
     n = coloring.modulus
     n3 = n**3
@@ -575,14 +530,15 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     sub = TorusGroup(n, (), codes, _parent=group)
     class_vertices = np.full(k, n3, dtype=np.int64)
     np.minimum.at(class_vertices, a, np.arange(n3))
-    return ColorGroupResult(sub, SigmaTable(sub, a, class_vertices))
+    return ColorGroupResult(sub, a, class_vertices)
 
 
 def color_group(coloring: VertexColoring) -> ColorGroupResult:
     """All elements of the full torus group that permute the color classes,
-    with their sigma table; the coloring is perfect exactly when that is the
-    whole group.  Computed once per coloring, over the full group its recipe
-    was built on (a fresh one without a recipe), and kept on the coloring."""
+    with the permutations they induce; the coloring is perfect exactly when
+    that is the whole group.  Computed once per coloring, over the full
+    group its recipe was built on (a fresh one without a recipe), and kept
+    on the coloring."""
     return coloring._color_group
 
 
@@ -650,7 +606,7 @@ def verify_theorem(
     if defined.all() and not broken.any():
         ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
     else:
-        ok1, detail1 = False, _part1_failure(h, table, coset_color, defined, broken, cg.sigma)
+        ok1, detail1 = False, _part1_failure(h, table, coset_color, defined, broken, cg)
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
     orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
@@ -663,7 +619,7 @@ def verify_theorem(
     )
 
     if defined.all():
-        count = _color_orbit_count(h, coloring, cg.sigma)
+        count = _color_orbit_count(h, cg)
         ok3 = count <= len(decomp.orbits)
         detail3 = f"{count} color orbits vs {len(decomp.orbits)} vertex orbits"
     else:
@@ -698,48 +654,52 @@ def _part1_failure(
     coset_color: np.ndarray,
     defined: np.ndarray,
     broken: np.ndarray,
-    sigma: SigmaTable,
+    cg: ColorGroupResult,
 ) -> str:
     """Part 1's counterexample: the first element g of H, in canonical
     order, that has no sigma or whose sigma disagrees with the coset action
     at some coset p, named with the first such p.  A g with sigma fails at
-    p exactly when g rep_p is broken, so one product pass per coset over
-    the elements before the first one without sigma finds it."""
+    p exactly when g rep_p is broken.  The elements before the first one
+    without sigma are walked in windows that double from 64, one product
+    pass per coset over each window, up to the first window that holds a
+    failure; so the walk costs products in proportion to the failing
+    element's position."""
     n = h.modulus
     reps = table.representative_codes
     k = len(reps)
-    head = h.codes if defined.all() else h.codes[: int(np.argmin(defined))]
-    bad = np.full(len(head), k)  # the first coset at which each element fails
-    for pos in range(k if len(head) else 0):
-        failing = broken[h.locate(multiply(head, reps[pos], n))]
-        np.minimum(bad, np.where(failing, pos, k), out=bad)
-    failed = np.flatnonzero(bad < k)
-    i = int(failed[0]) if len(failed) else len(head)
-    g = decode(h.codes[i], n)[0]
-    if i == len(head):
-        return f"element {g} does not permute the colors"
-    pos, c = int(bad[i]), int(coset_color[bad[i]])
-    moved = int(table.coset_ids[h.locate(multiply(h.codes[i], reps[pos], n))])
-    return (
-        f"element {g} sends coset {pos} to {moved} but color "
-        f"{c} to {int(sigma.image_colors(h.codes[i], c))}"
-    )
+    end = h.order if defined.all() else int(np.argmin(defined))
+    start, width = 0, 64
+    while start < end:
+        window = h.codes[start : min(start + width, end)]
+        bad = np.full(len(window), k)  # the first coset at which each element fails
+        for pos in range(k):
+            failing = broken[h.locate(multiply(window, reps[pos], n))]
+            np.minimum(bad, np.where(failing, pos, k), out=bad)
+        failed = np.flatnonzero(bad < k)
+        if len(failed):
+            g, pos = window[failed[0]], int(bad[failed[0]])
+            c = int(coset_color[pos])
+            moved = int(table.coset_ids[h.locate(multiply(g, reps[pos], n))])
+            return (
+                f"element {decode(g, n)[0]} sends coset {pos} to {moved} but color "
+                f"{c} to {int(cg.image_colors(g, c))}"
+            )
+        start, width = start + width, 2 * width
+    return f"element {decode(h.codes[end], n)[0]} does not permute the colors"
 
 
-def _color_orbit_count(h: TorusGroup, coloring: VertexColoring, sigma: SigmaTable) -> int:
+def _color_orbit_count(h: TorusGroup, cg: ColorGroupResult) -> int:
     """The number of orbits of H on the colors through sigma, which must be
-    defined on all of H.  sigma(g)[c] is the color of g v for the first
-    vertex v of color c."""
-    colors = len(coloring.color_table)
+    defined on all of H."""
+    colors = len(cg.class_vertices)
     if not h.generator_words:
         masks = {
-            np.bincount(sigma.image_colors(h.codes, c), minlength=colors).astype(bool).tobytes()
+            np.bincount(cg.image_colors(h.codes, c), minlength=colors).astype(bool).tobytes()
             for c in range(colors)
         }
         return len(masks)
     n = h.modulus
-    a = coloring.assignment.reshape(-1)
-    firsts = coords(sigma._class_vertices, n)
+    firsts = coords(cg.class_vertices, n)
     roots = list(range(colors))
 
     def find(c: int) -> int:
@@ -749,7 +709,7 @@ def _color_orbit_count(h: TorusGroup, coloring: VertexColoring, sigma: SigmaTabl
         return c
 
     for word in h.generator_words:
-        image = a[images(encode(eval_word(word), n), firsts, n)]
+        image = cg.assignment[images(encode(eval_word(word), n), firsts, n)]
         for c, d in enumerate(image.tolist()):
             roots[find(c)] = find(d)
     return sum(roots[c] == c for c in range(colors))

@@ -70,17 +70,6 @@ class Isometry(NamedTuple):
         )
         return Isometry(perm, signs, trans)
 
-    def inverse(self) -> "Isometry":
-        perm = [0, 0, 0]
-        signs = [0, 0, 0]
-        trans = [0, 0, 0]
-        for i in _AXES:
-            j = self.perm[i]
-            perm[j] = i
-            signs[j] = self.signs[i]
-            trans[j] = -self.signs[i] * self.trans[i]
-        return Isometry(tuple(perm), tuple(signs), tuple(trans))
-
     @property
     def linear(self) -> tuple[Vec, Vec, Vec]:
         """The linear part as a tuple-of-rows 3x3 integer matrix."""
@@ -103,21 +92,6 @@ class Isometry(NamedTuple):
     def is_translation(self) -> bool:
         """True when the linear part is the identity matrix."""
         return self.perm == (0, 1, 2) and self.signs == (1, 1, 1)
-
-    def order(self) -> int | None:
-        """Order of the element in the group, or None for infinite order.
-
-        The linear part has order at most 6 among signed permutation
-        matrices, so the first power with identity linear part decides the
-        question: it is a pure translation, and the element has finite
-        order exactly when that translation is zero.
-        """
-        g = self
-        for k in range(1, 49):
-            if g.is_translation:
-                return k if g.trans == (0, 0, 0) else None
-            g = g * self
-        raise AssertionError("linear part of order > 48 is impossible")
 
     @staticmethod
     def from_matrix(linear: Iterable[Iterable[int]], translation: Iterable[int]) -> "Isometry":
@@ -166,10 +140,6 @@ MIRROR_NORMALS: dict[str, Vec] = {
     "R": (1, -1, 0),
     "S": (0, 1, 0),
 }
-
-# Vertex of the fundamental tetrahedron lying on the mirrors of Q and R;
-# its stabilizer in the full group has order 48.
-BASE_VERTEX: Vec = (1, 1, 1)
 
 
 def generator(symbol: str) -> Isometry:
@@ -420,10 +390,6 @@ def check_presentation(generators: Mapping[str, Isometry] | None = None) -> tupl
         el = eval_word(word, generators)
         out.append(RelatorCheck(label, el.is_identity, el))
     return tuple(out)
-
-
-def presentation_holds(generators: Mapping[str, Isometry] | None = None) -> bool:
-    return all(c.ok for c in check_presentation(generators))
 
 
 class AngleCheck(NamedTuple):

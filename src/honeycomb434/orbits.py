@@ -7,9 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .isometry import Isometry
-from .quotient import (SubgroupError, TorusGroup, _partition, apply_linear, coords, decode, flat, join,
-                       split)
+from .quotient import TorusGroup, _partition, apply_linear, coords, flat, join, split
 
 Vec = tuple[int, int, int]
 
@@ -36,15 +34,6 @@ class OrbitDecomposition:
     def orbit_of(self, v) -> Orbit:
         n = self.group.modulus
         return self.orbits[self.vertex_orbit[flat(np.asarray(v) % n, n)]]
-
-
-class Stabilizer(NamedTuple):
-    vertex: Vec
-    elements: frozenset[Isometry]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def decompose(acting: TorusGroup) -> OrbitDecomposition:
@@ -87,18 +76,3 @@ def stabilizer_codes(acting: TorusGroup, v) -> np.ndarray:
     candidates = join(linear, (v - apply_linear(linear, v, n)) % n, n)
     return candidates[acting.includes(candidates)]
 
-
-def stabilizer(acting: TorusGroup, v) -> Stabilizer:
-    """All elements of the acting group fixing the vertex on the torus."""
-    v = tuple(c % acting.modulus for c in v)
-    return Stabilizer(v, frozenset(decode(stabilizer_codes(acting, v), acting.modulus)))
-
-
-def stabilizer_contained(acting: TorusGroup, v, j: TorusGroup) -> bool:
-    """Does J contain the full stabilizer of v in the acting group?
-
-    This is the admissibility condition for coloring the orbit of v by the
-    left cosets of J."""
-    if not j.within(acting):
-        raise SubgroupError("J is not contained in the acting group")
-    return bool(j.includes(stabilizer_codes(acting, v)).all())

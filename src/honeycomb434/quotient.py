@@ -20,8 +20,8 @@ vertex images are numpy passes over such arrays.  The full group is every
 code from 0 to 48 N^3 - 1, and a subgroup is enumerated from its space-group
 form (see `_enumerate`), so no group is closed.  Code order is
 the canonical element order used for deterministic coset ids:
-lexicographic on (flattened linear matrix, translation), as `element_key`
-states it for `Isometry` values.  The array is the group:
+lexicographic on (flattened linear matrix, translation), the linear parts
+taken in the order of `isometry.LINEAR_PARTS`.  The array is the group:
 `TorusGroup.codes` holds it read-only, `elements` decodes it to a frozenset
 of `Isometry` on first use, and two groups compare by identity, not by
 element set.  The walks in the infinite group step integer states (linear
@@ -75,12 +75,6 @@ class Witness(NamedTuple):
     target: Vec
     word: tuple[str, ...]
     element: Isometry
-
-
-def element_key(el: Isometry) -> tuple:
-    """Canonical sort key: flattened linear matrix, then translation."""
-    m = el.linear
-    return (m[0] + m[1] + m[2], el.trans)
 
 
 def check_modulus(modulus: int) -> None:
@@ -568,29 +562,14 @@ class CosetTable:
     `coset_ids[i]` is the coset id of H's i-th element code and
     `representative_codes[c]` the code of coset c's smallest element.
     `left_cosets` numbers cosets by the canonical order of their smallest
-    element, so ids are stable across runs.  `ids`, `cosets` and
-    `representatives` give the same table in `Isometry` form, decoded on
-    first use.
+    element, so ids are stable across runs.  `decode` turns the
+    representatives into `Isometry` values, and `np.bincount(coset_ids)`
+    gives the coset sizes.
     """
 
     group: TorusGroup
     coset_ids: np.ndarray
     representative_codes: np.ndarray
-
-    @cached_property
-    def representatives(self) -> tuple[Isometry, ...]:
-        return tuple(decode(self.representative_codes, self.group.modulus))
-
-    @cached_property
-    def ids(self) -> dict[Isometry, int]:
-        return dict(zip(decode(self.group.codes, self.group.modulus), self.coset_ids.tolist()))
-
-    @cached_property
-    def cosets(self) -> tuple[frozenset[Isometry], ...]:
-        members: list[set[Isometry]] = [set() for _ in self.representative_codes]
-        for el, cid in self.ids.items():
-            members[cid].add(el)
-        return tuple(frozenset(m) for m in members)
 
 
 def left_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
@@ -625,11 +604,3 @@ def _partition(size: int, block_of) -> tuple[np.ndarray, np.ndarray]:
         firsts.append(pos)
         pos, width = pos + 1, 64
     return ids, np.array(firsts, dtype=np.int64)
-
-
-def member(sub: TorusGroup, g: Isometry) -> bool:
-    """Is the exact isometry g in the subgroup, judged in the quotient?
-
-    Exact for certified subgroups: with all modulus translations inside,
-    image membership and true membership coincide."""
-    return bool(sub.includes(encode(g, sub.modulus)))

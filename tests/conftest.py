@@ -3,6 +3,7 @@ import random
 import pytest
 
 from honeycomb434 import build_group, build_subgroup, certify_translations
+from honeycomb434.quotient import encode
 
 # named generating word sets used across the suite
 WORDS = {
@@ -21,6 +22,16 @@ def oversized_witness_words() -> list[str]:
     before building the words can refuse it."""
     rng = random.Random(12)
     return ["".join(rng.choice("PQRS") for _ in range(10_000)) for _ in range(3)]
+
+
+def sigma_of(cg, g):
+    """sigma(g) of a color group result as a tuple of color ids, read off
+    `image_colors`, or None when the color group lacks the isometry g."""
+    n = cg.subgroup.modulus
+    code = encode(g, n)
+    if not cg.subgroup.includes(code):
+        return None
+    return tuple(int(cg.image_colors(code, c)) for c in range(len(cg.class_vertices)))
 
 
 @pytest.fixture(scope="session")

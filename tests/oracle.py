@@ -50,6 +50,19 @@ def inverse(a, n=None):
     return (minv, tinv)
 
 
+def order(g):
+    """The order of g in the infinite group, or None when it is infinite.
+    A linear part has order at most 6, so the first power of g with the
+    identity matrix decides: it is a pure translation, and g has finite
+    order exactly when that translation is zero."""
+    power = g
+    for k in range(1, 49):
+        if power[0] == IDENT[0]:
+            return k if power[1] == (0, 0, 0) else None
+        power = compose(power, g)
+    raise AssertionError("a linear part of order above 48")
+
+
 def act(g, v, n):
     return tuple(x % n for x in (c + d for c, d in zip(mat_vec(g[0], v), g[1])))
 

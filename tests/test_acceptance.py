@@ -18,7 +18,6 @@ from honeycomb434.cli import main
 from honeycomb434.coloring import (
     OrbitPlan,
     build_coloring,
-    color_action,
     color_group,
     stoichiometry,
     verify_theorem,
@@ -30,13 +29,16 @@ from honeycomb434.isometry import (
     dihedral_angle_check,
     eval_word,
 )
-from honeycomb434.orbits import decompose, stabilizer
+from honeycomb434.orbits import decompose, stabilizer_codes
 from honeycomb434.quotient import (
     build_group,
     build_subgroup,
     certify_translations,
+    decode,
     index,
 )
+
+from conftest import sigma_of
 
 WORDS_HALF = ("Q", "R", "S", "PQP")
 WORDS_QUARTER_AS_WRITTEN = ("Q", "R", "S", "PQRQP")
@@ -106,8 +108,8 @@ def test_02_vertex_transitivity(g2, g4):
 
 def test_03_base_vertex_stabilizer(g2):
     full = certified(g2, ("P", "Q", "R", "S"))
-    stab = stabilizer(full, (1, 1, 1))
-    assert stab.order == 48
+    stab = stabilizer_codes(full, (1, 1, 1))
+    assert len(stab) == 48
     for el in (GENERATORS["Q"], GENERATORS["R"], eval_word("PQRSRQP")):
         assert el.apply((1, 1, 1)) == (1, 1, 1)
 
@@ -171,11 +173,9 @@ def test_06_two_coloring_is_perfect(g2, two_coloring):
     cg = color_group(coloring)
     assert cg.subgroup.elements == g2.elements
     assert cg.subgroup.order == 384
-    p = color_action(coloring, GENERATORS["P"])
-    assert p is not None and p.mapping == (1, 0)
+    assert sigma_of(cg, GENERATORS["P"]) == (1, 0)
     for sym in ("Q", "R", "S"):
-        act = color_action(coloring, GENERATORS[sym])
-        assert act is not None and act.mapping == (0, 1)
+        assert sigma_of(cg, GENERATORS[sym]) == (0, 1)
 
 
 def test_07_three_coloring_color_group(g2, three_coloring):
@@ -184,7 +184,7 @@ def test_07_three_coloring_color_group(g2, three_coloring):
     cg = color_group(coloring)
     assert cg.subgroup.elements <= quarter.elements
     assert quarter.elements <= cg.subgroup.elements
-    assert color_action(coloring, GENERATORS["P"]) is None
+    assert sigma_of(cg, GENERATORS["P"]) is None
 
 
 def test_08_theorem_verification(two_coloring, three_coloring):
@@ -221,7 +221,7 @@ def test_10_crystal_presets_and_substitutions():
         out = substitute(pv, mapping)
         assert out.formula == expected
         assert out.coloring.assignment.tobytes() == pv.coloring.assignment.tobytes()
-        assert out.coloring.classes() == pv.coloring.classes()
+        assert color_classes(out.coloring) == color_classes(pv.coloring)
 
     rs = preset("rock-salt")
     for mapping, expected in [
@@ -233,6 +233,11 @@ def test_10_crystal_presets_and_substitutions():
         out = substitute(rs, mapping)
         assert out.formula == expected
         assert out.coloring.assignment.tobytes() == rs.coloring.assignment.tobytes()
+
+
+def color_classes(coloring):
+    """The oracle's classes of a coloring: label -> frozenset of vertices."""
+    return oracle.color_classes({v: coloring.label_of(v) for v in coloring.vertices()})
 
 
 def as_oracle(iso):
@@ -273,7 +278,7 @@ def test_11_brute_force_oracle(g2, two_coloring, three_coloring):
         for rep, orb in expected_orbits:
             stab = oracle.stabilizer(closure, rep, n)
             assert len(orb) * len(stab) == len(closure)
-            assert stabilizer(sub, rep).order == len(stab)
+            assert {as_oracle(el) for el in decode(stabilizer_codes(sub, rep), n)} == stab
     # the literal words close to the half subgroup, as test_04 states
     assert len(closures[WORDS_QUARTER_AS_WRITTEN]) == 192
     assert closures[WORDS_QUARTER_AS_WRITTEN] == closures[WORDS_HALF]
@@ -292,7 +297,7 @@ def test_11_brute_force_oracle(g2, two_coloring, three_coloring):
         orbit_vertices = oracle.orbit(h_el, anchor, n)
         on_orbit = {
             label: frozenset(vs) & orbit_vertices
-            for label, vs in coloring.classes().items()
+            for label, vs in color_classes(coloring).items()
         }
         color_sets = {vs for vs in on_orbit.values() if vs}
         assert coset_images == color_sets

@@ -17,7 +17,6 @@ from honeycomb434.coloring import (
     PlanError,
     VertexColoring,
     build_coloring,
-    color_action,
     color_group,
     stoichiometry,
     verify_theorem,
@@ -25,7 +24,9 @@ from honeycomb434.coloring import (
 from honeycomb434.crystal import export_report, preset, substitute
 from honeycomb434.isometry import GENERATORS, IDENTITY, eval_word
 from honeycomb434.orbits import decompose
-from honeycomb434.quotient import build_subgroup
+from honeycomb434.quotient import build_subgroup, encode
+
+from conftest import sigma_of
 
 
 @pytest.fixture(scope="module")
@@ -81,18 +82,18 @@ def test_rock_salt_is_the_parity_coloring(rock_salt):
 
 
 def test_rock_salt_color_action(rock_salt):
-    swap = color_action(rock_salt, GENERATORS["P"])
-    assert swap is not None and swap.mapping == (1, 0)
+    cg = color_group(rock_salt)
+    assert sigma_of(cg, GENERATORS["P"]) == (1, 0)
     for sym in "QRS":
-        fix = color_action(rock_salt, GENERATORS[sym])
-        assert fix is not None and fix.mapping == (0, 1)
+        assert sigma_of(cg, GENERATORS[sym]) == (0, 1)
 
 
 def test_rock_salt_coloring_is_perfect(group2, rock_salt):
     cg = color_group(rock_salt)
     assert cg.subgroup.order == 384
     assert cg.subgroup.elements == group2.elements
-    assert len(cg.sigma) == 384
+    # sigma is a permutation of the two colors for each of the 384 elements
+    assert all(sorted(sigma_of(cg, g)) == [0, 1] for g in group2.elements)
 
 
 def test_color_group_reuses_the_group_the_coloring_was_built_on(
@@ -110,7 +111,8 @@ def test_color_group_reuses_the_group_the_coloring_was_built_on(
     cg = color_group(nbo)
     assert cg.subgroup.parent is nbo.recipe.group.parent
     assert cg.subgroup.elements == fresh.subgroup.elements
-    assert cg.sigma == fresh.sigma
+    assert np.array_equal(cg.class_vertices, fresh.class_vertices)
+    assert all(sigma_of(cg, g) == sigma_of(fresh, g) for g in group2.elements)
 
 
 def count_calls(monkeypatch, module, name):
@@ -127,7 +129,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_one_color_action_pass_per_coloring(monkeypatch):
     passes = count_calls(monkeypatch, coloring_module, "_color_group_of")
-    actions = count_calls(monkeypatch, coloring_module, "color_action")
+    tests = count_calls(monkeypatch, coloring_module, "_induced")
     model = preset("rock-salt", 2)
     coloring = model.coloring
     h, plans = coloring.recipe.group, coloring.recipe.plans
@@ -137,9 +139,12 @@ def test_one_color_action_pass_per_coloring(monkeypatch):
         assert verify_theorem(h, plan.subgroup, rep, coloring).ok
     assert color_group(coloring) is color_group(coloring)
     export_report(model)
-    # one color-group pass, shared by all; it never calls color_action
+    # one color-group pass, shared by all; the permutation test runs only
+    # inside it, as a second pass on its own shows
     assert len(passes) == 1
-    assert actions == []
+    tested = len(tests)
+    coloring_module._color_group_of(coloring, h.parent)
+    assert len(tests) == 2 * tested
 
 
 def test_substitute_keeps_the_sigma_table(monkeypatch):
@@ -204,6 +209,34 @@ def test_the_theorem_check_makes_a_constant_number_of_passes_over_h(monkeypatch)
     assert len(cosets) == 1
 
 
+def test_a_failing_part_1_walks_h_only_as_far_as_the_failure(monkeypatch):
+    # the one-color-per-vertex coloring, checked at (0, 0, 1) instead of its
+    # own anchor: part 1 fails, and a product pass per coset over all of H
+    # would make 512 * 24,576 products
+    h = quotient.build_group(8)
+    plan = adversarial_plan(h)
+    coloring = build_coloring(h, [plan])
+    color_group(coloring)
+    products = []
+    original = coloring_module.multiply
+
+    def counted(*args):
+        out = original(*args)
+        products.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(coloring_module, "multiply", counted)
+    report = verify_theorem(h, plan.subgroup, (0, 0, 1), coloring)
+    assert report.parts[0].detail == (
+        "element Isometry(perm=(0, 1, 2), signs=(-1, -1, -1), trans=(0, 0, 0)) "
+        "sends coset 0 to 0 but color 7 to 1"
+    )
+    # the failing element's position in canonical order
+    i = 0
+    assert report.parts[0].detail.startswith(f"element {quotient.decode(h.codes[i], 8)[0]} ")
+    assert sum(products) <= 2 * len(plan.labels) * (i + 64)
+
+
 @pytest.mark.parametrize("modulus", [2, 4])
 def test_sigma_matches_color_action_on_every_element(modulus):
     for name in ("rock-salt", "nbo", "reo3", "perovskite"):
@@ -214,20 +247,20 @@ def test_sigma_matches_color_action_on_every_element(modulus):
 
 
 def assert_sigma_is_color_action(coloring, cg, full):
+    # the oracle's permutation of the classes, by label, against sigma
+    # read off image_colors, by color id; None where g permutes nothing
+    n, labels = coloring.modulus, coloring.labels
+    classes = oracle.color_classes({v: coloring.label_of(v) for v in coloring.vertices()})
     expected = {}
     for g in full.elements:
-        action = color_action(coloring, g)
+        action = oracle.permutes_classes((g.linear, g.trans), classes, n)
         if action is None:
-            assert cg.sigma.get(g) is None, g
+            assert sigma_of(cg, g) is None, g
         else:
-            expected[g] = action.mapping
+            expected[g] = tuple(labels.index(action[label]) for label in labels)
     assert cg.subgroup.elements == expected.keys()
-    assert len(cg.sigma) == len(expected)
-    assert cg.sigma == expected
-    missing = next((g for g in full.elements if g not in expected), None)
-    if missing is not None:
-        with pytest.raises(KeyError):
-            cg.sigma[missing]
+    assert cg.subgroup.order == len(expected)
+    assert {g: sigma_of(cg, g) for g in expected} == expected
 
 
 def tiled(cell, modulus):
@@ -316,7 +349,8 @@ def test_theorem_when_j_misses_the_smallest_element_of_h(group4, subs4):
     # J's own coset is not first in canonical order and must be moved there
     half = subs4["half"]
     j = build_subgroup(group4, ("PQP", "R", "S"))
-    assert quotient.left_cosets(half, j).ids[IDENTITY] != 0
+    table = quotient.left_cosets(half, j)
+    assert table.coset_ids[half.locate(encode(IDENTITY, 4))] != 0
     labels = tuple(f"c{i}" for i in range(32))
     coloring = build_coloring(half, [OrbitPlan(1, j, labels)], background="white")
     assert coloring.label_of((0, 0, 1)) == "c0"
@@ -473,7 +507,7 @@ def test_nbo_color_group_is_the_acting_subgroup(subs2, nbo):
     cg = color_group(nbo)
     assert cg.subgroup.order == 96
     assert cg.subgroup.elements == subs2["quarter"].elements
-    assert color_action(nbo, GENERATORS["P"]) is None
+    assert sigma_of(cg, GENERATORS["P"]) is None
 
 
 def test_nbo_theorem(subs2, nbo):
@@ -514,9 +548,7 @@ def test_perovskite_color_group_is_larger_than_the_acting_group(subs2, perovskit
     assert cg.subgroup.elements == subs2["quarter"].elements
     assert subs2["eighth"].elements < cg.subgroup.elements
     inversion = eval_word("QPQRQPQRP")
-    act = color_action(perovskite, inversion)
-    assert act is not None
-    assert act.mapping == (2, 3, 0, 1)
+    assert sigma_of(cg, inversion) == (2, 3, 0, 1)
 
 
 def test_stoichiometry(rock_salt, nbo, reo3, perovskite):
@@ -686,7 +718,7 @@ def test_color_orbits_match_the_union_find_oracle(subs2, subs4, coloring):
     cg = color_group(coloring)
     subs = {2: subs2, 4: subs4}[coloring.modulus]
     for h in [cg.subgroup] + [sub for sub in subs.values() if sub.within(cg.subgroup)]:
-        images = [cg.sigma.image_colors(h.codes, c).tolist() for c in range(len(coloring.color_table))]
+        images = [cg.image_colors(h.codes, c).tolist() for c in range(len(coloring.color_table))]
         part = verify_theorem(h, h, (0, 0, 0), coloring).parts[2]
         assert part.ok
         assert part.detail.startswith(f"{oracle.orbit_count(images)} color orbits vs ")
@@ -696,7 +728,7 @@ def test_color_orbits_match_the_union_find_oracle(subs2, subs4, coloring):
 @given(colorings())
 def test_classes_match_label_of(coloring):
     vertices = coloring.vertices()
-    assert coloring.classes() == {
+    assert classes(coloring) == {
         label: tuple(v for v in vertices if coloring.label_of(v) == label)
         for label in coloring.labels
     }
@@ -826,11 +858,20 @@ def test_equality_is_structural(rock_salt):
     assert rock_salt != "rock salt"
 
 
+def classes(coloring):
+    """Each label's vertices, in lexicographic order, read off the
+    assignment array."""
+    return {
+        label: tuple(map(tuple, np.argwhere(coloring.assignment == cid).tolist()))
+        for cid, label in enumerate(coloring.labels)
+    }
+
+
 def test_classes_partition_the_vertices(perovskite):
-    classes = perovskite.classes()
-    seen = [v for vs in classes.values() for v in vs]
+    by_label = classes(perovskite)
+    seen = [v for vs in by_label.values() for v in vs]
     assert sorted(seen) == sorted(perovskite.vertices())
-    for label, vs in classes.items():
+    for label, vs in by_label.items():
         assert all(perovskite.label_of(v) == label for v in vs)
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from honeycomb434.isometry import (
-    BASE_VERTEX,
     EXPECTED_ANGLES,
     GENERATORS,
     IDENTITY,
@@ -25,9 +25,13 @@ from honeycomb434.isometry import (
     generator,
     parse_word,
     perturbed_generators,
-    presentation_holds,
     translation,
 )
+
+
+def as_oracle(g):
+    """An Isometry in the oracle's (matrix rows, translation) form."""
+    return (g.linear, g.trans)
 
 
 def test_generator_actions():
@@ -40,7 +44,7 @@ def test_generator_actions():
 def test_generators_are_involutions():
     for name, g in GENERATORS.items():
         assert g * g == IDENTITY, name
-        assert g.order() == 2, name
+        assert oracle.order(as_oracle(g)) == 2, name
 
 
 def test_mirror_fixed_points():
@@ -54,9 +58,11 @@ def test_mirror_fixed_points():
 
 
 def test_base_vertex_stabilized():
-    assert GENERATORS["Q"].apply(BASE_VERTEX) == BASE_VERTEX
-    assert GENERATORS["R"].apply(BASE_VERTEX) == BASE_VERTEX
-    assert eval_word("PQRSRQP").apply(BASE_VERTEX) == BASE_VERTEX
+    # the vertex of the fundamental tetrahedron on the mirrors of Q and R
+    base = (1, 1, 1)
+    assert GENERATORS["Q"].apply(base) == base
+    assert GENERATORS["R"].apply(base) == base
+    assert eval_word("PQRSRQP").apply(base) == base
 
 
 def test_all_relators_hold():
@@ -64,7 +70,6 @@ def test_all_relators_hold():
     assert len(checks) == 10
     assert all(c.ok for c in checks)
     assert all(c.residual == IDENTITY for c in checks)
-    assert presentation_holds()
 
 
 def test_relator_labels():
@@ -241,8 +246,8 @@ def test_translation_and_inverse():
     t = translation((3, -1, 4))
     assert t.is_translation
     assert t.apply((0, 0, 0)) == (3, -1, 4)
-    assert t.inverse() == translation((-3, 1, -4))
-    assert t.order() is None
+    assert oracle.inverse(as_oracle(t)) == as_oracle(translation((-3, 1, -4)))
+    assert oracle.order(as_oracle(t)) is None
 
 
 def test_from_matrix_roundtrip_and_validation():
@@ -275,8 +280,9 @@ def test_word_evaluation_matches_letterwise_application(word, v):
 @given(letters)
 def test_reversed_word_is_inverse(word):
     g = eval_word(word)
-    assert eval_word(tuple(reversed(word))) == g.inverse()
-    assert g * g.inverse() == IDENTITY
+    reversed_word = eval_word(tuple(reversed(word)))
+    assert as_oracle(reversed_word) == oracle.inverse(as_oracle(g))
+    assert g * reversed_word == IDENTITY
 
 
 @settings(max_examples=60, deadline=None)

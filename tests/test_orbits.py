@@ -5,14 +5,10 @@ from hypothesis import strategies as st
 
 import oracle
 from honeycomb434 import orbits as orbits_module
-from honeycomb434.coloring import color_group
+from honeycomb434.coloring import OrbitPlan, PlanError, build_coloring, color_group
 from honeycomb434.crystal import PRESET_NAMES, preset
-from honeycomb434.orbits import (
-    decompose,
-    stabilizer,
-    stabilizer_contained,
-)
-from honeycomb434.quotient import SubgroupError, build_group, build_subgroup, certify_translations, flat
+from honeycomb434.orbits import decompose, stabilizer_codes
+from honeycomb434.quotient import build_group, build_subgroup, certify_translations, decode, flat
 
 from conftest import WORDS
 
@@ -88,13 +84,21 @@ def test_orbit_partition_is_total(subs2, subs4):
                 assert dec.vertex_orbit[flat(np.array(v), modulus)] == orbit.index
 
 
+def stabilizer(group, v):
+    """The elements of the group fixing v, as a frozenset of Isometry."""
+    return frozenset(decode(stabilizer_codes(group, v), group.modulus))
+
+
 def test_base_vertex_stabilizer_order(subs2, subs4):
     for subs in (subs2, subs4):
-        stab = stabilizer(subs["full"], (1, 1, 1))
-        assert stab.order == 48
-        assert stab.vertex == (1, 1, 1)
-        modulus = subs["full"].modulus
-        for el in stab.elements:
+        full = subs["full"]
+        modulus = full.modulus
+        # any representative of the vertex mod N has the same stabilizer
+        assert np.array_equal(stabilizer_codes(full, (1 + modulus, 1, 1 - modulus)),
+                              stabilizer_codes(full, (1, 1, 1)))
+        stab = stabilizer(full, (1, 1, 1))
+        assert len(stab) == 48
+        for el in stab:
             assert tuple(c % modulus for c in el.apply((1, 1, 1))) == (1, 1, 1)
 
 
@@ -103,32 +107,35 @@ def test_orbit_stabilizer_counting(subs2):
         sub = subs2[name]
         dec = decompose(sub)
         for orbit in dec.orbits:
-            stab = stabilizer(sub, orbit.representative)
-            assert len(orbit.vertices) * stab.order == sub.order
+            stab = stabilizer_codes(sub, orbit.representative)
+            assert len(orbit.vertices) * len(stab) == sub.order
 
 
 def test_point_group_words_for_the_base_vertex(group2, subs2):
     words = build_subgroup(group2, ("Q", "R", "PQRSRQP"))
-    stab = stabilizer(subs2["full"], (1, 1, 1))
-    assert words.elements == stab.elements
+    assert np.array_equal(words.codes, stabilizer_codes(subs2["full"], (1, 1, 1)))
 
 
 def test_stabilizer_words_inside_the_quarter_subgroup(group2, subs2):
     words = build_subgroup(group2, ("Q", "S", "(QPQRQPQS)^2"))
-    stab = stabilizer(subs2["quarter"], (1, 0, 1))
-    assert words.elements == stab.elements
-    assert stab.order == 16
+    stab = stabilizer_codes(subs2["quarter"], (1, 0, 1))
+    assert np.array_equal(words.codes, stab)
+    assert len(stab) == 16
 
 
 def test_stabilizer_containment_checks(group2, subs2):
+    # the admissibility of J for the orbit of v: J holds Stab(v)
     quarter = subs2["quarter"]
+    stab = stabilizer_codes(quarter, (1, 0, 1))
     j_good = build_subgroup(group2, ("Q", "S", "(QPQRQPQS)^2"))
-    assert stabilizer_contained(quarter, (1, 0, 1), j_good)
+    assert j_good.includes(stab).all()
     j_small = build_subgroup(group2, ("Q",))
-    assert not stabilizer_contained(quarter, (1, 0, 1), j_small)
+    assert not j_small.includes(stab).all()
+    # a J outside the acting group is refused before its cosets are read
     outside = build_subgroup(group2, ("P", "Q"))
-    with pytest.raises(SubgroupError):
-        stabilizer_contained(quarter, (1, 0, 1), outside)
+    orbit = decompose(quarter).orbit_of((1, 0, 1)).index
+    with pytest.raises(PlanError, match="not contained in H"):
+        build_coloring(quarter, [OrbitPlan(orbit, outside, ("a",))], background="b")
 
 
 def test_decompose_is_deterministic(subs2):
@@ -149,8 +156,8 @@ def test_stabilizers_match_the_oracle_and_brute_force(modulus, subs2, subs4):
             brute = frozenset(
                 g for g in group.elements if tuple(c % modulus for c in g.apply(v)) == v
             )
-            assert stab.elements == brute, (name, v)
-            assert {(el.linear, el.trans) for el in stab.elements} == oracle.stabilizer(
+            assert stab == brute, (name, v)
+            assert {(el.linear, el.trans) for el in stab} == oracle.stabilizer(
                 as_oracle, v, modulus
             )
 

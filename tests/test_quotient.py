@@ -33,14 +33,12 @@ from honeycomb434.quotient import (
     certify_translations,
     coords,
     decode,
-    element_key,
     encode,
     flat,
     identity_code,
     images,
     index,
     left_cosets,
-    member,
     multiply,
 )
 
@@ -113,7 +111,7 @@ def test_certificate_words_stay_inside_the_subgroup(group2, subs2):
     # every witness word, reduced mod N, lands in the subgroup itself
     for name, sub in subs2.items():
         for witness in sub.translation_certificate:
-            assert member(sub, eval_word(witness.word))
+            assert sub.includes(encode(eval_word(witness.word), sub.modulus))
 
 
 def test_certificate_search_memory_does_not_grow_with_word_length(group2):
@@ -292,35 +290,61 @@ def test_index_requires_containment(subs2):
         index(subs2["eighth"], subs2["half"])
 
 
+def as_oracle(el):
+    """An Isometry in the oracle's (matrix rows, translation) form."""
+    return (el.linear, el.trans)
+
+
+def canonical_min(elements):
+    return min(elements, key=lambda el: oracle.canonical_key(as_oracle(el)))
+
+
+def coset_elements(table):
+    """Each coset of the table as a frozenset of Isometry, by coset id."""
+    h = table.group
+    return [
+        frozenset(decode(h.codes[table.coset_ids == cid], h.modulus))
+        for cid in range(len(table.representative_codes))
+    ]
+
+
 def test_left_cosets_partition(group2, subs2):
+    n = group2.modulus
     for name in ("half", "quarter", "eighth"):
         sub = subs2[name]
         table = left_cosets(group2, sub)
-        assert len(table.cosets) == INDICES[name]
+        cosets = coset_elements(table)
+        assert len(cosets) == INDICES[name]
         union = set()
-        for coset in table.cosets:
+        for coset in cosets:
             assert len(coset) == sub.order
             union |= coset
         assert union == set(group2.elements)
-        # ids map every element to the coset that holds it
-        for el, cid in table.ids.items():
-            assert el in table.cosets[cid]
+        # ids map every element to the coset that holds it: all of g J
+        for pos, g in enumerate(group2.codes):
+            g_j = group2.locate(multiply(g, sub.codes, n))
+            assert (table.coset_ids[g_j] == table.coset_ids[pos]).all()
         # representatives are the canonical minima, in coset order
-        for cid, rep in enumerate(table.representatives):
-            assert rep == min(table.cosets[cid], key=element_key)
+        for cid, rep in enumerate(decode(table.representative_codes, n)):
+            assert rep == canonical_min(cosets[cid])
 
 
 def test_cosets_of_subgroup_in_itself(subs2):
     table = left_cosets(subs2["eighth"], subs2["eighth"])
-    assert len(table.cosets) == 1
+    assert len(table.representative_codes) == 1
 
 
 def test_member(group2, subs2):
-    assert member(subs2["half"], IDENTITY)
-    assert member(subs2["half"], eval_word("QR"))
-    assert not member(subs2["half"], GENERATORS["P"])
+    half = subs2["half"]
+
+    def member(g):
+        return bool(half.includes(encode(g, half.modulus)))
+
+    assert member(IDENTITY)
+    assert member(eval_word("QR"))
+    assert not member(GENERATORS["P"])
     # reduction happens before the membership test
-    assert member(subs2["half"], translation((2, 0, 0)))
+    assert member(translation((2, 0, 0)))
 
 
 def test_integer_lattice_solves_with_certificates():
@@ -366,9 +390,12 @@ def test_subgroup_words_must_parse(group2):
 
 
 def test_element_key_orders_deterministically(group2):
-    ordered = sorted(group2.elements, key=element_key)
-    assert ordered == sorted(reversed(ordered), key=element_key)
-    assert len(set(map(element_key, ordered))) == group2.order
+    # the canonical element order is a total order, and it is code order
+    key = oracle.canonical_key
+    ordered = sorted(map(as_oracle, group2.elements), key=key)
+    assert ordered == sorted(reversed(ordered), key=key)
+    assert len(set(map(key, ordered))) == group2.order
+    assert [as_oracle(el) for el in decode(group2.codes, group2.modulus)] == ordered
 
 
 def isometry_closure(modulus, words):
@@ -431,9 +458,10 @@ def test_code_closure_matches_the_isometry_closure(modulus):
         sub = build_subgroup(group, WORDS[name])
         expected = isometry_closure(modulus, WORDS[name])
         assert sub.elements == expected, name
-        # codes are sorted, and code order is element_key order
+        # codes are sorted, and code order is the canonical order
         assert list(sub.codes) == sorted(sub.codes)
-        assert decode(sub.codes, modulus) == sorted(expected, key=element_key), name
+        canonical = sorted(expected, key=lambda el: oracle.canonical_key(as_oracle(el)))
+        assert decode(sub.codes, modulus) == canonical, name
 
 
 def test_linear_parts_are_the_48_signed_permutations_in_canonical_order():
@@ -489,27 +517,26 @@ def test_code_products_match_isometry_products(u, v, modulus, vertex):
 @pytest.mark.parametrize("modulus", [2, 4])
 def test_left_cosets_match_the_oracle(modulus, subs2, subs4):
     subs = subs2 if modulus == 2 else subs4
-
-    def as_oracle(el):
-        return (el.linear, el.trans)
-
     for h_name, j_name in (("full", "half"), ("full", "quarter"), ("full", "eighth"),
                            ("half", "eighth"), ("quarter", "eighth"), ("eighth", "eighth")):
         h, j = subs[h_name], subs[j_name]
         table = left_cosets(h, j)
         h_el = {as_oracle(el) for el in h.elements}
         j_el = {as_oracle(el) for el in j.elements}
-        expected = set(oracle.left_cosets(h_el, j_el, modulus))
-        assert {frozenset(map(as_oracle, c)) for c in table.cosets} == expected
-        # brute force: ids agree with membership, representatives are the
-        # canonical minima and come in canonical order
-        for el, cid in table.ids.items():
-            assert el in table.cosets[cid]
-        assert list(table.representatives) == sorted(
-            (min(c, key=element_key) for c in table.cosets), key=element_key
+        expected = oracle.left_cosets(h_el, j_el, modulus)
+        cosets = coset_elements(table)
+        assert {frozenset(map(as_oracle, c)) for c in cosets} == set(expected)
+        # brute force: ids agree with membership of the oracle's cosets,
+        # representatives are the canonical minima and come in canonical order
+        coset_of = dict(zip(map(as_oracle, decode(h.codes, modulus)), table.coset_ids.tolist()))
+        for coset in expected:
+            assert len({coset_of[el] for el in coset}) == 1
+        representatives = decode(table.representative_codes, modulus)
+        assert representatives == sorted(
+            map(canonical_min, cosets), key=lambda el: oracle.canonical_key(as_oracle(el))
         )
-        for cid, rep in enumerate(table.representatives):
-            assert rep == min(table.cosets[cid], key=element_key)
+        for cid, rep in enumerate(representatives):
+            assert rep == canonical_min(cosets[cid])
 
 
 # point group, and the rank of the translation lattice, in the comments
