@@ -142,11 +142,9 @@ class VertexColoring:
         return tuple((x, y, z) for x in range(n) for y in range(n) for z in range(n))
 
     def counts(self) -> dict[str, int]:
-        flat = self.assignment.ravel()
-        return {
-            info.label: int((flat == cid).sum())
-            for cid, info in enumerate(self.color_table)
-        }
+        """Vertices per color, in color-table order: one bincount pass."""
+        tally = np.bincount(self.assignment.ravel(), minlength=len(self.color_table))
+        return {info.label: count for info, count in zip(self.color_table, tally.tolist())}
 
     @cached_property
     def _color_group(self) -> ColorGroupResult:

@@ -354,87 +354,119 @@ _CORNER_SIDES = (np.array(_CUBE_CORNERS) > 0).astype(np.intp)
 _FACE_CORNERS = np.array(_CUBE_FACES, dtype=np.intp)
 
 
-def _ascii_rows(strings: list[str]) -> np.ndarray:
-    """The strings as a uint8 matrix, one row each, NUL-padded to the
-    longest."""
+# the most sites in one block of the OFF export: both sections are written
+# through scratch blocks of at most this many sites, whatever the region's
+# shape
+_OFF_BLOCK_SITES = 512
+
+
+def _ascii_cells(strings: list[str]) -> np.ndarray:
+    """The strings as void cells, NUL-padded to the longest."""
     table = np.array(strings, dtype=bytes)
-    return table.view(np.uint8).reshape(len(strings), table.itemsize)
+    return table.view(f"V{table.itemsize}")
+
+
+def _cells(rows: np.ndarray) -> np.ndarray:
+    """The last axis of an array, contiguous, as one void cell."""
+    return rows.view(f"V{rows.shape[-1] * rows.itemsize}")[..., 0]
 
 
 def _ascii_text(rows: np.ndarray) -> str:
-    """A NUL-padded uint8 matrix as text, in row order, NULs dropped."""
-    return str(rows[rows != 0], "ascii")
+    """A NUL-padded array as text, in order, NULs dropped."""
+    return rows.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-def _vertex_numbers(count: int) -> np.ndarray:
-    """" k" for every vertex number k < count as uint8 rows, the digits
-    right-aligned after the space and NUL where a number is shorter."""
-    width = len(str(max(count - 1, 0)))
-    rows = np.empty((count, 1 + width), np.uint8)
-    rows[:, 0] = ord(" ")
-    rest = np.arange(count, dtype=np.int32)
-    for column in range(width, 0, -1):
-        # a digit is shown if it or a higher one is nonzero; the units always
-        shown = (rest > 0) | (column == width)
-        rest, digit = np.divmod(rest, 10)
-        rows[:, column] = np.where(shown, digit + ord("0"), 0)
-    return rows
-
-
-def _vertex_lines(sx: int, sy: int, sz: int) -> str:
-    """The 8 corner lines "x y z" of each site's cube, sites in x, y, z
-    order: a (site, corner, axis) matrix of padded cube-edge strings, each
-    with its separator."""
-    # both cube edges of each coordinate, v - 0.2 and v + 0.2
+def _corner_tables(sx: int, sy: int, sz: int) -> tuple[np.ndarray, ...]:
+    """Per axis, the 8 corner cells of each coordinate v on it: the cube
+    edge v - 0.2 or v + 0.2 the corner takes, to three decimals, then a
+    space, or on the z axis a newline."""
     extent = max(sx, sy, sz)
-    edges = _ascii_rows(
-        [f"{v + side * CUBE_HALF_WIDTH:.3f}" for v in range(extent) for side in (-1, 1)]
+    cells = _ascii_cells(
+        [
+            f"{v + side * CUBE_HALF_WIDTH:.3f}{separator}"
+            for separator in " \n"
+            for v in range(extent)
+            for side in (-1, 1)
+        ]
+    ).reshape(2, extent, 2)
+    return tuple(
+        cells[int(axis == 2), :size][:, _CORNER_SIDES[:, axis]]
+        for axis, size in enumerate((sx, sy, sz))
     )
-    w = edges.shape[1]
-    edges = edges.reshape(extent, 2, w)
-    lines = np.empty((sx, sy, sz, 8, 3, w + 1), np.uint8)
-    lines[..., 0, :w] = edges[:sx, _CORNER_SIDES[:, 0]][:, None, None]
-    lines[..., 1, :w] = edges[:sy, _CORNER_SIDES[:, 1]][None, :, None]
-    lines[..., 2, :w] = edges[:sz, _CORNER_SIDES[:, 2]][None, None, :]
-    lines[..., w] = np.frombuffer(b"  \n", np.uint8)
-    return _ascii_text(lines)
 
 
-def _face_lines(coloring: VertexColoring, sx: int, sy: int, sz: int) -> str:
-    """The 6 face lines "4 k k k k r g b" of each site's cube, sites in
-    x, y, z order and site s numbering its corners 8s to 8s + 7: a (site,
-    face) matrix of gathered vertex numbers and the site's color."""
-    n = coloring.modulus
-    sites = sx * sy * sz
-    rgb = _ascii_rows(
-        [" %d %d %d\n" % PALETTE.get(info.label, FALLBACK_COLOR) for info in coloring.color_table]
-    )
-    numbers = _vertex_numbers(8 * sites)
-    k = numbers.shape[1]
-    numbers = numbers.reshape(sites, 8, k)
-    lines = np.empty((sites, 6, 1 + 4 * k + rgb.shape[1]), np.uint8)
-    lines[:, :, 0] = ord("4")
-    for j in range(4):
-        lines[:, :, 1 + j * k : 1 + (j + 1) * k] = numbers[:, _FACE_CORNERS[:, j]]
-    ids = np.tile(coloring.assignment, (sx // n, sy // n, sz // n)).reshape(-1)
-    lines[:, :, 1 + 4 * k :] = rgb[ids][:, None]
-    return _ascii_text(lines)
+def _number_rows(first: int, count: int, scratch: np.ndarray) -> np.ndarray:
+    """" k" for the vertex numbers first to first + count - 1 as uint8 rows
+    of the scratch: the digits right-aligned after the space, NUL left of a
+    shorter number's leading digit."""
+    width = len(str(first + count - 1))
+    rows = scratch[: count * (1 + width)].reshape(count, 1 + width)
+    rows[:, 0] = ord(" ")
+    # MAX_EXPORT_SITES keeps every vertex number below 2^21
+    rest = np.arange(first, first + count, dtype=np.int32)
+    for column in range(width, 0, -1):
+        quotient = rest // 10
+        rows[:, column] = rest - 10 * quotient + ord("0")
+        rest = quotient
+    # the numbers ascend, so those below 10^p are the first 10^p - first
+    for column in range(1, width):
+        rows[: max(0, 10 ** (width - column) - first), column] = 0
+    return rows
 
 
 def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
     """Every site of the region as a small axis-aligned cube with
     face colors from the palette; vacancies are drawn too.
 
-    Each section is built as one uint8 matrix of fixed-width rows, NUL
-    where a row is shorter, and written out with the NULs dropped; no
-    string is formatted per site."""
+    Sites go in x, y, z order, and site s numbers its corners 8s to
+    8s + 7.  Both sections are written a block of whole z-rows, or of runs
+    of one longer row, at a time: its lines fill a scratch matrix of
+    NUL-padded cells, which becomes text with the NULs dropped.  The block
+    texts are joined once; no string is formatted per site."""
     sx, sy, sz = _region_shape(region, model.modulus)
     sites = sx * sy * sz
-    return (
-        f"OFF\n{8 * sites} {6 * sites} 0\n"
-        + _vertex_lines(sx, sy, sz)
-        + _face_lines(model.coloring, sx, sy, sz)
-    )
+    head = f"OFF\n{8 * sites} {6 * sites} 0\n"
+    if not sites:
+        return head
+    coloring = model.coloring
+    n = coloring.modulus
+    run = min(sz, _OFF_BLOCK_SITES)
+    rows_per_block = min(_OFF_BLOCK_SITES // run, sx * sy)
+    x_cells, y_cells, z_cells = _corner_tables(sx, sy, sz)
+    c = z_cells.itemsize
+    vertex_scratch = np.empty((rows_per_block, run, 8, 3 * c), np.uint8)
+    palette = [PALETTE.get(info.label, FALLBACK_COLOR) for info in coloring.color_table]
+    rgb = _ascii_cells([" %d %d %d\n" % color for color in palette])
+    # a face line is "4", four " k" vertex numbers and the site's color
+    block = rows_per_block * run
+    digits = len(str(8 * sites - 1))
+    number_scratch = np.empty(8 * block * (1 + digits), np.uint8)
+    face_scratch = np.empty(6 * block * (1 + 4 * (1 + digits) + rgb.itemsize), np.uint8)
+    vertices, faces = [head], []
+    for row in range(0, sx * sy, rows_per_block):
+        x, y = np.divmod(np.arange(row, min(row + rows_per_block, sx * sy)), sy)
+        xy = np.empty((len(x), 8, 2), z_cells.dtype)
+        xy[..., 0] = x_cells[x]
+        xy[..., 1] = y_cells[y]
+        colors = coloring.assignment[x % n, y % n]
+        for z0 in range(0, sz, run):
+            z = np.arange(z0, min(z0 + run, sz))
+            lines = vertex_scratch[: len(x), : len(z)]
+            _cells(lines[..., : 2 * c])[...] = _cells(xy)[:, None]
+            _cells(lines[..., 2 * c :])[...] = z_cells[z]
+            vertices.append(_ascii_text(lines))
+
+            m = len(x) * len(z)
+            numbers = _number_rows(8 * (row * sz + z0), 8 * m, number_scratch)
+            k = numbers.shape[1]
+            lines = face_scratch[: m * 6 * (1 + 4 * k + rgb.itemsize)].reshape(m, 6, -1)
+            lines[:, :, 0] = ord("4")
+            corners = _cells(lines[:, :, 1 : 1 + 4 * k].reshape(m, 6, 4, k))
+            corners[...] = _cells(numbers).reshape(m, 8)[:, _FACE_CORNERS]
+            _cells(lines[:, :, 1 + 4 * k :])[...] = rgb[colors[:, z % n]].reshape(m, 1)
+            faces.append(_ascii_text(lines))
+    vertices += faces
+    return "".join(vertices)
 
 
 def export_report(model: CrystalModel) -> str:

@@ -54,9 +54,9 @@ Vec = tuple[int, int, int]
 
 # the largest modulus accepted; the full group has 48 N^3 elements.  At
 # N = 16 each bundled config builds, colors and writes its exports in
-# 0.12-0.22 s, and the CLI's color and export commands, which also check
-# the theorem and the color group, take 0.20-0.50 s together (2-vCPU Xeon,
-# Python 3.11, package already imported)
+# 0.09-0.20 s, and the CLI's color and export commands, which also check
+# the theorem and the color group, take 0.15-0.32 s together (2-vCPU Xeon,
+# Python 3.11, package already imported, three runs per config)
 MAX_MODULUS = 16
 
 

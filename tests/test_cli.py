@@ -613,3 +613,20 @@ def test_radius_override_applies_to_config_runs(tmp_path, capsys):
     )
     assert code == 2
     assert "unrecognized arguments: --radius 2" in err
+
+
+@pytest.mark.parametrize("cross_check", ["--cross-check", "--no-cross-check"])
+def test_subgroup_searches_for_witnesses_once(monkeypatch, capsys, cross_check):
+    # the doubled modulus inherits the certificate: each witness spelled twice
+    searches = []
+    search = quotient._certificate_search
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(quotient, "_certificate_search", counted)
+    code, out, err = run(capsys, "subgroup", "Q", "R", "S", "PQP", cross_check)
+    assert code == 0
+    assert len(searches) == 1
+    assert ("modulus 4: order 1536, index 2 (agrees)" in out) == (cross_check == "--cross-check")

@@ -884,3 +884,35 @@ def test_coloring_at_modulus_4(subs4):
     report = verify_theorem(subs4["full"], subs4["half"], (0, 0, 0), coloring)
     assert report.ok
     assert report.parts[4].detail == "64 = 2*32"
+
+
+def counts_by_comparison(coloring):
+    """Vertices per color, one full comparison per color: the oracle for
+    `counts`."""
+    flat = coloring.assignment.ravel()
+    return {info.label: int((flat == cid).sum()) for cid, info in enumerate(coloring.color_table)}
+
+
+@pytest.mark.parametrize("name", ["rock-salt", "NbO", "ReO3", "perovskite"])
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_counts_match_one_comparison_per_color(name, modulus):
+    coloring = preset(name, modulus).coloring
+    counts = coloring.counts()
+    assert list(counts.items()) == list(counts_by_comparison(coloring).items())
+    assert list(counts) == list(coloring.labels)
+
+
+def test_counts_of_one_color_per_vertex():
+    # 64 colors declared in an order unlike the vertex order, each on one vertex
+    n = 4
+    vertices = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    labels = [f"c{(37 * i) % n**3}" for i in range(n**3)]
+    text = "".join(
+        [f"modulus {n}\n", *(f"color {label}\n" for label in labels)]
+        + [f"{x} {y} {z} c{i}\n" for i, (x, y, z) in enumerate(vertices)]
+    )
+    coloring = VertexColoring.from_text(text)
+    counts = coloring.counts()
+    assert list(counts.items()) == list(counts_by_comparison(coloring).items())
+    assert list(counts) == labels
+    assert set(counts.values()) == {1}

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honeycomb434.coloring import OrbitPlan, VertexColoring, build_coloring
+from honeycomb434 import crystal
 from honeycomb434.orbits import decompose
 from honeycomb434.crystal import (
     CUBE_HALF_WIDTH,
@@ -419,6 +422,59 @@ def test_off_matches_the_reference_renderer_where_numbers_widen(models, region):
     # vertex numbers of 6 digits, where fixed-width rows could go wrong
     rs = models["rock-salt"]
     assert export_off(rs, region) == reference_off(rs, region)
+
+
+def off_mismatch(model, region):
+    """None when export_off matches reference_off, else the first line
+    where they differ: a short message where a failed `==` would make
+    pytest diff megabytes of text."""
+    got, want = export_off(model, region), reference_off(model, region)
+    if got == want:
+        return None
+    lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), (len(got), len(want)))
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        (3, 5, 7),  # 840 sites: one block of 36 whole z-rows, then 24 rows
+        (1, 1, 300),  # z-rows of 600 sites: each is a block of 512 and one of 88
+        (51, 1, 1),  # x coordinates widen at 10 and at 100
+        (1, 51, 1),
+        (1, 1, 51),
+        (1, 64, 64),  # one x-plane of 16,384 sites, 32 blocks
+        (0, 0, 0),
+    ],
+)
+def test_off_blocks_match_the_reference_renderer(models, region):
+    assert off_mismatch(models["rock-salt"], region) is None
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 12, 13, 124, 125])
+def test_off_block_edges_among_the_first_sites(models, monkeypatch, block):
+    # site 1 numbers its corners 8 to 15 and site 12 numbers 96 to 103, so
+    # the vertex numbers gain a digit inside one site, at a block edge or
+    # inside a block; site 125 starts at 1000.  Blocks shorter than a z-row
+    # (16 sites at N = 2, region (3, 3, 8)) split it into runs.
+    monkeypatch.setattr(crystal, "_OFF_BLOCK_SITES", block)
+    for name in ("NbO", "perovskite"):
+        for region in [(3, 3, 3), (1, 2, 8), (3, 1, 1)]:
+            assert off_mismatch(models[name], region) is None, (name, region)
+
+
+@pytest.mark.parametrize("modulus, region", [(8, (4, 4, 4)), (2, (1, 64, 64))])
+def test_off_peak_memory_stays_near_the_output(modulus, region):
+    # the block texts and their join hold twice the output; each block's
+    # scratch adds a bounded amount on top, never a file-sized temporary
+    model = preset("perovskite", modulus)
+    tracemalloc.start()
+    try:
+        text = export_off(model, region)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(text)
 
 
 def test_off_of_a_single_color_matches_the_reference_renderer():
