@@ -30,8 +30,9 @@ from .quotient import (
     MAX_MODULUS,
     CosetTable,
     TorusGroup,
-    _lattice_mod_n,
-    _space_group_codes,
+    _space_group,
+    _torus_basis,
+    _vertex_cells,
     apply_linear,
     check_modulus,
     coords,
@@ -410,7 +411,7 @@ def build_coloring(
                     raise PlanError(f"cannot merge two colors of the same orbit plan ({la!r})")
                 ja = h if pa is None else plans[pa].subgroup
                 jb = h if pb is None else plans[pb].subgroup
-                if not np.array_equal(ja.codes, jb.codes):
+                if not (ja.within(jb) and jb.within(ja)):
                     raise PlanError(
                         f"merge of {la!r} and {lb!r}: the plans use different subgroups"
                     )
@@ -486,7 +487,14 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     elements (L, t) that permute the colors are either none or one coset
     t0 + T, because two of them differ by a translation that permutes the
     colors; so one candidate t0 per coset of T decides L, and the box under
-    the diagonal of T's triangular basis holds one t0 per coset.  Every
+    the diagonal of T's triangular basis holds one t0 per coset.
+
+    A coloring built by `build_coloring` starts from its recipe's H: when
+    each of H's generator words permutes the colors, so does all of H.
+    Then T starts from H's lattice, and each of H's linear parts L takes
+    the coset t_L + T from H's shift, so only the other translations and
+    parts are tested.  A coloring without a recipe, or whose H has a word
+    that does not permute the colors, is walked from the identity.  Every
     test is `_induced`'s predicate on the whole assignment; the extra
     memory is O(N^3).  sigma is not tabulated: `ColorGroupResult.image_colors`
     reads it off the images of one vertex per color.
@@ -497,35 +505,46 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     k = len(coloring.color_table)
     grid = coords(np.arange(n3), n)
 
-    def permutes(image: np.ndarray) -> bool:
-        return _induced(a, a[flat(image % n, n)], k) is not None
+    def permutes(moved: np.ndarray) -> bool:
+        """Is the vertex map v -> moved[v] (flat indices) a color permutation?"""
+        return _induced(a, a[moved], k) is not None
 
-    rows: list[Vec] = []
-    basis, t_points = _lattice_mod_n(rows, n)
-    decided = np.zeros(n3, dtype=bool)
-    decided[0] = True
+    h = None if coloring.recipe is None else coloring.recipe.group
+    if h is not None and not all(
+        permutes(images(encode(eval_word(word), n), grid, n)) for word in h.generator_words
+    ):
+        h = None
+    rows: list[Vec] = [] if h is None else list(h.torus_lattice)
+    basis = _torus_basis(rows, n)
+    cells = _vertex_cells(basis, n)  # the coset of T as found so far, per translation
+    decided = cells == 0
     for tau in range(1, n3):
         if decided[tau]:
             continue
         shift = coords(tau, n)
-        if permutes(grid + shift):
+        if permutes(flat((grid + shift) % n, n)):
             rows.append(tuple(shift.tolist()))
-            basis, t_points = _lattice_mod_n(rows, n)
-            decided[flat(t_points, n)] = True
+            basis = _torus_basis(rows, n)
+            cells = _vertex_cells(basis, n)
+            decided |= cells == 0
         else:
-            decided[flat((t_points + shift) % n, n)] = True
+            decided |= cells == cells[tau]
 
+    known = {} if h is None else dict(zip(h.linear.tolist(), h.shifts))
     transversal = np.indices([row[i] for i, row in enumerate(basis)]).reshape(3, -1).T
     linear, shifts = [], []
     for l in range(48):
+        if l in known:
+            linear.append(l)
+            shifts.append(known[l])
+            continue
         moved = apply_linear(l, grid, n)
         for t0 in transversal:
-            if permutes(moved + t0):
+            if permutes(flat((moved + t0) % n, n)):
                 linear.append(l)
                 shifts.append(t0)
                 break
-    codes = _space_group_codes(np.array(linear), np.array(shifts), t_points, n)
-    sub = TorusGroup(n, (), codes, _parent=group)
+    sub = _space_group(n, (), np.array(linear), np.array(shifts), basis, _parent=group)
     class_vertices = np.full(k, n3, dtype=np.int64)
     np.minimum.at(class_vertices, a, np.arange(n3))
     return ColorGroupResult(sub, a, class_vertices)
@@ -570,10 +589,11 @@ def verify_theorem(
     4. (a) Stab_H(x) <= J, and (b) per period, |orbit(x)| equals
        [H:J] * [J : Stab_J(x)].
 
-    Part 1 holds exactly when sigma is defined on all of H and the orbit
-    map agrees with the cosets: every g in H sends x into the color of the
-    coset gJ.  For sigma(g) sends the class of rep_p x to the class of
-    g rep_p x, and g rep_p ranges over H.  So a passing check makes one
+    Part 1 holds exactly when sigma is defined on all of H, that is when H
+    lies within the color group (a check on the two space-group forms),
+    and the orbit map agrees with the cosets: every g in H sends x into the
+    color of the coset gJ.  For sigma(g) sends the class of rep_p x to the
+    class of g rep_p x, and g rep_p ranges over H.  So a passing check makes one
     pass over H; only a failing one walks the cosets, to name the first
     failing element in canonical order.  Part 3 counts the orbits of the
     colors under sigma of H's generator words, by a union-find, since
@@ -598,10 +618,11 @@ def verify_theorem(
     coset_color = a[images(table.representative_codes, x, n)]
 
     cg = color_group(coloring)
-    defined = cg.subgroup.includes(h.codes)
+    # sigma is defined on all of H exactly when H lies in the color group
+    defined = h.within(cg.subgroup)
     # the elements of H whose image of x is not in the color of their coset
     broken = a[images(h.codes, x, n)] != coset_color[table.coset_ids]
-    if defined.all() and not broken.any():
+    if defined and not broken.any():
         ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
     else:
         ok1, detail1 = False, _part1_failure(h, table, coset_color, defined, broken, cg)
@@ -616,7 +637,7 @@ def verify_theorem(
         )
     )
 
-    if defined.all():
+    if defined:
         count = _color_orbit_count(h, cg)
         ok3 = count <= len(decomp.orbits)
         detail3 = f"{count} color orbits vs {len(decomp.orbits)} vertex orbits"
@@ -650,22 +671,23 @@ def _part1_failure(
     h: TorusGroup,
     table: CosetTable,
     coset_color: np.ndarray,
-    defined: np.ndarray,
+    defined: bool,
     broken: np.ndarray,
     cg: ColorGroupResult,
 ) -> str:
     """Part 1's counterexample: the first element g of H, in canonical
     order, that has no sigma or whose sigma disagrees with the coset action
     at some coset p, named with the first such p.  A g with sigma fails at
-    p exactly when g rep_p is broken.  The elements before the first one
-    without sigma are walked in windows that double from 64, one product
-    pass per coset over each window, up to the first window that holds a
-    failure; so the walk costs products in proportion to the failing
-    element's position."""
+    p exactly when g rep_p is broken.  `defined` says whether sigma is
+    defined on all of H; only when it is not does a membership pass over H
+    find the first element without sigma.  The elements before it are
+    walked in windows that double from 64, one product pass per coset over
+    each window, up to the first window that holds a failure; so the walk
+    costs products in proportion to the failing element's position."""
     n = h.modulus
     reps = table.representative_codes
     k = len(reps)
-    end = h.order if defined.all() else int(np.argmin(defined))
+    end = h.order if defined else int(np.argmin(cg.subgroup.includes(h.codes)))
     start, width = 0, 64
     while start < end:
         window = h.codes[start : min(start + width, end)]

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quotient import TorusGroup, _partition, apply_linear, coords, flat, join, split
+from .quotient import TorusGroup, _partition, apply_linear, coords, flat, images, join
 
 Vec = tuple[int, int, int]
 
@@ -39,10 +39,14 @@ class OrbitDecomposition:
 def decompose(acting: TorusGroup) -> OrbitDecomposition:
     """Partition the torus vertices into orbits of the acting group.
 
-    Walks the vertices in lexicographic order; each vertex not yet labelled
-    is the smallest of its orbit, which one array pass over the group's
-    element codes labels whole.  Computed once per group object and kept
-    on it.
+    Works from the group's space-group form.  The orbit of a vertex v is
+    the union of the lattice cosets of L v + t_L, one per linear part L,
+    since the lattice is normal in the group.  So the vertices are labelled
+    by their coset of the lattice, and the cosets are walked in the order
+    of their smallest vertices: each coset not yet labelled starts an
+    orbit, which the images of its smallest vertex under the (L, t_L)
+    label whole.  Orbits are numbered by their smallest vertex.  Computed
+    once per group object and kept on it.
     """
     memo = acting._memo
     if "orbits" not in memo:
@@ -52,8 +56,13 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
 
 def _orbit_decomposition(acting: TorusGroup) -> OrbitDecomposition:
     n = acting.modulus
-    linear, t = split(acting.codes, n)
-    ids, _ = _partition(n**3, lambda pos: flat((apply_linear(linear, coords(pos, n), n) + t) % n, n))
+    basis = acting.torus_lattice
+    cells = acting._cells
+    # each coset's smallest vertex, in cell order; one element per part
+    smallest = np.indices([row[k] for k, row in enumerate(basis)]).reshape(3, -1).T
+    elements = join(acting.linear, acting.shifts, n)
+    cell_orbit, _ = _partition(len(smallest), lambda pos: cells[images(elements, smallest[pos], n)])
+    ids = cell_orbit[cells]
     ids.setflags(write=False)
     # vertices grouped by orbit, each group in flat (lexicographic) order
     grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))

@@ -14,15 +14,18 @@ a subgroup's `parent` is the full group, which is its own parent.
 
 Inside a group, an element (L, t) with t in [0, N)^3 is the integer code
 ``l * N^3 + (x * N + y) * N + z``, where l indexes the 48 signed
-permutation matrices ordered by flattened matrix.  A group holds its
-elements as a sorted int64 array of codes, and containment, cosets and
-vertex images are numpy passes over such arrays.  The full group is every
-code from 0 to 48 N^3 - 1, and a subgroup is enumerated from its space-group
-form (see `_enumerate`), so no group is closed.  Code order is
+permutation matrices ordered by flattened matrix.  Every group is a space
+group, and keeps that form: its linear parts, one shift t_L per part, and
+the triangular basis of its translation lattice mod N.  Order, membership,
+containment, index and orbits are read off the form; cosets and vertex
+images are numpy passes over the sorted int64 array of the group's codes,
+which is enumerated once from the form (see `_enumerate` and
+`_space_group`), so no group is closed.  The full group is every code
+from 0 to 48 N^3 - 1.  Code order is
 the canonical element order used for deterministic coset ids:
 lexicographic on (flattened linear matrix, translation), the linear parts
-taken in the order of `isometry.LINEAR_PARTS`.  The array is the group:
-`TorusGroup.codes` holds it read-only, `elements` decodes it to a frozenset
+taken in the order of `isometry.LINEAR_PARTS`.  `TorusGroup.codes` holds
+the array read-only, `elements` decodes it to a frozenset
 of `Isometry` on first use, and two groups compare by identity, not by
 element set.  The walks in the infinite group step integer states (linear
 index, x, y, z) through `isometry._step_table`, with no `Isometry` product;
@@ -54,9 +57,10 @@ Vec = tuple[int, int, int]
 
 # the largest modulus accepted; the full group has 48 N^3 elements.  At
 # N = 16 each bundled config builds, colors and writes its exports in
-# 0.09-0.20 s, and the CLI's color and export commands, which also check
-# the theorem and the color group, take 0.15-0.32 s together (2-vCPU Xeon,
-# Python 3.11, package already imported, three runs per config)
+# 0.06-0.12 s, and the CLI's color and export commands, which also check
+# the theorem and the color group, take 0.11-0.22 s together (2-vCPU Xeon,
+# Python 3.11, package already imported, three runs per config, each in a
+# fresh interpreter)
 MAX_MODULUS = 16
 
 
@@ -182,9 +186,17 @@ class TorusGroup:
     """A group of torus symmetries: the full group with translations reduced
     modulo N, or a subgroup of it generated by words in P, Q, R, S.
 
-    `codes` is the sorted, read-only int64 array of the element codes, and
-    `elements` decodes it to a frozenset of `Isometry` on first use.  Groups
-    compare by identity; `within` compares element sets.
+    Every such group is a space group, and keeps that form: its point group
+    `linear` (sorted linear indices), one shift t_L per linear part
+    (`shifts`, aligned with `linear`, in [0, N)^3), and `torus_lattice`,
+    the triangular basis of its translations mod N (the lattice they span
+    with N Z^3; three rows, each diagonal entry dividing N).  The group is
+    every (L, t_L + lambda), so `order`, `includes`, `within` and `index`
+    are computed from the form with no pass over the codes.
+    `codes` is the sorted, read-only int64 array of the element codes, which
+    `locate` searches, and `elements` decodes it to a frozenset of
+    `Isometry` on first use.  Groups compare by identity; `within` compares
+    element sets.
     `parent` is the full group; the full group is its own parent.
     `translation_lattice` is the triangular basis (at most three rows) of
     the translations the underlying infinite group contains; a group built
@@ -194,6 +206,8 @@ class TorusGroup:
     by the modulus along each axis; with the certificate present, indices,
     cosets, orbits and stabilizers computed in the quotient are exact for
     the infinite subgroup as well.  The full group needs no certificate.
+    `_cells` is the lattice coset of each translation, by flat index (see
+    `_vertex_cells`), which membership and orbits look up.
     `_memo` keeps results derived from this group object, such as its orbit
     decomposition; `dataclasses.replace` starts the copy with an empty one.
     """
@@ -201,6 +215,10 @@ class TorusGroup:
     modulus: int
     generator_words: tuple[tuple[str, ...], ...]
     codes: np.ndarray = field(repr=False)
+    linear: np.ndarray = field(repr=False)
+    shifts: np.ndarray = field(repr=False)
+    torus_lattice: tuple[Vec, Vec, Vec] = field(repr=False)
+    _cells: np.ndarray = field(repr=False)
     translation_certificate: tuple[Witness, Witness, Witness] | None = None
     translation_lattice: tuple[Vec, ...] = field(default=(), repr=False)
     _parent: TorusGroup | None = field(default=None, repr=False)
@@ -220,7 +238,27 @@ class TorusGroup:
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        """|point group| times the lattice's points: N^3 over the product
+        of the basis diagonal."""
+        (a, _, _), (_, b, _), (_, _, c) = self.torus_lattice
+        return len(self.linear) * self.modulus**3 // (a * b * c)
+
+    @cached_property
+    def _part_cells(self) -> np.ndarray:
+        """For each of the 48 linear indices L, the lattice coset of t_L,
+        or -1 for the parts this group lacks: (L, t) is an element exactly
+        when t lies in that coset."""
+        part_cells = np.full(48, -1, dtype=np.int64)
+        part_cells[self.linear] = self._cells[flat(self.shifts, self.modulus)]
+        return part_cells
+
+    @cached_property
+    def _form_codes(self) -> np.ndarray:
+        """The codes of each (L, t_L) and of each basis row's translation,
+        which generate the group."""
+        n = self.modulus
+        rows = np.array(self.torus_lattice) % n
+        return np.concatenate((join(self.linear, self.shifts, n), identity_code(n) + flat(rows, n)))
 
     def locate(self, codes) -> np.ndarray:
         """Positions of the given element codes in `codes`; meaningful
@@ -228,12 +266,42 @@ class TorusGroup:
         return np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
 
     def includes(self, codes) -> np.ndarray:
-        """Which of the given element codes are elements of this group."""
-        return self.codes[self.locate(codes)] == codes
+        """Which of the given integers are codes of elements of this group:
+        (L, t) is one iff L is one of its linear parts and t - t_L lies in
+        its lattice, that is t lies in the coset of t_L.  An integer outside
+        0 .. 48 N^3 - 1 codes no element."""
+        n3 = self.modulus**3
+        codes = np.asarray(codes)
+        linear = codes // n3
+        coded = (linear >= 0) & (linear < 48)
+        return coded & (self._part_cells[linear * coded] == self._cells[codes % n3])
 
     def within(self, other: TorusGroup) -> bool:
-        """Is every element of this group an element of `other`?"""
-        return self.modulus == other.modulus and bool(other.includes(self.codes).all())
+        """Is every element of this group an element of `other`?  Exactly
+        when other includes each (L, t_L) of this group and the translation
+        by each row of its lattice basis: at most 51 lookups, and none when
+        other is the full group, the one group of order 48 N^3."""
+        if self.modulus != other.modulus:
+            return False
+        return other.order == 48 * other.modulus**3 or bool(other.includes(self._form_codes).all())
+
+
+def _vertex_cells(basis: tuple[Vec, Vec, Vec], n: int) -> np.ndarray:
+    """The coset of the lattice with the given triangular basis (one that
+    holds N Z^3) that each vertex, or translation, lies in, by flat index:
+    the position of the coset's smallest member in the box [0, b_11) x
+    [0, b_22) x [0, b_33), in C order, so 0 exactly on the lattice.
+    Subtracting multiples of b_1, then b_2, then b_3 brings x, then y, then
+    z to its least value mod N, and the cells are in the order of their
+    smallest members."""
+    (a, b, c), (_, d, e), (_, _, f) = basis
+    t = np.arange(n**3)
+    x, y, z = t // (n * n), t // n % n, t % n
+    i = x // a
+    y = (y - i * b) % n
+    j = y // d
+    z = (z - i * c - j * e) % n % f
+    return (x % a * d + y % d) * f + z
 
 
 def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
@@ -248,22 +316,21 @@ def _span(rows: Iterable[Vec]) -> IntegerLattice:
     return lattice
 
 
-def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[np.ndarray, tuple[Vec, ...]]:
-    """The image mod N of the subgroup H the words generate, and the
-    triangular basis of H's translation lattice Lambda_H, from H's
-    space-group form: a point group of linear parts and Lambda_H.
+def _enumerate(words: Iterable[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray, tuple[Vec, ...]]:
+    """The space-group form of the subgroup H the words generate: its
+    linear parts (as linear indices), one shift t_L per linear part, and
+    the triangular basis of H's translation lattice Lambda_H.
 
     A breadth-first walk over linear parts, right-multiplying by the word
     evaluations, picks one element u_L of H per linear part L, kept as its
     shift t_L.  Each step x = u g (one step-table lookup and three integer
     additions) that lands on a linear part already picked gives the
     Schreier generator x u_L^-1, the pure translation t_x - t_L; these
-    span Lambda_H exactly (Schreier's lemma), kept unreduced.  With N e_1,
-    N e_2 and N e_3 they span Lambda_H + N Z^3 (see `_lattice_mod_n`), and
-    H mod N is every (L, t_L + lambda).  Exact for any words: reduction mod
-    N only sees Lambda_H + N Z^3, whatever the rank of Lambda_H.
+    span Lambda_H exactly (Schreier's lemma), kept unreduced.  H mod N is
+    every (L, t_L + lambda) with lambda in Lambda_H + N Z^3 (see
+    `_space_group`).  Exact for any words: reduction mod N only sees
+    Lambda_H + N Z^3, whatever the rank of Lambda_H.
     """
-    n = modulus
     steps = _step_table(dict(enumerate(map(eval_word, words)))).values()
     schreier: dict[Vec, None] = {}  # the distinct Schreier generators, in walk order
     picked = {_IDENTITY_LINEAR: (0, 0, 0)}  # linear index -> the shift of u_L
@@ -278,32 +345,40 @@ def _enumerate(modulus: int, words: Iterable[tuple[str, ...]]) -> tuple[np.ndarr
                 walk.append(m)
             else:
                 schreier[tuple(a - b for a, b in zip(t, picked[m]))] = None
-    basis = _span(schreier).basis()
-    _, points = _lattice_mod_n(basis, n)
     linear = np.array(walk, dtype=np.int64)
     shifts = np.array(list(picked.values()), dtype=np.int64)
-    return _space_group_codes(linear, shifts, points, n), basis
+    return linear, shifts, _span(schreier).basis()
 
 
-def _lattice_mod_n(rows: Iterable[Vec], n: int) -> tuple[tuple[Vec, ...], np.ndarray]:
+def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
     """The triangular basis b_1, b_2, b_3 of the lattice the rows span with
-    N e_1, N e_2 and N e_3, and that lattice's points mod N, shape (m, 3):
-    the diagonal entries divide N, so they are every i b_1 + j b_2 + k b_3
-    mod N with i < N / b_11, j < N / b_22 and k < N / b_33."""
+    N e_1, N e_2 and N e_3, entries right of the diagonal reduced mod N.
+    The diagonal entries divide N, so the lattice has N^3 / (b_11 b_22 b_33)
+    points mod N."""
     basis = _span((*rows, (n, 0, 0), (0, n, 0), (0, 0, n))).basis()
-    # the multiples of each basis row that stay distinct mod N, then their sums
-    multiples = [np.arange(n // row[k])[:, None] * [c % n for c in row] for k, row in enumerate(basis)]
-    points = multiples[0][:, None, None] + multiples[1][None, :, None] + multiples[2][None, None, :]
-    return basis, points.reshape(-1, 3) % n
+    return tuple(tuple(c if i <= k else c % n for i, c in enumerate(row)) for k, row in enumerate(basis))
 
 
-def _space_group_codes(linear: np.ndarray, shifts: np.ndarray, lattice_mod_n: np.ndarray, n: int) -> np.ndarray:
-    """The sorted, read-only codes of every (L, t_L + lambda): one shift
-    t_L per linear index L, and every lambda of a translation group given by
-    its points mod N."""
-    codes = np.sort(join(linear[:, None], (shifts[:, None, :] + lattice_mod_n) % n, n), axis=None)
-    codes.setflags(write=False)
-    return codes
+def _space_group(
+    modulus: int, words: tuple[tuple[str, ...], ...], linear, shifts, rows: Iterable[Vec], **fields
+) -> TorusGroup:
+    """The group of every (L, t_L + lambda): one shift t_L per linear index
+    L, and every lambda in the lattice the rows span with N Z^3.  Keeps
+    that form, and enumerates it once into the sorted, read-only codes: the
+    translations of part L are the lattice coset of t_L, and the vertices
+    of each coset, grouped by one stable sort of their cells, are already
+    in flat order."""
+    n = modulus
+    basis = _torus_basis(rows, n)
+    order = np.argsort(linear)
+    linear, shifts = np.asarray(linear)[order], np.asarray(shifts)[order] % n
+    cells = _vertex_cells(basis, n)
+    members = np.argsort(cells, kind="stable").reshape(basis[0][0] * basis[1][1] * basis[2][2], -1)
+    # linear parts ascending: each part's codes fill a range of their own
+    codes = (linear[:, None] * n**3 + members[cells[flat(shifts, n)]]).reshape(-1)
+    for array in (codes, linear, shifts, cells):
+        array.setflags(write=False)
+    return TorusGroup(n, words, codes, linear, shifts, basis, cells, **fields)
 
 
 def build_group(modulus: int) -> TorusGroup:
@@ -314,12 +389,18 @@ def build_group(modulus: int) -> TorusGroup:
     each other.
     """
     check_modulus(modulus)
-    # P, Q, R and S generate every (L, t) mod N, so the group is every code;
-    # the infinite group holds every integer translation
+    # P, Q, R and S generate every (L, t) mod N, so the group is every code:
+    # each linear part with shift 0 and every translation; the infinite
+    # group holds every integer translation
     words = (("P",), ("Q",), ("R",), ("S",))
     codes = np.arange(48 * modulus**3, dtype=np.int64)
-    codes.setflags(write=False)
-    return TorusGroup(modulus, words, codes, translation_lattice=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    linear = np.arange(48, dtype=np.int64)
+    shifts = np.zeros((48, 3), dtype=np.int64)
+    cells = np.zeros(modulus**3, dtype=np.int64)  # one coset: Z^3
+    for array in (codes, linear, shifts, cells):
+        array.setflags(write=False)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return TorusGroup(modulus, words, codes, linear, shifts, units, cells, translation_lattice=units)
 
 
 def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
@@ -327,8 +408,10 @@ def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     tuples), with the full group as its parent and its exact translation
     lattice.  The result carries no translation certificate yet."""
     words = _normalize_words(gens)
-    codes, basis = _enumerate(group.modulus, words)
-    return TorusGroup(group.modulus, words, codes, translation_lattice=basis, _parent=group.parent)
+    linear, shifts, basis = _enumerate(words)
+    return _space_group(
+        group.modulus, words, linear, shifts, basis, translation_lattice=basis, _parent=group.parent
+    )
 
 
 class IntegerLattice:

@@ -1,8 +1,11 @@
+import functools
 import random
 
 import pytest
 
 from honeycomb434 import build_group, build_subgroup, certify_translations
+from honeycomb434.coloring import color_group
+from honeycomb434.crystal import PRESET_NAMES, preset
 from honeycomb434.quotient import encode
 
 # named generating word sets used across the suite
@@ -13,6 +16,31 @@ WORDS = {
     "quarter": ("Q", "R", "S", "QPQRQPQRP"),
     "eighth": ("Q", "R", "S", "(SRQPQR)^2"),
 }
+
+
+# word sets whose translation lattice has rank below 3 (the finite
+# <Q, R, S> and <P> have none), so that N Z^3 is most of the lattice mod
+# N; P's shift (0, 0, 1) lies outside its lattice
+LOW_RANK_WORDS = {
+    "<Q,R,S>": ("Q", "R", "S"),
+    "<P>": ("P",),
+    "rank 1": ("SRQPQR",),
+    "rank 2": ("P", "QRSRQ", "QPQ", "RSR"),
+}
+
+
+@functools.cache
+def form_groups(modulus):
+    """Groups built each of the ways the package builds one, by name: the
+    full group, the certified WORDS subgroups, the LOW_RANK_WORDS subgroups
+    and the color groups of the presets."""
+    full = build_group(modulus)
+    groups = {"the full group": full}
+    groups.update({name: certify_translations(build_subgroup(full, w)) for name, w in WORDS.items()})
+    groups.update({name: build_subgroup(full, w) for name, w in LOW_RANK_WORDS.items()})
+    for name in PRESET_NAMES:
+        groups[f"color group of {name}"] = color_group(preset(name, modulus).coloring).subgroup
+    return groups
 
 
 def oversized_witness_words() -> list[str]:

@@ -4,6 +4,9 @@ Everything here is written against plain 3x3 integer matrices and exhaustive
 enumeration, deliberately sharing no code with the package under test.  The
 tests use it to recompute group orders, orbits, stabilizers, cosets, color
 classes and the coset-coloring theorem's reports from scratch and compare.
+The one exception is `code_walk_decomposition`, the package's former orbit
+walk over a group's element codes, kept as a fast second reference for
+`orbits.decompose` at moduli where the exhaustive walks are slow.
 """
 
 import functools
@@ -273,3 +276,25 @@ def theorem_report(h_elements, j_elements, x, color, sigma, n):
     rhs = k * per_coset
     part4b = (len(orb) == rhs, f"{len(orb)} = {k}*{per_coset}" if len(orb) == rhs else f"{len(orb)} != {rhs}")
     return [part1, part2, part3, part4a, part4b]
+
+
+def code_walk_decomposition(acting):
+    """The orbits of a package `TorusGroup` by a walk over its element codes:
+    the vertices are walked in flat order, and each one not yet labelled
+    starts an orbit, which one pass over all of the group's codes labels
+    whole.  Returns an `orbits.OrbitDecomposition`."""
+    import numpy as np
+
+    from honeycomb434.orbits import Orbit, OrbitDecomposition
+    from honeycomb434.quotient import _partition, apply_linear, coords, flat, split
+
+    n = acting.modulus
+    linear, t = split(acting.codes, n)
+    ids, _ = _partition(n**3, lambda pos: flat((apply_linear(linear, coords(pos, n), n) + t) % n, n))
+    grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))
+    ends = np.cumsum(np.bincount(ids)).tolist()
+    orbits = tuple(
+        Orbit(k, grouped[start], tuple(grouped[start:end]))
+        for k, (start, end) in enumerate(zip([0] + ends, ends))
+    )
+    return OrbitDecomposition(acting, orbits, ids)

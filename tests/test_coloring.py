@@ -13,6 +13,7 @@ from honeycomb434 import orbits as orbits_module
 from honeycomb434 import quotient
 from honeycomb434.coloring import (
     ColorInfo,
+    ColoringRecipe,
     OrbitPlan,
     PlanError,
     VertexColoring,
@@ -21,8 +22,8 @@ from honeycomb434.coloring import (
     stoichiometry,
     verify_theorem,
 )
-from honeycomb434.crystal import export_report, preset, substitute
-from honeycomb434.isometry import GENERATORS, IDENTITY, eval_word
+from honeycomb434.crystal import PRESET_NAMES, export_report, preset, substitute
+from honeycomb434.isometry import GENERATORS, IDENTITY, Isometry, eval_word
 from honeycomb434.orbits import decompose
 from honeycomb434.quotient import build_subgroup, encode
 
@@ -261,6 +262,61 @@ def assert_sigma_is_color_action(coloring, cg, full):
     assert cg.subgroup.elements == expected.keys()
     assert cg.subgroup.order == len(expected)
     assert {g: sigma_of(cg, g) for g in expected} == expected
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8, 16])
+def test_the_color_group_starts_from_the_recipe_group(monkeypatch, modulus):
+    # the recipe's H permutes the colors, which one test per generator word
+    # confirms; then only the translations and linear parts H lacks are
+    # tested (4 to 11 tests for the presets; 51 to 69 without the seed)
+    tests = count_calls(monkeypatch, coloring_module, "_induced")
+    for name in PRESET_NAMES:
+        coloring = preset(name, modulus).coloring
+        del tests[:]
+        cg = coloring_module._color_group_of(coloring, coloring.recipe.group.parent)
+        assert len(tests) <= 12, (name, len(tests))
+        bare = VertexColoring(modulus, coloring.color_table, coloring.assignment)
+        assert np.array_equal(cg.subgroup.codes, color_group(bare).subgroup.codes), name
+        if modulus == 2:
+            assert_sigma_is_color_action(coloring, cg, coloring.recipe.group.parent)
+
+
+def test_a_recipe_group_that_does_not_permute_the_colors_is_not_a_seed(group2, monkeypatch):
+    # NbO's colors are not permuted by the whole group, so a recipe naming
+    # the full group as H fails its word test, and the walk starts from the
+    # identity as for a coloring without a recipe
+    nbo = preset("nbo", 2).coloring
+    odd = VertexColoring(2, nbo.color_table, nbo.assignment, nbo.recipe._replace(group=group2))
+    bare = VertexColoring(2, nbo.color_table, nbo.assignment)
+    tests = count_calls(monkeypatch, coloring_module, "_induced")
+    expected = color_group(bare)
+    walked = len(tests)
+    cg = color_group(odd)
+    # the words up to the first that fails, then the same walk
+    assert 1 <= len(tests) - 2 * walked <= 4
+    assert np.array_equal(cg.subgroup.codes, expected.subgroup.codes)
+    assert_sigma_is_color_action(odd, cg, group2)
+
+
+def test_a_recipe_shift_outside_the_lattice_seeds_its_coset(monkeypatch):
+    # H = <P> at N = 4 holds (diag(1, 1, -1), (0, 0, 1)), the mirror in the
+    # plane z = 1/2, and its lattice is 4 Z^3; coloring by z // 2 keeps the
+    # pairs {0, 1} and {2, 3}, which that mirror swaps within themselves and
+    # the one through z = 0 does not
+    h = build_subgroup(quotient.build_group(4), ["P"])
+    assignment = (np.indices((4, 4, 4))[2] // 2).astype(np.int16)
+    table = (ColorInfo("low"), ColorInfo("high"))
+    seeded = VertexColoring(4, table, assignment, ColoringRecipe(h, (), (), None))
+    bare = VertexColoring(4, table, assignment)
+    tests = count_calls(monkeypatch, coloring_module, "_induced")
+    expected = color_group(bare)
+    walked = len(tests)
+    cg = color_group(seeded)
+    # one word test, and no test for P's linear part
+    assert len(tests) - walked < walked
+    assert np.array_equal(cg.subgroup.codes, expected.subgroup.codes)
+    assert cg.subgroup.includes(encode(GENERATORS["P"], 4))
+    assert not cg.subgroup.includes(encode(Isometry((0, 1, 2), (1, 1, -1), (0, 0, 0)), 4))
 
 
 def tiled(cell, modulus):

@@ -400,6 +400,17 @@ def outcome(render, model, region):
 REGIONS = [(1, 1, 1), (2, 2, 2), (3, 1, 2), (0, 1, 1), (1, 0, 2)]
 
 
+def off_mismatch(model, region):
+    """None when export_off matches reference_off, else the first line
+    where they differ: a short message where a failed `==` would make
+    pytest diff megabytes of text."""
+    got, want = export_off(model, region), reference_off(model, region)
+    if got == want:
+        return None
+    lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), (len(got), len(want)))
+
+
 @pytest.fixture(scope="module")
 def models_by_modulus():
     return {
@@ -412,7 +423,7 @@ def models_by_modulus():
 def test_exports_match_the_reference_renderers(models_by_modulus, modulus, name):
     model = models_by_modulus[modulus][name]
     for region in REGIONS:
-        assert export_off(model, region) == reference_off(model, region), region
+        assert off_mismatch(model, region) is None, region
         assert export_xyz(model, region) == reference_xyz(model, region), region
 
 
@@ -420,19 +431,7 @@ def test_exports_match_the_reference_renderers(models_by_modulus, modulus, name)
 def test_off_matches_the_reference_renderer_where_numbers_widen(models, region):
     # at N = 2, 4096 cells along one axis reach the coordinate 8191.200 and
     # vertex numbers of 6 digits, where fixed-width rows could go wrong
-    rs = models["rock-salt"]
-    assert export_off(rs, region) == reference_off(rs, region)
-
-
-def off_mismatch(model, region):
-    """None when export_off matches reference_off, else the first line
-    where they differ: a short message where a failed `==` would make
-    pytest diff megabytes of text."""
-    got, want = export_off(model, region), reference_off(model, region)
-    if got == want:
-        return None
-    lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
-    return next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), (len(got), len(want)))
+    assert off_mismatch(models["rock-salt"], region) is None
 
 
 @pytest.mark.parametrize(
@@ -483,14 +482,14 @@ def test_off_of_a_single_color_matches_the_reference_renderer():
     )
     model = CrystalModel("one", VertexColoring.from_text(text))
     for region in [*REGIONS, (0, 0, 0)]:
-        assert export_off(model, region) == reference_off(model, region), region
+        assert off_mismatch(model, region) is None, region
     assert export_off(model, (0, 0, 0)) == "OFF\n0 0 0\n"
 
 
 def test_fallback_color_matches_the_reference_renderer(models):
     recolored = with_unknown_label(models["rock-salt"])
     for region in REGIONS:
-        assert export_off(recolored, region) == reference_off(recolored, region), region
+        assert off_mismatch(recolored, region) is None, region
         assert export_xyz(recolored, region) == reference_xyz(recolored, region), region
 
 
@@ -525,5 +524,5 @@ def text_models(draw):
 @settings(max_examples=40, deadline=None)
 @given(text_models(), st.tuples(*[st.integers(0, 3)] * 3))
 def test_exports_of_random_colorings_match_the_reference_renderers(model, region):
-    assert export_off(model, region) == reference_off(model, region)
+    assert off_mismatch(model, region) is None
     assert outcome(export_xyz, model, region) == outcome(reference_xyz, model, region)

@@ -10,7 +10,7 @@ from honeycomb434.crystal import PRESET_NAMES, preset
 from honeycomb434.orbits import decompose, stabilizer_codes
 from honeycomb434.quotient import build_group, build_subgroup, certify_translations, decode, flat
 
-from conftest import WORDS
+from conftest import WORDS, form_groups
 
 
 def all_vertices(modulus):
@@ -224,3 +224,14 @@ def test_orbits_of_random_word_sets_match_the_oracle(words, modulus):
     closed = oracle.closure([oracle.eval_letters(w) for w in words], modulus)
     assert {(el.linear, el.trans) for el in sub.elements} == closed
     assert_matches_oracle(decompose(sub), sub.elements, modulus)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+def test_decompose_matches_the_code_walk(modulus):
+    # decompose labels lattice cosets and maps one vertex per coset through
+    # one element per linear part; the code walk maps each orbit's first
+    # vertex through every element
+    for name, group in form_groups(modulus).items():
+        dec, walk = decompose(group), oracle.code_walk_decomposition(group)
+        assert dec.orbits == walk.orbits, name
+        assert np.array_equal(dec.vertex_orbit, walk.vertex_orbit), name

@@ -42,7 +42,7 @@ from honeycomb434.quotient import (
     multiply,
 )
 
-from conftest import WORDS, oversized_witness_words
+from conftest import WORDS, form_groups, oversized_witness_words
 
 ORDERS = {
     2: {"full": 384, "half": 192, "literal-quarter": 192, "quarter": 96, "eighth": 48},
@@ -800,7 +800,7 @@ def assert_order_without_enumeration(words, modulus):
     # lattice mod N per linear part, with no element listed
     n = modulus
     sub = build_subgroup(build_group(n), words)
-    basis, _ = quotient._lattice_mod_n(sub.translation_lattice, n)
+    basis = quotient._torus_basis(sub.translation_lattice, n)
     det = basis[0][0] * basis[1][1] * basis[2][2]
     order = point_group_order(words) * n**3 // det
     assert order == sub.order == len(code_closure(n, sub.generator_words))
@@ -826,3 +826,37 @@ def test_order_from_point_group_and_lattice(modulus, name):
 )
 def test_order_from_point_group_and_lattice_on_random_words(words, modulus):
     assert_order_without_enumeration(words, modulus)
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_the_space_group_form_answers_as_the_codes_do(modulus):
+    # order, includes, within and index read the form (point group, shifts
+    # and lattice basis); np.isin on the code arrays is the reference
+    groups = form_groups(modulus)
+    every = np.arange(48 * modulus**3)
+    for name, a in groups.items():
+        assert a.order == len(a.codes), name
+        assert np.array_equal(a.includes(every), np.isin(every, a.codes)), name
+        assert bool(a.includes(int(a.codes[-1]))), name
+        for other, b in groups.items():
+            held = np.isin(b.codes, a.codes)
+            assert np.array_equal(a.includes(b.codes), held), (name, other)
+            assert b.within(a) == held.all(), (other, name)
+            if held.all():
+                assert index(a, b) == len(a.codes) // len(b.codes), (name, other)
+            else:
+                with pytest.raises(SubgroupError):
+                    index(a, b)
+
+
+@pytest.mark.parametrize("name", ["the full group", "eighth", "<P>"])
+def test_an_integer_outside_the_codes_is_no_element(name):
+    group = form_groups(2)[name]
+    outside = np.array([-1, -384, -385, 384, 385, 10**6])
+    assert not group.includes(outside).any()
+    assert not any(group.includes(int(code)) for code in outside)
+
+
+def test_groups_of_different_moduli_are_not_within_each_other(group2, group4, subs2):
+    assert not subs2["eighth"].within(group4)
+    assert not group4.within(group2)
