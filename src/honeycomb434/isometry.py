@@ -31,7 +31,7 @@ arithmetic; nothing in this module touches floating point.
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 Vec = tuple[int, int, int]
 
@@ -140,14 +140,6 @@ MIRROR_NORMALS: dict[str, Vec] = {
     "R": (1, -1, 0),
     "S": (0, 1, 0),
 }
-
-
-def generator(symbol: str) -> Isometry:
-    """The reflection for one of the letters P, Q, R, S."""
-    try:
-        return GENERATORS[symbol]
-    except KeyError:
-        raise _unknown_letter(symbol) from None
 
 
 def perturbed_generators() -> dict[str, Isometry]:
@@ -315,24 +307,42 @@ _LINEAR_INDEX = {part: l for l, part in enumerate(LINEAR_PARTS)}
 _IDENTITY_LINEAR = _LINEAR_INDEX[IDENTITY.perm, IDENTITY.signs]
 
 
-def _step_table(generators: Mapping[Hashable, Isometry]) -> dict[Hashable, tuple[tuple[int, ...], ...]]:
-    """For each key g (a letter, or a generator's position) and each
-    linear part L (by index): the index of L g's linear part and the
-    translation L t_g, so that appending g to a word with linear part L
-    adds L t_g to its translation (the rule of `Isometry.__mul__`)."""
-    table = {}
-    for letter, (gp, gs, gt) in generators.items():
-        steps = []
-        for p, s in LINEAR_PARTS:
-            perm = (gp[p[0]], gp[p[1]], gp[p[2]])
-            signs = (s[0] * gs[p[0]], s[1] * gs[p[1]], s[2] * gs[p[2]])
-            trans = (s[0] * gt[p[0]], s[1] * gt[p[1]], s[2] * gt[p[2]])
-            steps.append((_LINEAR_INDEX[perm, signs], *trans))
-        table[letter] = tuple(steps)
-    return table
+def _step_rows(g: Isometry) -> tuple[tuple[int, int, int, int], ...]:
+    """For each linear part L (by index): the index of L g's linear part
+    and the translation L t_g, so that appending g to a word with linear
+    part L adds L t_g to its translation (the rule of `Isometry.__mul__`)."""
+    gp, gs, gt = g
+    rows = []
+    for p, s in LINEAR_PARTS:
+        perm = (gp[p[0]], gp[p[1]], gp[p[2]])
+        signs = (s[0] * gs[p[0]], s[1] * gs[p[1]], s[2] * gs[p[2]])
+        rows.append((_LINEAR_INDEX[perm, signs], s[0] * gt[p[0]], s[1] * gt[p[1]], s[2] * gt[p[2]]))
+    return tuple(rows)
 
 
+def _step_table(generators: Mapping[str, Isometry]) -> dict[str, tuple[tuple[int, int, int, int], ...]]:
+    """The step rows of each letter of a generator table."""
+    return {letter: _step_rows(g) for letter, g in generators.items()}
+
+
+# the step rows of P, Q, R and S, built once: every word evaluation and
+# every walk in `quotient` reads a single letter's rows from here
 _STEPS = _step_table(GENERATORS)
+
+
+def _evaluate(letters: Iterable[str], steps: Mapping[str, tuple]) -> Isometry:
+    """A flattened word's evaluation through a step table: each letter is
+    one lookup and three integer additions."""
+    l, x, y, z = _IDENTITY_LINEAR, 0, 0, 0
+    for letter in letters:
+        try:
+            l, dx, dy, dz = steps[letter][l]
+        except KeyError:
+            raise _unknown_letter(letter) from None
+        x += dx
+        y += dy
+        z += dz
+    return Isometry(*LINEAR_PARTS[l], (x, y, z))
 
 
 def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | None = None) -> Isometry:
@@ -345,17 +355,7 @@ def eval_word(word: str | Iterable[str], generators: Mapping[str, Isometry] | No
     built once, that of an override on each call.
     """
     steps = _STEPS if generators is None else _step_table(generators)
-    letters = parse_word(word) if isinstance(word, str) else word
-    l, x, y, z = _IDENTITY_LINEAR, 0, 0, 0
-    for letter in letters:
-        try:
-            l, dx, dy, dz = steps[letter][l]
-        except KeyError:
-            raise _unknown_letter(letter) from None
-        x += dx
-        y += dy
-        z += dz
-    return Isometry(*LINEAR_PARTS[l], (x, y, z))
+    return _evaluate(parse_word(word) if isinstance(word, str) else word, steps)
 
 
 # The ten defining relators, as (label, word) pairs.
@@ -383,11 +383,13 @@ def check_presentation(generators: Mapping[str, Isometry] | None = None) -> tupl
     """Evaluate all ten relators; each must come out as the identity.
 
     A failing entry signals wrong generator coordinates.  The evaluated
-    residual element is included so failures are diagnosable.
+    residual element is included so failures are diagnosable.  An override
+    table's step rows are built once per call, for all ten relators.
     """
+    steps = _STEPS if generators is None else _step_table(generators)
     out = []
     for label, word in RELATORS:
-        el = eval_word(word, generators)
+        el = _evaluate(parse_word(word), steps)
         out.append(RelatorCheck(label, el.is_identity, el))
     return tuple(out)
 

@@ -28,14 +28,20 @@ taken in the order of `isometry.LINEAR_PARTS`.  `TorusGroup.codes` holds
 the array read-only, `elements` decodes it to a frozenset
 of `Isometry` on first use, and two groups compare by identity, not by
 element set.  The walks in the infinite group step integer states (linear
-index, x, y, z) through `isometry._step_table`, with no `Isometry` product;
-words, witnesses and reports keep `Isometry` values.
+index, x, y, z) through step rows (`isometry._step_rows`), with no
+`Isometry` product: a letter's rows are `isometry._STEPS`, built at import,
+and a longer word's are built once per `build_subgroup` and kept on the
+subgroup's `_memo` for `certify_translations`.  Lattice bases are reduced
+without coefficients (`_reduce`, `_holds`); only the witness search keeps
+them, in an `IntegerLattice`.  Words, witnesses and reports keep
+`Isometry` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -44,9 +50,10 @@ from .isometry import (
     LINEAR_PARTS,
     _IDENTITY_LINEAR,
     _LINEAR_INDEX,
+    _STEPS,
     Isometry,
     _spelled,
-    _step_table,
+    _step_rows,
     check_letters,
     eval_word,
     parse_word,
@@ -309,29 +316,92 @@ def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
 
 
 def _span(rows: Iterable[Vec]) -> IntegerLattice:
-    """The lattice the rows span."""
+    """The lattice the rows span, with coefficients over them."""
     lattice = IntegerLattice()
     for row in rows:
         lattice.add(row)
     return lattice
 
 
-def _enumerate(words: Iterable[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray, tuple[Vec, ...]]:
+def _eliminate(pivot: Vec, v: Vec, col: int) -> tuple[int, int, int, int]:
+    """The gcd step that merges v into the pivot row of column col:
+    (x, y, qb, qv) with g = x pivot[col] + y v[col] their positive gcd, and
+    qb, qv the two entries divided by g.  The new pivot is x pivot + y v,
+    and qv pivot - qb v, zero in column col, goes on to the next column."""
+    old_r, r = pivot[col], v[col]
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_s, old_t, pivot[col] // old_r, v[col] // old_r
+
+
+def _reduce(rows: Iterable[Vec]) -> tuple[Vec, ...]:
+    """The triangular basis of the lattice the rows span, with no
+    coefficients: the same eliminations, in the same order, as
+    `IntegerLattice.add`, so the same basis as `IntegerLattice.basis()`."""
+    pivots: dict[int, Vec] = {}
+    for v in rows:
+        for col in range(3):
+            if v[col] == 0:
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = tuple(v) if v[col] > 0 else (-v[0], -v[1], -v[2])
+                break
+            x, y, qb, qv = _eliminate(pivot, v, col)
+            pivots[col] = (x * pivot[0] + y * v[0], x * pivot[1] + y * v[1], x * pivot[2] + y * v[2])
+            v = (qv * pivot[0] - qb * v[0], qv * pivot[1] - qb * v[1], qv * pivot[2] - qb * v[2])
+    return tuple(pivots[col] for col in sorted(pivots))
+
+
+def _holds(basis: tuple[Vec, ...], target: Vec) -> bool:
+    """Does the lattice with this triangular basis hold the target?  Each
+    row, in turn, takes as many of itself off the target as its pivot entry
+    fits, which leaves the remainder mod that entry in the pivot column.
+    Rows are zero left of their pivots, so later rows keep every column
+    already handled, and the target is held iff nothing is left."""
+    x, y, z = target
+    for a, b, c in basis:
+        q = x // a if a else y // b if b else z // c
+        x, y, z = x - q * a, y - q * b, z - q * c
+    return not (x or y or z)
+
+
+def _word_steps(word: tuple[str, ...], memo: dict) -> tuple[tuple[int, int, int, int], ...]:
+    """The step rows of a word's evaluation: a letter's from
+    `isometry._STEPS`, a longer word's built on first use and kept in memo."""
+    if len(word) == 1:
+        return _STEPS[word[0]]
+    rows = memo.get(word)
+    if rows is None:
+        rows = memo[word] = _step_rows(eval_word(word))
+    return rows
+
+
+def _enumerate(
+    words: Iterable[tuple[str, ...]], memo: dict
+) -> tuple[np.ndarray, np.ndarray, tuple[Vec, ...]]:
     """The space-group form of the subgroup H the words generate: its
     linear parts (as linear indices), one shift t_L per linear part, and
     the triangular basis of H's translation lattice Lambda_H.
 
     A breadth-first walk over linear parts, right-multiplying by the word
     evaluations, picks one element u_L of H per linear part L, kept as its
-    shift t_L.  Each step x = u g (one step-table lookup and three integer
-    additions) that lands on a linear part already picked gives the
-    Schreier generator x u_L^-1, the pure translation t_x - t_L; these
-    span Lambda_H exactly (Schreier's lemma), kept unreduced.  H mod N is
-    every (L, t_L + lambda) with lambda in Lambda_H + N Z^3 (see
-    `_space_group`).  Exact for any words: reduction mod N only sees
-    Lambda_H + N Z^3, whatever the rank of Lambda_H.
+    shift t_L.  Each step x = u g (one lookup in g's step rows, see
+    `_word_steps`, and three integer additions) that lands on a linear
+    part already picked gives the Schreier generator x u_L^-1, the pure
+    translation t_x - t_L; these span Lambda_H exactly (Schreier's lemma),
+    kept unreduced.  H mod N is every (L, t_L + lambda) with lambda in
+    Lambda_H + N Z^3 (see `_space_group`).  Exact for any words: reduction
+    mod N only sees Lambda_H + N Z^3, whatever the rank of Lambda_H.
     """
-    steps = _step_table(dict(enumerate(map(eval_word, words)))).values()
+    steps = [_word_steps(w, memo) for w in words]
     schreier: dict[Vec, None] = {}  # the distinct Schreier generators, in walk order
     picked = {_IDENTITY_LINEAR: (0, 0, 0)}  # linear index -> the shift of u_L
     walk = [_IDENTITY_LINEAR]
@@ -339,15 +409,15 @@ def _enumerate(words: Iterable[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray
         x, y, z = picked[l]
         for step in steps:
             m, dx, dy, dz = step[l]
-            t = (x + dx, y + dy, z + dz)
-            if m not in picked:
-                picked[m] = t
+            shift = picked.get(m)
+            if shift is None:
+                picked[m] = (x + dx, y + dy, z + dz)
                 walk.append(m)
             else:
-                schreier[tuple(a - b for a, b in zip(t, picked[m]))] = None
+                schreier[x + dx - shift[0], y + dy - shift[1], z + dz - shift[2]] = None
     linear = np.array(walk, dtype=np.int64)
     shifts = np.array(list(picked.values()), dtype=np.int64)
-    return linear, shifts, _span(schreier).basis()
+    return linear, shifts, _reduce(schreier)
 
 
 def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
@@ -355,7 +425,7 @@ def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
     N e_1, N e_2 and N e_3, entries right of the diagonal reduced mod N.
     The diagonal entries divide N, so the lattice has N^3 / (b_11 b_22 b_33)
     points mod N."""
-    basis = _span((*rows, (n, 0, 0), (0, n, 0), (0, 0, n))).basis()
+    basis = _reduce((*rows, (n, 0, 0), (0, n, 0), (0, 0, n)))
     return tuple(tuple(c if i <= k else c % n for i, c in enumerate(row)) for k, row in enumerate(basis))
 
 
@@ -406,12 +476,16 @@ def build_group(modulus: int) -> TorusGroup:
 def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     """Subgroup of `group` generated by the given words (strings or letter
     tuples), with the full group as its parent and its exact translation
-    lattice.  The result carries no translation certificate yet."""
+    lattice.  The result carries no translation certificate yet; its
+    `_memo` keeps the step rows of its longer words for the witness search."""
     words = _normalize_words(gens)
-    linear, shifts, basis = _enumerate(words)
-    return _space_group(
+    memo: dict = {}
+    linear, shifts, basis = _enumerate(words, memo)
+    sub = _space_group(
         group.modulus, words, linear, shifts, basis, translation_lattice=basis, _parent=group.parent
     )
+    sub._memo["step rows"] = memo
+    return sub
 
 
 class IntegerLattice:
@@ -426,20 +500,6 @@ class IntegerLattice:
     def __init__(self):
         self._pivots: dict[int, tuple[tuple[int, int, int], dict[int, int]]] = {}
         self._count = 0
-
-    @staticmethod
-    def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        return old_r, old_s, old_t
 
     @staticmethod
     def _combine(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
@@ -466,10 +526,9 @@ class IntegerLattice:
                 self._pivots[col] = (tuple(v), co)
                 return index
             bvec, bco = self._pivots[col]
-            g, x, y = self._ext_gcd(bvec[col], v[col])
+            x, y, qb, qv = _eliminate(bvec, v, col)
             new_pivot = tuple(x * bvec[k] + y * v[k] for k in range(3))
             new_pco = self._combine(x, bco, y, co)
-            qb, qv = bvec[col] // g, v[col] // g
             v = [qv * bvec[k] - qb * v[k] for k in range(3)]
             co = self._combine(qv, bco, -qb, co)
             self._pivots[col] = (new_pivot, new_pco)
@@ -510,12 +569,15 @@ _SEARCH_DEPTH = 24
 _WITNESS_LETTERS = 10**6
 
 
-def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, ...]):
+def _certificate_search(
+    words: tuple[tuple[str, ...], ...], targets: tuple[Vec, ...], memo: dict | None = None
+):
     """Breadth-first search over products of the generator evaluations
     (and their inverses) in the exact infinite group, collecting pure
     translations until they span every target.  The depth counts factors,
     i.e. length as a word in the subgroup's own generators.  A product is
-    the state (linear index, x, y, z), and a factor one step-table lookup.
+    the state (linear index, x, y, z), and a factor one lookup in its step
+    rows, which come from memo (see `_word_steps`) or are built into it.
 
     Returns (found, lattice, row_word): the lattice holds the pure
     translations (rows) in discovery order, and row_word(i) spells out the
@@ -524,17 +586,18 @@ def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, 
     rows asked for.  `found` is True when the targets became solvable
     within _SEARCH_DEPTH factors.
     """
+    memo = {} if memo is None else memo
     gens: list[Isometry] = []
     gen_words: list[tuple[str, ...]] = []
     for w in words:
-        for ww in (w, tuple(reversed(w))):
+        for ww in (w, w[::-1]):
             el = eval_word(ww)
             if el.is_identity or el in gens:
                 continue
             gens.append(el)
             gen_words.append(ww)
 
-    steps = _step_table(dict(enumerate(gens)))
+    steps = [_word_steps(w, memo) for w in gen_words]
     lattice = IntegerLattice()
     # product 0 is the identity; product i > 0 is product parents[i] times
     # generator factors[i]
@@ -546,7 +609,7 @@ def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, 
         while i:
             last.append(factors[i])
             i = parents[i]
-        return tuple(letter for g in reversed(last) for letter in gen_words[g])
+        return tuple(chain.from_iterable(gen_words[g] for g in reversed(last)))
 
     def spanned() -> bool:
         return all(lattice.solve(t) is not None for t in targets)
@@ -558,7 +621,7 @@ def _certificate_search(words: tuple[tuple[str, ...], ...], targets: tuple[Vec, 
         next_frontier = []
         fresh = False
         for (l, x, y, z), i in frontier:
-            for g, step in steps.items():
+            for g, step in enumerate(steps):
                 m, dx, dy, dz = step[l]
                 state = (m, x + dx, y + dy, z + dz)
                 if state in seen:
@@ -586,7 +649,8 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     keeps.  Only then does a breadth-first search over products of the
     generator evaluations collect pure translations until they span the
     three; their combinations are the witness words, re-evaluated exactly
-    and stored on the returned subgroup.
+    and stored on the returned subgroup.  The search reuses the step rows
+    `build_subgroup` kept on the subgroup's `_memo`.
 
     Raises CertificationError when the translations lie outside the
     lattice (no certificate exists), when the search finds no witness
@@ -596,13 +660,13 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     n = sub.modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
     words = [_spelled(w) for w in sub.generator_words]
-    held = _span(sub.translation_lattice)
-    missing = [t for t in targets if held.solve(t) is None]
+    missing = [t for t in targets if not _holds(sub.translation_lattice, t)]
     if missing:
         raise CertificationError(
             f"translations {missing[0]} not reachable from {words} (no certificate exists)"
         )
-    found, lattice, row_word = _certificate_search(sub.generator_words, targets)
+    memo = sub._memo.setdefault("step rows", {})
+    found, lattice, row_word = _certificate_search(sub.generator_words, targets, memo)
     if not found:
         missing = [t for t in targets if lattice.solve(t) is None]
         raise CertificationError(
@@ -620,9 +684,7 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
             )
     witnesses = []
     for target, row_terms in terms.items():
-        word: tuple[str, ...] = ()
-        for w, c in row_terms:
-            word += w * c if c > 0 else tuple(reversed(w)) * (-c)
+        word = tuple(chain.from_iterable(w * c if c > 0 else w[::-1] * -c for w, c in row_terms))
         el = eval_word(word)
         if el != translation(target):
             raise AssertionError(f"unsound witness for {target}: {word} -> {el}")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from honeycomb434 import isometry
 from honeycomb434.isometry import (
     EXPECTED_ANGLES,
     GENERATORS,
@@ -22,7 +23,6 @@ from honeycomb434.isometry import (
     dihedral_angle,
     dihedral_angle_check,
     eval_word,
-    generator,
     parse_word,
     perturbed_generators,
     translation,
@@ -229,9 +229,9 @@ def test_eval_word_custom_generators():
 
 
 def test_generator_lookup():
-    assert generator("P") == GENERATORS["P"]
+    assert eval_word(("P",)) == GENERATORS["P"] == Isometry((0, 1, 2), (1, 1, -1), (0, 0, 1))
     with pytest.raises(WordError) as info:
-        generator("Z")
+        eval_word(("Z",))
     assert str(info.value) == "unknown generator 'Z'"
 
 
@@ -240,6 +240,26 @@ def test_perturbed_presentation_breaks_exactly_two_relators():
     broken = {c.relator: c.residual for c in checks if not c.ok}
     assert set(broken) == {"(PQ)^4", "(QR)^3"}
     assert broken["(PQ)^4"] == translation((0, 0, 8))
+
+
+def test_an_override_table_is_built_once_per_presentation_check(monkeypatch):
+    # ten relators, one step table for the override and none for GENERATORS
+    built = []
+    step_table = isometry._step_table
+
+    def counted(generators):
+        built.append(generators)
+        return step_table(generators)
+
+    monkeypatch.setattr(isometry, "_step_table", counted)
+    perturbed = perturbed_generators()
+    assert sum(not c.ok for c in check_presentation(perturbed)) == 2
+    assert built == [perturbed]
+    assert all(c.ok for c in check_presentation())
+    assert built == [perturbed]
+    # a single evaluation against an override still builds its own table
+    eval_word("PQ", perturbed)
+    assert built == [perturbed, perturbed]
 
 
 def test_translation_and_inverse():

@@ -17,7 +17,7 @@ from honeycomb434.isometry import (
     parse_word,
     translation,
 )
-from honeycomb434 import quotient
+from honeycomb434 import isometry, quotient
 from honeycomb434.coloring import color_group
 from honeycomb434.crystal import PRESET_NAMES, load_config, preset
 from honeycomb434.quotient import (
@@ -635,6 +635,71 @@ def test_integer_lattice_basis_of_a_full_rank_lattice():
     # the diagonal divides 4, and its product is the determinant: 16, that
     # of twice the fcc lattice
     assert [basis[k][k] for k in range(3)] == [2, 2, 4]
+
+
+def repeated(rows):
+    """The rows followed by up to three of them again."""
+    if not rows:
+        return st.just(rows)
+    return st.lists(st.sampled_from(rows), max_size=3).map(lambda again: rows + again)
+
+
+small_vectors = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+axis_multiples = st.builds(
+    lambda n, axis, sign: tuple(sign * n if k == axis else 0 for k in range(3)),
+    st.sampled_from([2, 4, 8, 16]), st.integers(0, 2), st.sampled_from([1, -1]),
+)
+# rows for the coefficient-free reduction: small entries, zero rows,
+# negatives, N e_i and repeats of earlier rows among them
+lattice_rows = st.lists(
+    st.one_of(small_vectors, st.just((0, 0, 0)), axis_multiples), max_size=10
+).flatmap(repeated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_rows, st.lists(small_vectors, max_size=6))
+def test_the_coefficient_free_basis_is_the_integer_lattice_basis(rows, probes):
+    lattice = IntegerLattice()
+    for row in rows:
+        lattice.add(row)
+    basis = quotient._reduce(rows)
+    assert basis == lattice.basis()
+    # membership on the triangular basis is solve's yes or no, for the
+    # rows, their sums and differences, multiples of the axes and others
+    pairs = [(a, b) for a in rows[:4] for b in rows[:4]]
+    targets = [*rows, *probes, *[tuple(x + y for x, y in zip(a, b)) for a, b in pairs],
+               *[tuple(x - y for x, y in zip(a, b)) for a, b in pairs],
+               (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, 0, 0)]
+    for t in targets:
+        assert quotient._holds(basis, t) == (lattice.solve(t) is not None), t
+
+
+def test_step_rows_are_built_once_per_longer_word(monkeypatch):
+    # building and certifying a WORDS set builds rows only for its
+    # multi-letter words and their reversals, each at most once, and each
+    # multi-letter word exactly once; P, Q, R and S read isometry._STEPS
+    built = []
+    step_rows = quotient._step_rows
+
+    def counted(g):
+        built.append(g)
+        return step_rows(g)
+
+    monkeypatch.setattr(quotient, "_step_rows", counted)
+    for modulus in (2, 4):
+        group = build_group(modulus)
+        for name, words in WORDS.items():
+            built.clear()
+            sub = certify_translations(build_subgroup(group, words))
+            assert sub.certified
+            longer = [w for w in sub.generator_words if len(w) > 1]
+            allowed = {eval_word(ww) for w in longer for ww in (w, w[::-1])}
+            assert len(built) == len(set(built)), name
+            assert set(built) <= allowed, name
+            assert {eval_word(w) for w in longer} <= set(built), name
+            assert not set(built) & set(GENERATORS.values()), name
+    for letter, rows in isometry._STEPS.items():
+        assert quotient._word_steps((letter,), {}) is rows
 
 
 def isometry_certificate_search(words, targets):
