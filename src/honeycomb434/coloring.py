@@ -596,9 +596,9 @@ def verify_theorem(
     class of g rep_p x, and g rep_p ranges over H.  So a passing check makes one
     pass over H; only a failing one walks the cosets, to name the first
     failing element in canonical order.  Part 3 counts the orbits of the
-    colors under sigma of H's generator words, by a union-find, since
-    sigma is a homomorphism on H; a group without words, such as a color
-    group, counts the distinct image sets {sigma(g)[c] : g in H} instead.
+    colors under sigma of H's form codes (at most 51, see
+    `TorusGroup._form_codes`), by a union-find: they generate H, and sigma
+    is a homomorphism on H, so every group takes this one path.
     The coset table is the one `build_coloring` made for the same H and J.
 
     Returns a report with one entry per part; failures carry the
@@ -710,16 +710,9 @@ def _part1_failure(
 
 def _color_orbit_count(h: TorusGroup, cg: ColorGroupResult) -> int:
     """The number of orbits of H on the colors through sigma, which must be
-    defined on all of H."""
+    defined on all of H: a union-find of each color with its images under
+    sigma of H's form codes, which generate H."""
     colors = len(cg.class_vertices)
-    if not h.generator_words:
-        masks = {
-            np.bincount(cg.image_colors(h.codes, c), minlength=colors).astype(bool).tobytes()
-            for c in range(colors)
-        }
-        return len(masks)
-    n = h.modulus
-    firsts = coords(cg.class_vertices, n)
     roots = list(range(colors))
 
     def find(c: int) -> int:
@@ -728,9 +721,9 @@ def _color_orbit_count(h: TorusGroup, cg: ColorGroupResult) -> int:
             c = roots[c]
         return c
 
-    for word in h.generator_words:
-        image = cg.assignment[images(encode(eval_word(word), n), firsts, n)]
-        for c, d in enumerate(image.tolist()):
+    moved = cg.assignment[images(h._form_codes, coords(cg.class_vertices, h.modulus), h.modulus)]
+    for c, row in enumerate(moved.tolist()):
+        for d in row:
             roots[find(c)] = find(d)
     return sum(roots[c] == c for c in range(colors))
 

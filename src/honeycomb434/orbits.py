@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quotient import TorusGroup, _partition, apply_linear, coords, flat, images, join
+from .quotient import TorusGroup, apply_linear, coords, flat, images, join
 
 Vec = tuple[int, int, int]
 
@@ -41,12 +41,12 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
 
     Works from the group's space-group form.  The orbit of a vertex v is
     the union of the lattice cosets of L v + t_L, one per linear part L,
-    since the lattice is normal in the group.  So the vertices are labelled
-    by their coset of the lattice, and the cosets are walked in the order
-    of their smallest vertices: each coset not yet labelled starts an
-    orbit, which the images of its smallest vertex under the (L, t_L)
-    label whole.  Orbits are numbered by their smallest vertex.  Computed
-    once per group object and kept on it.
+    since the lattice is normal in the group.  So one array pass maps each
+    coset's smallest vertex through every (L, t_L), and the least of the
+    image cosets is the orbit's first coset; cosets are in the order of
+    their smallest vertices, so ranking the cosets that are their own
+    least numbers the orbits by their smallest vertex.  Computed once per
+    group object and kept on it.
     """
     memo = acting._memo
     if "orbits" not in memo:
@@ -58,11 +58,11 @@ def _orbit_decomposition(acting: TorusGroup) -> OrbitDecomposition:
     n = acting.modulus
     basis = acting.torus_lattice
     cells = acting._cells
-    # each coset's smallest vertex, in cell order; one element per part
+    # each coset's smallest vertex, in cell order, under each (L, t_L)
     smallest = np.indices([row[k] for k, row in enumerate(basis)]).reshape(3, -1).T
-    elements = join(acting.linear, acting.shifts, n)
-    cell_orbit, _ = _partition(len(smallest), lambda pos: cells[images(elements, smallest[pos], n)])
-    ids = cell_orbit[cells]
+    least = cells[images(join(acting.linear, acting.shifts, n), smallest, n)].min(axis=1)
+    cell_orbit = np.cumsum(least == np.arange(len(least))) - 1
+    ids = cell_orbit[least][cells]
     ids.setflags(write=False)
     # vertices grouped by orbit, each group in flat (lexicographic) order
     grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))

@@ -17,12 +17,13 @@ Inside a group, an element (L, t) with t in [0, N)^3 is the integer code
 permutation matrices ordered by flattened matrix.  Every group is a space
 group, and keeps that form: its linear parts, one shift t_L per part, and
 the triangular basis of its translation lattice mod N.  Order, membership,
-containment, index and orbits are read off the form; cosets and vertex
-images are numpy passes over the sorted int64 array of the group's codes,
-which is enumerated once from the form (see `_enumerate` and
-`_space_group`), so no group is closed.  The full group is every code
-from 0 to 48 N^3 - 1.  Code order is
-the canonical element order used for deterministic coset ids:
+containment, index, cosets and orbits are read off the form, by array
+passes with Python loops over at most the 48 linear parts; vertex images
+are numpy passes over the sorted int64 array of the group's codes, which
+is enumerated once from the form (see `_enumerate` and `_space_group`),
+so no group is closed.  The full group is every code from 0 to
+48 N^3 - 1.  Code order is the canonical element order used for
+deterministic coset ids:
 lexicographic on (flattened linear matrix, translation), the linear parts
 taken in the order of `isometry.LINEAR_PARTS`.  `TorusGroup.codes` holds
 the array read-only, `elements` decodes it to a frozenset
@@ -126,16 +127,14 @@ def join(linear, xyz: np.ndarray, n: int) -> np.ndarray:
 
 
 def apply_linear(linear, xyz, n: int) -> np.ndarray:
-    """L v mod n, with one factor fixed: one linear index and coordinates
-    of shape (..., 3), or linear indices of any shape and one vertex, whose
-    48 images are computed once and gathered.  The package's one rule for
-    how a linear part acts: coordinate i of L v is signs[i] * v[perm[i]].
-    Raises ValueError when both factors vary."""
+    """L v mod n for every pair of linear indices (any shape) and vertex
+    coordinates (shape (..., 3)): the outer product, of shape
+    xyz.shape[:-1] + linear.shape + (3,).  One vertex's 48 images are
+    computed once and gathered.  The package's one rule for how a linear
+    part acts: coordinate i of L v is signs[i] * v[perm[i]]."""
     xyz = np.asarray(xyz)
     if xyz.ndim == 1:
         return (_SIGN * xyz[_PERM] % n)[linear]
-    if np.ndim(linear):
-        raise ValueError("apply_linear takes one linear index or one vertex")
     return _SIGN[linear] * xyz[..., _PERM[linear]] % n
 
 
@@ -155,16 +154,18 @@ _MUL = _composition_table()
 
 def multiply(a, b, n: int) -> np.ndarray:
     """Codes of the products a * b ("b first, then a"); one of a and b is a
-    single code, the other any array of codes."""
+    single code, the other any array of codes; two arrays raise ValueError."""
+    if np.ndim(a) and np.ndim(b):
+        raise ValueError("multiply takes a single code on one side")
     la, ta = split(a, n)
     lb, tb = split(b, n)
     return join(_MUL[la, lb], (apply_linear(la, tb, n) + ta) % n, n)
 
 
 def images(codes, v, n: int) -> np.ndarray:
-    """Vertex indices (see `flat`) of the images of one vertex v under
-    coded elements, or of vertices given as coordinates of shape (..., 3)
-    under one coded element."""
+    """Vertex indices (see `flat`) of the images of vertices given as
+    coordinates of shape (..., 3) under coded elements: every vertex under
+    every code, of shape v.shape[:-1] + codes.shape."""
     linear, t = split(codes, n)
     return flat((apply_linear(linear, v, n) + t) % n, n)
 
@@ -197,9 +198,10 @@ class TorusGroup:
     `linear` (sorted linear indices), one shift t_L per linear part
     (`shifts`, aligned with `linear`, in [0, N)^3), and `torus_lattice`,
     the triangular basis of its translations mod N (the lattice they span
-    with N Z^3; three rows, each diagonal entry dividing N).  The group is
-    every (L, t_L + lambda), so `order`, `includes`, `within` and `index`
-    are computed from the form with no pass over the codes.
+    with N Z^3, in Hermite normal form; three rows, each diagonal entry
+    dividing N).  The group is every (L, t_L + lambda), so `order`,
+    `includes`, `within` and `index` are computed from the form with no
+    pass over the codes, and `left_cosets` with no walk.
     `codes` is the sorted, read-only int64 array of the element codes, which
     `locate` searches, and `elements` decodes it to a frozenset of
     `Isometry` on first use.  Groups compare by identity; `within` compares
@@ -315,14 +317,6 @@ def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
     return tuple(parse_word(g) if isinstance(g, str) else check_letters(g) for g in gens)
 
 
-def _span(rows: Iterable[Vec]) -> IntegerLattice:
-    """The lattice the rows span, with coefficients over them."""
-    lattice = IntegerLattice()
-    for row in rows:
-        lattice.add(row)
-    return lattice
-
-
 def _eliminate(pivot: Vec, v: Vec, col: int) -> tuple[int, int, int, int]:
     """The gcd step that merges v into the pivot row of column col:
     (x, y, qb, qv) with g = x pivot[col] + y v[col] their positive gcd, and
@@ -422,11 +416,13 @@ def _enumerate(
 
 def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
     """The triangular basis b_1, b_2, b_3 of the lattice the rows span with
-    N e_1, N e_2 and N e_3, entries right of the diagonal reduced mod N.
-    The diagonal entries divide N, so the lattice has N^3 / (b_11 b_22 b_33)
-    points mod N."""
-    basis = _reduce((*rows, (n, 0, 0), (0, n, 0), (0, 0, n)))
-    return tuple(tuple(c if i <= k else c % n for i, c in enumerate(row)) for k, row in enumerate(basis))
+    N e_1, N e_2 and N e_3, each entry right of the diagonal reduced modulo
+    the diagonal entry of its column (the Hermite normal form), so equal
+    lattices have equal bases.  The diagonal entries divide N, so the
+    lattice has N^3 / (b_11 b_22 b_33) points mod N."""
+    (a, b, c), (_, d, e), (_, _, f) = _reduce((*rows, (n, 0, 0), (0, n, 0), (0, 0, n)))
+    q, e = b // d, e % f
+    return (a, b - q * d, (c - q * e) % f), (0, d, e), (0, 0, f)
 
 
 def _space_group(
@@ -718,34 +714,41 @@ class CosetTable:
 
 
 def left_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
-    """Walk H's codes in order; each element not yet covered is the smallest
-    of its coset g J, which one array product labels whole."""
+    """Label H's codes by their left cosets g J, read off the two forms.
+
+    Take g = (B, b) in H.  The coset g J has the linear parts B pi(J); let
+    B0 be the smallest of them, and M0 = B^-1 B0, a part of J with shift
+    s_M0.  Then g J holds (B0, b + B s_M0 + B0 Lambda_J), and B0 Lambda_J =
+    B Lambda_J because pi(J) keeps Lambda_J.  So the key of g J is B0 N^3
+    plus the cell of b + B s_M0 modulo B0 Lambda_J (see `_vertex_cells`),
+    with one cell map per distinct basis of B0 Lambda_J, J's own reused.
+    Keys in order are the cosets in the canonical order of their smallest
+    elements, so ranking the keys that occur numbers the cosets, and each
+    coset's smallest element is the first code carrying its id.
+    """
     if h.modulus != j.modulus:
         raise SubgroupError("mismatched moduli")
     if not j.within(h):
         raise SubgroupError("J is not contained in H")
     n = h.modulus
-    ids, firsts = _partition(h.order, lambda pos: h.locate(multiply(h.codes[pos], j.codes, n)))
-    return CosetTable(h, ids, h.codes[firsts])
-
-
-def _partition(size: int, block_of) -> tuple[np.ndarray, np.ndarray]:
-    """Label positions 0 .. size - 1 by blocks, walking in order: each
-    position not yet labelled starts the next block, and block_of(pos)
-    gives all its positions.  Returns the labels and each block's first
-    position.  Free positions are sought in windows that double from 64,
-    so the scan costs array work in proportion to the distance covered."""
-    ids = np.full(size, -1, dtype=np.int64)
-    firsts: list[int] = []
-    pos, width = 0, 64
-    while pos < size:
-        free = np.flatnonzero(ids[pos:pos + width] < 0)
-        if not free.size:
-            pos += width
-            width *= 2
-            continue
-        pos += int(free[0])
-        ids[block_of(pos)] = len(firsts)
-        firsts.append(pos)
-        pos, width = pos + 1, 64
-    return ids, np.array(firsts, dtype=np.int64)
+    parts = _MUL[h.linear[:, None], j.linear]  # B pi(J), one row per linear part B of H
+    pick, across = parts.argmin(axis=1), np.arange(len(h.linear))
+    smallest = parts[across, pick]  # B0 of each part B
+    offsets = apply_linear(h.linear, j.shifts, n)[pick, across]  # B s_M0 of each part B
+    # one cell map per distinct basis of B0 Lambda_J, J's own first
+    bases = {j.torus_lattice: 0}
+    lattice_of = np.zeros(48, dtype=np.int64)
+    for part in set(smallest.tolist()):
+        basis = _torus_basis(apply_linear(part, np.array(j.torus_lattice), n).tolist(), n)
+        lattice_of[part] = bases.setdefault(basis, len(bases))
+    cell_maps = np.array([j._cells] + [_vertex_cells(basis, n) for basis in list(bases)[1:]])
+    # H's codes are one block of translations per linear part, in part order
+    t = coords(h.codes.reshape(len(h.linear), -1) % n**3, n)
+    cells = cell_maps[lattice_of[smallest][:, None], flat((t + offsets[:, None]) % n, n)]
+    keys = (smallest[:, None] * n**3 + cells).reshape(-1)
+    present = np.zeros(48 * n**3, dtype=bool)
+    present[keys] = True
+    ids = (np.cumsum(present) - 1)[keys]
+    # a coset's first code is where the running maximum of the ids steps up
+    top = np.maximum.accumulate(ids)
+    return CosetTable(h, ids, h.codes[np.concatenate(([True], top[1:] > top[:-1]))])

@@ -4,9 +4,14 @@ Everything here is written against plain 3x3 integer matrices and exhaustive
 enumeration, deliberately sharing no code with the package under test.  The
 tests use it to recompute group orders, orbits, stabilizers, cosets, color
 classes and the coset-coloring theorem's reports from scratch and compare.
-The one exception is `code_walk_decomposition`, the package's former orbit
-walk over a group's element codes, kept as a fast second reference for
-`orbits.decompose` at moduli where the exhaustive walks are slow.
+The exceptions are the two code walks, which use the package's code layer
+(`apply_linear`, `multiply`, ...) on a `TorusGroup`'s sorted codes.
+`code_walk_decomposition` walks the vertices, and `code_walk_cosets` H's
+codes, in order; each one not yet labelled labels its whole orbit, or
+coset, by one array pass.  They were the package's own orbit and coset
+walks, and stay as fast second references for `orbits.decompose` and
+`quotient.left_cosets`, which read the same results off the groups'
+space-group forms, at moduli where the exhaustive walks are slow.
 """
 
 import functools
@@ -279,18 +284,23 @@ def theorem_report(h_elements, j_elements, x, color, sigma, n):
 
 
 def code_walk_decomposition(acting):
-    """The orbits of a package `TorusGroup` by a walk over its element codes:
-    the vertices are walked in flat order, and each one not yet labelled
-    starts an orbit, which one pass over all of the group's codes labels
-    whole.  Returns an `orbits.OrbitDecomposition`."""
+    """The orbits of a package `TorusGroup` by a walk over the vertices in
+    flat order: each one not yet labelled starts an orbit, which one pass
+    over all of the group's codes labels whole.  Returns an
+    `orbits.OrbitDecomposition`."""
     import numpy as np
 
     from honeycomb434.orbits import Orbit, OrbitDecomposition
-    from honeycomb434.quotient import _partition, apply_linear, coords, flat, split
+    from honeycomb434.quotient import apply_linear, coords, flat, split
 
     n = acting.modulus
     linear, t = split(acting.codes, n)
-    ids, _ = _partition(n**3, lambda pos: flat((apply_linear(linear, coords(pos, n), n) + t) % n, n))
+    ids = np.full(n**3, -1, dtype=np.int64)
+    count = 0
+    for pos in range(n**3):
+        if ids[pos] < 0:
+            ids[flat((apply_linear(linear, coords(pos, n), n) + t) % n, n)] = count
+            count += 1
     grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))
     ends = np.cumsum(np.bincount(ids)).tolist()
     orbits = tuple(
@@ -298,3 +308,23 @@ def code_walk_decomposition(acting):
         for k, (start, end) in enumerate(zip([0] + ends, ends))
     )
     return OrbitDecomposition(acting, orbits, ids)
+
+
+def code_walk_cosets(h, j):
+    """The left cosets of J in H, package `TorusGroup`s, by a walk over H's
+    sorted codes: each one g not yet labelled is the smallest of its coset
+    g J, whose codes `multiply` gives and a sorted search finds in H.
+    Returns (coset id of each of H's codes, the representative codes), as
+    `quotient.left_cosets` numbers them."""
+    import numpy as np
+
+    from honeycomb434.quotient import multiply
+
+    n = h.modulus
+    ids = np.full(h.order, -1, dtype=np.int64)
+    firsts = []
+    for pos in range(h.order):
+        if ids[pos] < 0:
+            ids[np.searchsorted(h.codes, multiply(h.codes[pos], j.codes, n))] = len(firsts)
+            firsts.append(pos)
+    return ids, h.codes[firsts]

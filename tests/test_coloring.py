@@ -769,8 +769,8 @@ def test_text_round_trip(coloring):
 # layers by x mod 2 at N = 4
 @example(coloring=tiled([0, 0, 0, 0, 1, 1, 1, 1], 4))
 def test_color_orbits_match_the_union_find_oracle(subs2, subs4, coloring):
-    # part 3 counts the distinct sigma-image sets; the oracle joins every
-    # color to its images and counts the classes
+    # part 3 joins every color to its images under sigma of H's form codes;
+    # the oracle joins it to its images under all of H
     cg = color_group(coloring)
     subs = {2: subs2, 4: subs4}[coloring.modulus]
     for h in [cg.subgroup] + [sub for sub in subs.values() if sub.within(cg.subgroup)]:
@@ -778,6 +778,66 @@ def test_color_orbits_match_the_union_find_oracle(subs2, subs4, coloring):
         part = verify_theorem(h, h, (0, 0, 0), coloring).parts[2]
         assert part.ok
         assert part.detail.startswith(f"{oracle.orbit_count(images)} color orbits vs ")
+
+
+def seeded_coloring(modulus, colors, side, seed=0):
+    """A coloring without a recipe: the given number of colors, each on at
+    least one vertex of a side x side x side cell, spread over the cell by a
+    seeded shuffle, and the cell repeated over the torus."""
+    rng = np.random.default_rng(seed)
+    cell = rng.permutation(np.arange(side**3) % colors).reshape((side,) * 3)
+    table = tuple(ColorInfo(f"c{i}") for i in range(colors))
+    return VertexColoring(modulus, table, np.tile(cell, (modulus // side,) * 3).astype(np.int16))
+
+
+@pytest.mark.parametrize(
+    "modulus, colors, side",
+    # at N = 4, two colors on a repeated cell give a color group of order
+    # 768 that swaps them, and on the whole torus one of order 1
+    [(2, 2, 2), (2, 8, 2), (4, 2, 2), (4, 2, 4), (4, 8, 2), (4, 8, 4), (4, 64, 4)],
+)
+def test_part_3_on_a_color_group_matches_the_brute_force_color_orbits(modulus, colors, side):
+    n = modulus
+    coloring = seeded_coloring(n, colors, side)
+    cg = color_group(coloring)
+    h = cg.subgroup
+    assert h.generator_words == ()
+    # the oracle finds the color group and each sigma over all 48 N^3 elements
+    color = {v: int(coloring.assignment[v]) for v in oracle.vertices(n)}
+    classes = oracle.color_classes(color)
+    sigmas = [s for g in oracle.full_group(n) if (s := oracle.permutes_classes(g, classes, n))]
+    assert len(sigmas) == h.order
+    expected = oracle.orbit_count([[s[c] for s in sigmas] for c in range(colors)])
+    part = verify_theorem(h, h, (0, 0, 0), coloring).parts[2]
+    assert part.ok
+    assert part.detail.startswith(f"{expected} color orbits vs ")
+
+
+def test_part_3_makes_no_pass_over_h(monkeypatch):
+    # one color per vertex and no recipe: H, the color group, is the full
+    # group, without words; a per-color pass over H would make 512 of them
+    h = quotient.build_group(8)
+    plan = adversarial_plan(h)
+    built = build_coloring(h, [plan])
+    coloring = VertexColoring(8, built.color_table, built.assignment)
+    cg = color_group(coloring)
+    assert cg.subgroup.order == h.order and cg.subgroup.generator_words == ()
+    passes = []
+    original = coloring_module.images
+
+    def counted(*args):
+        if np.size(args[0]) == h.order:
+            passes.append("images")
+        return original(*args)
+
+    monkeypatch.setattr(coloring_module, "images", counted)
+    assert coloring_module._color_orbit_count(cg.subgroup, cg) == 1
+    assert passes == []
+    report = verify_theorem(cg.subgroup, plan.subgroup, (0, 0, 0), coloring)
+    assert report.ok
+    assert report.parts[2].detail == "1 color orbits vs 1 vertex orbits"
+    # part 1's orbit map is the one pass
+    assert passes == ["images"]
 
 
 @settings(max_examples=40, deadline=None)

@@ -483,8 +483,19 @@ def test_apply_linear_matches_isometry_apply_with_either_factor_fixed(modulus):
     for i, v in enumerate(vertices):
         # every linear index, one vertex
         assert np.array_equal(apply_linear(np.arange(48), v, n), expected[:, i])
-    with pytest.raises(ValueError, match="one linear index or one vertex"):
-        apply_linear(np.arange(48), vertices, n)
+    # every linear index and every vertex: the outer product, vertices first
+    both = apply_linear(np.arange(48), vertices, n)
+    assert both.shape == (n**3, 48, 3)
+    assert np.array_equal(both, expected.transpose(1, 0, 2))
+    # any shapes on either side
+    grid = vertices.reshape(-1, 2, 3)
+    parts = np.arange(48).reshape(6, 8)
+    assert np.array_equal(
+        apply_linear(parts, grid, n), expected[parts].transpose(2, 0, 1, 3).reshape(-1, 2, 6, 8, 3)
+    )
+    # multiply is not elementwise: one side must be a single code
+    with pytest.raises(ValueError, match="a single code on one side"):
+        multiply(np.arange(4), np.arange(4), n)
 
 
 def test_composition_table_matches_isometry_products():
@@ -537,6 +548,31 @@ def test_left_cosets_match_the_oracle(modulus, subs2, subs4):
         )
         for cid, rep in enumerate(representatives):
             assert rep == canonical_min(cosets[cid])
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+def test_left_cosets_match_the_code_walk(modulus):
+    # left_cosets keys each coset by its smallest linear part and a lattice
+    # cell; the code walk labels each coset whole from its smallest element
+    groups = dict(form_groups(modulus))
+    full = groups["the full group"]
+    n = modulus
+    # [H:J] = N^3 in the full group
+    groups["large-index J"] = certify_translations(
+        build_subgroup(full, ("Q", "R", "S", f"(QPQRSR)^{n}", f"(RQPQRS)^{n}", f"(PQRSRQ)^{n}"))
+    )
+    pairs = 0
+    for h_name, h in groups.items():
+        for j_name, j in groups.items():
+            if not j.within(h):
+                continue
+            table = left_cosets(h, j)
+            ids, representatives = oracle.code_walk_cosets(h, j)
+            assert np.array_equal(table.coset_ids, ids), (h_name, j_name)
+            assert np.array_equal(table.representative_codes, representatives), (h_name, j_name)
+            pairs += 1
+    # every group lies within itself and within the full group
+    assert pairs >= 2 * len(groups) - 1
 
 
 # point group, and the rank of the translation lattice, in the comments
@@ -780,8 +816,8 @@ def test_certificate_search_matches_the_isometry_search_on_random_words(words, m
     # the search runs once the lattice holds the targets, as in
     # certify_translations; elsewhere it would walk all 24 levels of a
     # group with infinitely many elements
-    held = quotient._span(build_subgroup(build_group(modulus), words).translation_lattice)
-    if all(held.solve(t) is not None for t in ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus))):
+    held = build_subgroup(build_group(modulus), words).translation_lattice
+    if all(quotient._holds(held, t) for t in ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus))):
         assert assert_searches_agree(words, modulus)
 
 
