@@ -35,6 +35,7 @@ from .quotient import (
     _vertex_cells,
     apply_linear,
     check_modulus,
+    check_vertex,
     coords,
     decode,
     encode,
@@ -104,12 +105,31 @@ class ColorGroupResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class VertexColoring:
-    """A total, onto assignment of color ids to the N^3 torus vertices."""
+    """A total, onto assignment of color ids to the N^3 torus vertices:
+    every color of the table, whose labels are distinct strings, colors
+    some vertex.  Checked on construction."""
 
     modulus: int
     color_table: tuple[ColorInfo, ...]
     assignment: np.ndarray  # shape (N, N, N), entry = color id
     recipe: ColoringRecipe | None = None
+
+    def __post_init__(self):
+        n, k = self.modulus, len(self.color_table)
+        check_modulus(n)
+        a = self.assignment
+        if not isinstance(a, np.ndarray) or a.dtype.kind not in "iu" or a.shape != (n, n, n):
+            raise ValueError(f"the assignment must be an integer array of shape ({n}, {n}, {n})")
+        if a.min() < 0 or a.max() >= k:
+            raise ValueError(f"color ids must lie in [0, {k}) for {k} declared colors")
+        if not np.bincount(a.ravel(), minlength=k).all():
+            raise ValueError("coloring is not onto: some declared color is unused")
+        labels = self.labels
+        if not all(isinstance(label, str) for label in labels) or len(set(labels)) < k:
+            raise ValueError(f"color labels must be distinct strings, got {labels}")
+        for label, element, _ in self.color_table:
+            if element is not None and not isinstance(element, str):
+                raise ValueError(f"color {label!r}: element symbol {element!r} is not a string")
 
     def __eq__(self, other):
         if not isinstance(other, VertexColoring):
@@ -131,8 +151,7 @@ class VertexColoring:
         return frozenset(i.label for i in self.color_table if i.background)
 
     def color_id(self, v) -> int:
-        n = self.modulus
-        x, y, z = (c % n for c in v)
+        x, y, z = check_vertex(v, self.modulus)
         return int(self.assignment[x, y, z])
 
     def label_of(self, v) -> str:
@@ -253,8 +272,6 @@ class VertexColoring:
         # with N^3 lines and no vertex listed twice, every vertex has one
         if count < n**3:
             raise ValueError(f"coloring is not total: {count} vertex lines for {n**3} vertices")
-        if not np.bincount(assignment.ravel(), minlength=len(table)).all():
-            raise ValueError("coloring is not onto: some declared color is unused")
         return cls(n, tuple(table), assignment)
 
 
@@ -333,8 +350,14 @@ def build_coloring(
     plans = tuple(plans)
     merges = tuple((a, b) for a, b in merges)
 
+    if background is not None and not isinstance(background, str):
+        raise PlanError(f"background label {background!r} is not a string")
     by_orbit: dict[int, OrbitPlan] = {}
     for plan in plans:
+        if not isinstance(plan.labels, (tuple, list)) or not all(
+            isinstance(label, str) for label in plan.labels
+        ):
+            raise PlanError(f"plan for orbit {plan.orbit}: labels must be a sequence of strings")
         if not 0 <= plan.orbit < len(decomp.orbits):
             raise PlanError(
                 f"orbit index {plan.orbit} out of range; H has {len(decomp.orbits)} orbits"
@@ -463,18 +486,12 @@ def build_coloring(
     return VertexColoring(n, table, assignment, recipe)
 
 
-def _induced(a: np.ndarray, b: np.ndarray, k: int) -> tuple[int, ...] | None:
-    """The map on the k colors that sends a[v] to b[v] for every vertex v,
-    if it is well defined and a permutation; None otherwise.  Here b is the
-    assignment read at the images of the vertices under one element."""
-    mapping = np.full(k, -1, dtype=np.int16)
-    mapping[a] = b
-    if not (mapping[a] == b).all():
-        return None
-    perm = mapping.tolist()
-    if sorted(perm) != list(range(k)):
-        return None
-    return tuple(perm)
+def _induced(b: np.ndarray, first: np.ndarray) -> bool:
+    """Does one element permute the colors?  b is the assignment at the
+    images of the vertices under it, first[v] the first vertex of v's class.
+    The color map is well defined iff b agrees with b[first], and then a
+    permutation: the element permutes the vertices, and the coloring is onto."""
+    return bool((b == b[first]).all())
 
 
 def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupResult:
@@ -502,12 +519,14 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     n = coloring.modulus
     n3 = n**3
     a = coloring.assignment.reshape(-1)
-    k = len(coloring.color_table)
+    class_vertices = np.full(len(coloring.color_table), n3, dtype=np.int64)
+    np.minimum.at(class_vertices, a, np.arange(n3))
+    first = class_vertices[a]
     grid = coords(np.arange(n3), n)
 
     def permutes(moved: np.ndarray) -> bool:
         """Is the vertex map v -> moved[v] (flat indices) a color permutation?"""
-        return _induced(a, a[moved], k) is not None
+        return _induced(a[moved], first)
 
     h = None if coloring.recipe is None else coloring.recipe.group
     if h is not None and not all(
@@ -545,8 +564,6 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
                 shifts.append(t0)
                 break
     sub = _space_group(n, (), np.array(linear), np.array(shifts), basis, _parent=group)
-    class_vertices = np.full(k, n3, dtype=np.int64)
-    np.minimum.at(class_vertices, a, np.arange(n3))
     return ColorGroupResult(sub, a, class_vertices)
 
 
@@ -606,7 +623,7 @@ def verify_theorem(
     if not h.modulus == j.modulus == coloring.modulus:
         raise ValueError(f"moduli differ: H {h.modulus}, J {j.modulus}, coloring {coloring.modulus}")
     n = h.modulus
-    x = tuple(c % n for c in x)
+    x = check_vertex(x, n)
     decomp = decompose(h)
     orbit = decomp.orbit_of(x)
     table = _ordered_cosets(h, j)

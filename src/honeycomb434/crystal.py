@@ -138,7 +138,6 @@ def validate_config(data) -> None:
 
     need(isinstance(data, dict), "config must be a JSON object")
     need(isinstance(data.get("family"), str), "config needs a string 'family'")
-    need(integer(data.get("modulus", 2)), "'modulus' must be an integer")
     try:
         check_modulus(data.get("modulus", 2))
     except ValueError as exc:

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quotient import TorusGroup, apply_linear, coords, flat, images, join
+from .quotient import TorusGroup, apply_linear, check_vertex, coords, flat, images, join
 
 Vec = tuple[int, int, int]
 
@@ -33,7 +33,7 @@ class OrbitDecomposition:
 
     def orbit_of(self, v) -> Orbit:
         n = self.group.modulus
-        return self.orbits[self.vertex_orbit[flat(np.asarray(v) % n, n)]]
+        return self.orbits[self.vertex_orbit[flat(np.array(check_vertex(v, n)), n)]]
 
 
 def decompose(acting: TorusGroup) -> OrbitDecomposition:
@@ -80,7 +80,7 @@ def stabilizer_codes(acting: TorusGroup, v) -> np.ndarray:
     (L, t) fixes v exactly when t = v - L v mod N, so each of the 48 linear
     parts has one candidate, and a membership lookup decides it."""
     n = acting.modulus
-    v = np.asarray(v, dtype=np.int64) % n
+    v = np.array(check_vertex(v, n), dtype=np.int64)
     linear = np.arange(48)
     candidates = join(linear, (v - apply_linear(linear, v, n)) % n, n)
     return candidates[acting.includes(candidates)]

@@ -15,27 +15,26 @@ a subgroup's `parent` is the full group, which is its own parent.
 Inside a group, an element (L, t) with t in [0, N)^3 is the integer code
 ``l * N^3 + (x * N + y) * N + z``, where l indexes the 48 signed
 permutation matrices ordered by flattened matrix.  Every group is a space
-group, and keeps that form: its linear parts, one shift t_L per part, and
-the triangular basis of its translation lattice mod N.  Order, membership,
-containment, index, cosets and orbits are read off the form, by array
-passes with Python loops over at most the 48 linear parts; vertex images
-are numpy passes over the sorted int64 array of the group's codes, which
-is enumerated once from the form (see `_enumerate` and `_space_group`),
-so no group is closed.  The full group is every code from 0 to
-48 N^3 - 1.  Code order is the canonical element order used for
-deterministic coset ids:
-lexicographic on (flattened linear matrix, translation), the linear parts
-taken in the order of `isometry.LINEAR_PARTS`.  `TorusGroup.codes` holds
-the array read-only, `elements` decodes it to a frozenset
-of `Isometry` on first use, and two groups compare by identity, not by
-element set.  The walks in the infinite group step integer states (linear
-index, x, y, z) through step rows (`isometry._step_rows`), with no
-`Isometry` product: a letter's rows are `isometry._STEPS`, built at import,
-and a longer word's are built once per `build_subgroup` and kept on the
-subgroup's `_memo` for `certify_translations`.  Lattice bases are reduced
-without coefficients (`_reduce`, `_holds`); only the witness search keeps
-them, in an `IntegerLattice`.  Words, witnesses and reports keep
-`Isometry` values.
+group, held as that form by one constructor (`_space_group`): its linear
+parts, one shift t_L per part, and the triangular basis of its translation
+lattice mod N.  Order, membership, containment, index, cosets and orbits
+are read off the form, by array passes with Python loops over at most the
+48 linear parts, so no group is closed.  Code order is the canonical
+element order used for deterministic coset ids: lexicographic on
+(flattened linear matrix, translation), the linear parts taken in the
+order of `isometry.LINEAR_PARTS`.  `TorusGroup.codes`, the sorted,
+read-only int64 array of a group's codes (for the full group, every code
+from 0 to 48 N^3 - 1), is enumerated from the form on first use: only the
+passes that walk a group (vertex images, coset labels) read it.
+`elements` decodes it to a frozenset of `Isometry` on first use, and two
+groups compare by identity, not by element set.  The walks in the
+infinite group step integer states (linear index, x, y, z) through step
+rows (`isometry._step_rows`), with no `Isometry` product: a letter's rows
+are `isometry._STEPS`, built at import, and a longer word's are built once
+per `build_subgroup` and kept on the subgroup's `_memo` for
+`certify_translations`.  Lattice bases are reduced without coefficients
+(`_reduce`, `_holds`); only the witness search keeps them, in an
+`IntegerLattice`.  Words, witnesses and reports keep `Isometry` values.
 """
 
 from __future__ import annotations
@@ -90,11 +89,26 @@ class Witness(NamedTuple):
 
 
 def check_modulus(modulus: int) -> None:
-    """Reject a modulus that is odd, below 2 or above MAX_MODULUS."""
+    """Reject a modulus that is not an integer (numpy integers pass, bools
+    do not), or that is odd, below 2 or above MAX_MODULUS."""
+    if isinstance(modulus, bool) or not isinstance(modulus, (int, np.integer)):
+        raise ValueError(f"modulus must be an integer, got {modulus!r}")
     if modulus < 2 or modulus % 2 != 0:
         raise ValueError(f"modulus must be an even integer >= 2, got {modulus}")
     if modulus > MAX_MODULUS:
         raise ValueError(f"modulus {modulus} is above the limit {MAX_MODULUS}")
+
+
+def check_vertex(v, n: int) -> Vec:
+    """A vertex given as three integers (numpy integers pass, bools do
+    not), reduced mod n; anything else raises ValueError."""
+    try:
+        x, y, z = v
+    except (TypeError, ValueError):
+        raise ValueError(f"a vertex is three integers, got {v!r}") from None
+    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in (x, y, z)):
+        raise ValueError(f"a vertex is three integers, got {v!r}")
+    return int(x) % n, int(y) % n, int(z) % n
 
 
 # -- the code layer ----------------------------------------------------------
@@ -202,10 +216,10 @@ class TorusGroup:
     dividing N).  The group is every (L, t_L + lambda), so `order`,
     `includes`, `within` and `index` are computed from the form with no
     pass over the codes, and `left_cosets` with no walk.
-    `codes` is the sorted, read-only int64 array of the element codes, which
-    `locate` searches, and `elements` decodes it to a frozenset of
-    `Isometry` on first use.  Groups compare by identity; `within` compares
-    element sets.
+    `codes`, the sorted, read-only int64 array of the element codes, is
+    enumerated from the form on first use; `locate` searches it, and
+    `elements` decodes it to a frozenset of `Isometry` on first use.
+    Groups compare by identity; `within` compares element sets.
     `parent` is the full group; the full group is its own parent.
     `translation_lattice` is the triangular basis (at most three rows) of
     the translations the underlying infinite group contains; a group built
@@ -218,12 +232,11 @@ class TorusGroup:
     `_cells` is the lattice coset of each translation, by flat index (see
     `_vertex_cells`), which membership and orbits look up.
     `_memo` keeps results derived from this group object, such as its orbit
-    decomposition; `dataclasses.replace` starts the copy with an empty one.
+    decomposition; a `dataclasses.replace` copy starts it, and `codes`, anew.
     """
 
     modulus: int
     generator_words: tuple[tuple[str, ...], ...]
-    codes: np.ndarray = field(repr=False)
     linear: np.ndarray = field(repr=False)
     shifts: np.ndarray = field(repr=False)
     torus_lattice: tuple[Vec, Vec, Vec] = field(repr=False)
@@ -244,6 +257,17 @@ class TorusGroup:
     @cached_property
     def elements(self) -> frozenset[Isometry]:
         return frozenset(decode(self.codes, self.modulus))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Part L's translations are the lattice coset of t_L, whose
+        members, grouped by one stable sort of the cells, are in flat
+        order; the parts ascend, so each fills a range of its own."""
+        n = self.modulus
+        members = np.argsort(self._cells, kind="stable").reshape(-1, self.order // len(self.linear))
+        codes = (self.linear[:, None] * n**3 + members[self._cells[flat(self.shifts, n)]]).reshape(-1)
+        codes.setflags(write=False)
+        return codes
 
     @property
     def order(self) -> int:
@@ -429,22 +453,18 @@ def _space_group(
     modulus: int, words: tuple[tuple[str, ...], ...], linear, shifts, rows: Iterable[Vec], **fields
 ) -> TorusGroup:
     """The group of every (L, t_L + lambda): one shift t_L per linear index
-    L, and every lambda in the lattice the rows span with N Z^3.  Keeps
-    that form, and enumerates it once into the sorted, read-only codes: the
-    translations of part L are the lattice coset of t_L, and the vertices
-    of each coset, grouped by one stable sort of their cells, are already
-    in flat order."""
+    L, and every lambda in the lattice the rows span with N Z^3.  The one
+    constructor of `TorusGroup`: it sorts the parts, reduces the shifts mod
+    N, takes the lattice's Hermite normal form and the cell of every
+    translation, and enumerates nothing."""
     n = modulus
     basis = _torus_basis(rows, n)
     order = np.argsort(linear)
     linear, shifts = np.asarray(linear)[order], np.asarray(shifts)[order] % n
     cells = _vertex_cells(basis, n)
-    members = np.argsort(cells, kind="stable").reshape(basis[0][0] * basis[1][1] * basis[2][2], -1)
-    # linear parts ascending: each part's codes fill a range of their own
-    codes = (linear[:, None] * n**3 + members[cells[flat(shifts, n)]]).reshape(-1)
-    for array in (codes, linear, shifts, cells):
+    for array in (linear, shifts, cells):
         array.setflags(write=False)
-    return TorusGroup(n, words, codes, linear, shifts, basis, cells, **fields)
+    return TorusGroup(n, words, linear, shifts, basis, cells, **fields)
 
 
 def build_group(modulus: int) -> TorusGroup:
@@ -455,31 +475,28 @@ def build_group(modulus: int) -> TorusGroup:
     each other.
     """
     check_modulus(modulus)
-    # P, Q, R and S generate every (L, t) mod N, so the group is every code:
-    # each linear part with shift 0 and every translation; the infinite
-    # group holds every integer translation
-    words = (("P",), ("Q",), ("R",), ("S",))
-    codes = np.arange(48 * modulus**3, dtype=np.int64)
-    linear = np.arange(48, dtype=np.int64)
-    shifts = np.zeros((48, 3), dtype=np.int64)
-    cells = np.zeros(modulus**3, dtype=np.int64)  # one coset: Z^3
-    for array in (codes, linear, shifts, cells):
-        array.setflags(write=False)
+    # P, Q, R and S generate every (L, t) mod N, and the infinite group
+    # holds every integer translation
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return TorusGroup(modulus, words, codes, linear, shifts, units, cells, translation_lattice=units)
+    words = (("P",), ("Q",), ("R",), ("S",))
+    shifts = np.zeros((48, 3), dtype=np.int64)
+    return _space_group(modulus, words, np.arange(48), shifts, units, translation_lattice=units)
 
 
 def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     """Subgroup of `group` generated by the given words (strings or letter
     tuples), with the full group as its parent and its exact translation
     lattice.  The result carries no translation certificate yet; its
-    `_memo` keeps the step rows of its longer words for the witness search."""
+    `_memo` keeps the step rows of its longer words for the witness search.
+    A word whose element `group` lacks raises SubgroupError."""
     words = _normalize_words(gens)
     memo: dict = {}
     linear, shifts, basis = _enumerate(words, memo)
-    sub = _space_group(
-        group.modulus, words, linear, shifts, basis, translation_lattice=basis, _parent=group.parent
-    )
+    n = group.modulus
+    sub = _space_group(n, words, linear, shifts, basis, translation_lattice=basis, _parent=group.parent)
+    if not sub.within(group):
+        word = next(w for w in words if not group.includes(encode(eval_word(w), n)))
+        raise SubgroupError(f"word {_spelled(word)} leaves the group")
     sub._memo["step rows"] = memo
     return sub
 

@@ -5,7 +5,10 @@ enumeration, deliberately sharing no code with the package under test.  The
 tests use it to recompute group orders, orbits, stabilizers, cosets, color
 classes and the coset-coloring theorem's reports from scratch and compare.
 The exceptions are the two code walks, which use the package's code layer
-(`apply_linear`, `multiply`, ...) on a `TorusGroup`'s sorted codes.
+(`apply_linear`, `multiply`, ...) on a `TorusGroup`'s sorted codes, and
+`eager_codes`, which lists a group's codes from its space-group form as
+the group's constructor once did on every group, and stays as the
+reference for `TorusGroup.codes`, which enumerates them on first use.
 `code_walk_decomposition` walks the vertices, and `code_walk_cosets` H's
 codes, in order; each one not yet labelled labels its whole orbit, or
 coset, by one array pass.  They were the package's own orbit and coset
@@ -328,3 +331,20 @@ def code_walk_cosets(h, j):
             ids[np.searchsorted(h.codes, multiply(h.codes[pos], j.codes, n))] = len(firsts)
             firsts.append(pos)
     return ids, h.codes[firsts]
+
+
+def eager_codes(group):
+    """The sorted codes of a package `TorusGroup`, enumerated from its
+    space-group form (linear parts, shifts and lattice basis) as its
+    constructor once did eagerly: the translations of part L are the
+    lattice coset of t_L, and the vertices of each coset, grouped by one
+    stable sort of their cells, are already in flat order."""
+    import numpy as np
+
+    from honeycomb434.quotient import _vertex_cells, flat
+
+    n = group.modulus
+    basis = group.torus_lattice
+    cells = _vertex_cells(basis, n)
+    members = np.argsort(cells, kind="stable").reshape(basis[0][0] * basis[1][1] * basis[2][2], -1)
+    return (group.linear[:, None] * n**3 + members[cells[flat(group.shifts, n)]]).reshape(-1)

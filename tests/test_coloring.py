@@ -24,7 +24,7 @@ from honeycomb434.coloring import (
 )
 from honeycomb434.crystal import PRESET_NAMES, export_report, preset, substitute
 from honeycomb434.isometry import GENERATORS, IDENTITY, Isometry, eval_word
-from honeycomb434.orbits import decompose
+from honeycomb434.orbits import decompose, stabilizer_codes
 from honeycomb434.quotient import build_subgroup, encode
 
 from conftest import sigma_of
@@ -697,6 +697,68 @@ def test_plan_validation_errors(group2, subs2):
     plan_error("2 cosets but 1 labels", full, [OrbitPlan(0, half, ("a",))])
     plan_error("also appears in a plan", eighth,
                [OrbitPlan(0, eighth, ("w",))], background="w")
+
+
+def test_plan_labels_and_background_must_be_strings(subs2):
+    full, half, eighth = subs2["full"], subs2["half"], subs2["eighth"]
+    # a string is not taken for its letters
+    plan_error("labels must be a sequence of strings", full, [OrbitPlan(0, half, "AB")])
+    plan_error("labels must be a sequence of strings", full, [OrbitPlan(0, half, ("A", 2))])
+    plan_error("background label 7 is not a string", eighth,
+               [OrbitPlan(0, eighth, ("a",))], background=7)
+
+
+def test_a_coloring_is_checked_on_construction():
+    table = (ColorInfo("x"), ColorInfo("y"))
+    onto = np.arange(8, dtype=np.int16).reshape(2, 2, 2) % 2
+    assert VertexColoring(2, table, onto).counts() == {"x": 4, "y": 4}
+    cases = [
+        ("modulus must be an integer", 2.0, table, onto),
+        ("even integer", 3, table, np.zeros((3, 3, 3), np.int16)),
+        ("shape", 2, table, np.zeros((2, 2), np.int16)),
+        ("integer array", 2, table, onto.astype(float)),
+        ("integer array", 2, table, onto.tolist()),
+        ("color ids must lie in", 2, table, onto + 1),
+        ("color ids must lie in", 2, table, onto - 1),
+        ("not onto: some declared color is unused", 2, table, np.zeros((2, 2, 2), np.int16)),
+        ("distinct strings", 2, (ColorInfo("x"), ColorInfo("x")), onto),
+        ("distinct strings", 2, (ColorInfo("x"), ColorInfo(5)), onto),
+        ("element symbol 5 is not a string", 2, (ColorInfo("x", 5), ColorInfo("y")), onto),
+    ]
+    for match, modulus, colors, assignment in cases:
+        with pytest.raises(ValueError, match=match):
+            VertexColoring(modulus, colors, assignment)
+
+
+def test_element_symbols_must_be_strings(rock_salt):
+    with pytest.raises(ValueError, match="element symbol 5 is not a string"):
+        rock_salt.with_elements({"white": 5})
+    assert rock_salt.with_elements({"white": "Cl"}).color_table[1].element == "Cl"
+
+
+BAD_VERTICES = [(0.5, 0, 0), (0, 0), (0, 0, 0, 0), "abc", (True, 0, 0), 5, None]
+
+
+@pytest.mark.parametrize("v", BAD_VERTICES, ids=repr)
+def test_a_vertex_is_three_integers(v):
+    model = preset("rock-salt", 2)
+    coloring = model.coloring
+    h, j = coloring.recipe.group, coloring.recipe.plans[0].subgroup
+    calls = (
+        lambda: stabilizer_codes(h, v),
+        lambda: verify_theorem(h, j, v, coloring),
+        lambda: decompose(h).orbit_of(v),
+        lambda: coloring.color_id(v),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="a vertex is three integers"):
+            call()
+    # numpy integers pass, and every coordinate is reduced mod N
+    w = (np.int64(3), -1, 2)
+    assert np.array_equal(stabilizer_codes(h, w), stabilizer_codes(h, (1, 1, 0)))
+    assert decompose(h).orbit_of(w) is decompose(h).orbit_of((1, 1, 0))
+    assert coloring.color_id(w) == coloring.color_id((1, 1, 0))
+    assert verify_theorem(h, j, w, coloring) == verify_theorem(h, j, (1, 1, 0), coloring)
 
 
 def test_stabilizer_violation_names_an_element(group2, subs2):

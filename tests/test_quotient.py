@@ -17,9 +17,17 @@ from honeycomb434.isometry import (
     parse_word,
     translation,
 )
-from honeycomb434 import isometry, quotient
-from honeycomb434.coloring import color_group
-from honeycomb434.crystal import PRESET_NAMES, load_config, preset
+from honeycomb434 import cli, isometry, quotient
+from honeycomb434.coloring import color_group, stoichiometry, verify_theorem
+from honeycomb434.crystal import (
+    PRESET_NAMES,
+    export_off,
+    export_report,
+    export_xyz,
+    load_config,
+    preset,
+)
+from honeycomb434.orbits import decompose, stabilizer_codes
 from honeycomb434.quotient import (
     MAX_MODULUS,
     _MUL,
@@ -142,8 +150,77 @@ def test_uncertified_until_certified(group2):
     done = certify_translations(raw)
     assert done.certified
     assert done.parent is group2
-    assert done.codes is raw.codes
+    # the copy carries no element array, and enumerates its own codes
+    assert "codes" not in raw.__dict__
+    assert np.array_equal(done.codes, build_subgroup(group2, WORDS["eighth"]).codes)
     assert done.generator_words == raw.generator_words
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+def test_codes_on_first_use_are_the_eager_enumeration(modulus):
+    for name, group in form_groups(modulus).items():
+        codes = group.codes
+        assert np.array_equal(codes, oracle.eager_codes(group)), name
+        assert not codes.flags.writeable, name
+        assert group.codes is codes, name
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_only_the_coloring_group_enumerates_its_codes(name, modulus):
+    # the benchmark's library steps: of the groups a preset builds, only H
+    # is walked (vertex images and coset labels)
+    model = preset(name, modulus)
+    coloring = model.coloring
+    h, plans = coloring.recipe.group, coloring.recipe.plans
+    decomp = decompose(h)
+    for plan in plans:
+        rep = decomp.orbits[plan.orbit].representative
+        assert verify_theorem(h, plan.subgroup, rep, coloring).ok
+    cg = color_group(coloring)
+    stoichiometry(coloring)
+    export_xyz(model, (1, 1, 1))
+    export_off(model, (2, 2, 2))
+    export_report(model)
+    groups = [h, h.parent, *(plan.subgroup for plan in plans), cg.subgroup]
+    assert [("codes" in g.__dict__) for g in groups] == [g is h for g in groups]
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+def test_the_subgroup_and_orbits_commands_enumerate_no_codes(modulus):
+    for name, words in WORDS.items():
+        sub = cli._certified_subgroup(modulus, words)
+        index(sub.parent, sub)
+        doubled = build_subgroup(build_group(2 * modulus), words)
+        index(doubled.parent, doubled)
+        for orbit in decompose(sub).orbits:
+            stabilizer_codes(sub, orbit.representative)
+        for group in (sub, sub.parent, doubled, doubled.parent):
+            assert "codes" not in group.__dict__, name
+
+
+def test_a_word_that_leaves_the_group_is_refused(subs2):
+    half = subs2["half"]
+    with pytest.raises(SubgroupError, match="word P leaves the group"):
+        build_subgroup(half, ["P"])
+    with pytest.raises(SubgroupError, match="word P·Q leaves the group"):
+        build_subgroup(half, ["Q", "PQ", "P"])
+    inner = build_subgroup(half, ["Q", "PQP"])
+    assert inner.within(half)
+    assert inner.parent is half.parent
+
+
+@pytest.mark.parametrize("modulus", [4.0, "4", True, None, 4 + 0j])
+def test_a_modulus_is_an_integer(modulus):
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        build_group(modulus)
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        preset("nbo", modulus)
+
+
+def test_a_numpy_integer_modulus_is_accepted():
+    assert build_group(np.int64(4)).order == 48 * 4**3
+    assert preset("nbo", np.int16(4)).modulus == 4
 
 
 def test_finite_subgroup_fails_definitively(group2):
