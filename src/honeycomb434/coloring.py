@@ -30,6 +30,8 @@ from .quotient import (
     MAX_MODULUS,
     CosetTable,
     TorusGroup,
+    _cell_minima,
+    _coset_keys,
     _space_group,
     _torus_basis,
     _vertex_cells,
@@ -45,6 +47,7 @@ from .quotient import (
     index,
     left_cosets,
     multiply,
+    split,
 )
 
 Vec = tuple[int, int, int]
@@ -130,6 +133,9 @@ class VertexColoring:
         for label, element, _ in self.color_table:
             if element is not None and not isinstance(element, str):
                 raise ValueError(f"color {label!r}: element symbol {element!r} is not a string")
+            for what, token in (("label", label), ("element symbol", element)):
+                if token is not None and token.split() != [token]:
+                    raise ValueError(f"color {what} {token!r} is not one word (no whitespace, not empty)")
 
     def __eq__(self, other):
         if not isinstance(other, VertexColoring):
@@ -312,8 +318,10 @@ def _ordered_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
     memo = h._memo
     if ("cosets", j) not in memo:
         table = left_cosets(h, j)
-        k = len(table.representative_codes)
-        first = int(table.coset_ids[h.locate(identity_code(h.modulus))])
+        n, k = h.modulus, len(table.representative_codes)
+        # keys ascend with the ids, so J's coset is the rank of the identity's key (the last)
+        keys = _coset_keys(j, *split(np.concatenate((table.representative_codes, [identity_code(n)])), n))
+        first = int(np.count_nonzero(keys[:-1] < keys[-1]))
         order = np.array([first] + [c for c in range(k) if c != first], dtype=np.int64)
         rank = np.empty(k, dtype=np.int64)
         rank[order] = np.arange(k)
@@ -344,6 +352,7 @@ def build_coloring(
     if the duplication is declared in `merges`; merged labels must come
     from plans over the same subgroup at the same coset position, which
     keeps every element of H acting on the merged classes consistently.
+    Merges chain: (a, b) and (b, c) give a, b and c one color, named a.
     """
     n = h.modulus
     decomp = decompose(h)
@@ -389,83 +398,59 @@ def build_coloring(
         if background is not None and background in plan.labels:
             raise PlanError(f"background label {background!r} also appears in a plan")
 
-    # Union-find over labels for the declared merges.
-    parent: dict[str, str] = {}
-
-    def find(a: str) -> str:
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    occurrences: list[tuple[str, int | None, int]] = [
-        (label, pi, pos)
-        for pi, plan in enumerate(plans)
-        for pos, label in enumerate(plan.labels)
-    ]
+    # One slot per (plan, coset position), and the background's last; each
+    # declared merge is checked where it is declared and joins the slots of
+    # its two labels, so the slots of one color are joined by a chain.
+    slots = [(pi, pos) for pi, plan in enumerate(plans) for pos in range(len(plan.labels))]
+    names = [label for plan in plans for label in plan.labels]
     if background is not None:
-        occurrences.append((background, None, 0))
-    known = {label for label, _, _ in occurrences}
+        slots.append((None, 0))
+        names.append(background)
+    where: dict[str, list[int]] = {}
+    for s, label in enumerate(names):
+        where.setdefault(label, []).append(s)
+    root = list(range(len(slots)))
+
+    def find(s: int) -> int:
+        while root[s] != s:
+            root[s] = root[root[s]]
+            s = root[s]
+        return s
+
     for a, b in merges:
-        if a not in known or b not in known:
+        if a not in where or b not in where:
             raise PlanError(f"merge ({a!r}, {b!r}) names a label no plan uses")
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+        for (pa, qa), (pb, qb) in [(slots[s], slots[t]) for s in where[a] for t in where[b] if s != t]:
+            if pa == pb:
+                raise PlanError(f"cannot merge two colors of the same orbit plan ({a!r})")
+            ja = h if pa is None else plans[pa].subgroup
+            jb = h if pb is None else plans[pb].subgroup
+            if not (ja.within(jb) and jb.within(ja)):
+                raise PlanError(f"merge of {a!r} and {b!r}: the plans use different subgroups")
+            if qa != qb:
+                raise PlanError(f"merge of {a!r} and {b!r}: labels sit at different coset positions")
+        top = find(where[a][0])
+        for s in where[a] + where[b]:
+            root[find(s)] = top
+    for label, found in where.items():
+        if len(found) > 1 and (label, label) not in merges:
+            raise PlanError(f"label {label!r} is reused without a merge declaration")
 
-    merged_ok = {(a, b) for a, b in merges} | {(b, a) for a, b in merges}
-    groups: dict[str, list[tuple[str, int | None, int]]] = {}
-    for occ in occurrences:
-        groups.setdefault(find(occ[0]), []).append(occ)
-    for root, occs in groups.items():
-        if len(occs) == 1:
-            continue
-        for i in range(len(occs)):
-            for jx in range(i + 1, len(occs)):
-                la, pa, qa = occs[i]
-                lb, pb, qb = occs[jx]
-                if (la, lb) not in merged_ok:
-                    raise PlanError(
-                        f"label {la!r} is reused without a merge declaration"
-                        if la == lb
-                        else f"labels {la!r} and {lb!r} collide without a merge declaration"
-                    )
-                if pa == pb:
-                    raise PlanError(f"cannot merge two colors of the same orbit plan ({la!r})")
-                ja = h if pa is None else plans[pa].subgroup
-                jb = h if pb is None else plans[pb].subgroup
-                if not (ja.within(jb) and jb.within(ja)):
-                    raise PlanError(
-                        f"merge of {la!r} and {lb!r}: the plans use different subgroups"
-                    )
-                if qa != qb:
-                    raise PlanError(
-                        f"merge of {la!r} and {lb!r}: labels sit at different coset positions"
-                    )
-
-    # Color table in first-occurrence order of merge roots.
-    table_ids: dict[str, int] = {}
-    order: list[str] = []
-    occ_color: dict[tuple[int | None, int], int] = {}
-    for label, pi, pos in occurrences:
-        root = find(label)
-        if root not in table_ids:
-            table_ids[root] = len(order)
-            order.append(root)
-        occ_color[(pi, pos)] = table_ids[root]
-
-    flagged = None if background is None else find(background)
-    table = tuple(ColorInfo(label, None, label == flagged) for label in order)
+    # Color table in first-occurrence order of the classes, named by their root slots' labels.
+    color_of: dict[int, int] = {}
+    roots = [find(s) for s in range(len(slots))]
+    slot_color = np.array([color_of.setdefault(r, len(color_of)) for r in roots], dtype=np.int16)
+    flagged = None if background is None else find(len(slots) - 1)
+    table = tuple(ColorInfo(names[r], None, r == flagged) for r in color_of)
 
     assignment = np.full((n, n, n), -1, dtype=np.int16)
     painted = assignment.reshape(-1)
-    for pi, plan in enumerate(plans):
+    first = 0  # each plan's first slot
+    for plan in plans:
         rep = decomp.orbits[plan.orbit].representative
         cosets = _ordered_cosets(h, plan.subgroup)
-        colors = np.array(
-            [occ_color[(pi, pos)] for pos in range(len(cosets.representative_codes))],
-            dtype=np.int16,
-        )[cosets.coset_ids]
+        colors = slot_color[first : first + len(plan.labels)][cosets.coset_ids]
+        first += len(plan.labels)
         # the image of the representative under every element of H, in the
         # color of that element's coset
         moved = images(h.codes, rep, n)
@@ -478,7 +463,7 @@ def build_coloring(
     if unplanned:
         in_background = np.zeros(len(decomp.orbits), dtype=bool)
         in_background[unplanned] = True
-        painted[in_background[decomp.vertex_orbit]] = occ_color[(None, 0)]
+        painted[in_background[decomp.vertex_orbit]] = slot_color[-1]
     if (assignment < 0).any():
         raise AssertionError("coloring is not total; broken orbit bookkeeping")
 
@@ -550,7 +535,7 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
             decided |= cells == cells[tau]
 
     known = {} if h is None else dict(zip(h.linear.tolist(), h.shifts))
-    transversal = np.indices([row[i] for i, row in enumerate(basis)]).reshape(3, -1).T
+    transversal = _cell_minima(basis)
     linear, shifts = [], []
     for l in range(48):
         if l in known:
@@ -637,12 +622,11 @@ def verify_theorem(
     cg = color_group(coloring)
     # sigma is defined on all of H exactly when H lies in the color group
     defined = h.within(cg.subgroup)
-    # the elements of H whose image of x is not in the color of their coset
-    broken = a[images(h.codes, x, n)] != coset_color[table.coset_ids]
-    if defined and not broken.any():
+    # is every element of H's image of x in the color of its coset?
+    if defined and (a[images(h.codes, x, n)] == coset_color[table.coset_ids]).all():
         ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
     else:
-        ok1, detail1 = False, _part1_failure(h, table, coset_color, defined, broken, cg)
+        ok1, detail1 = False, _part1_failure(h, j, x, table, cg)
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
     orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
@@ -684,39 +668,40 @@ def verify_theorem(
     return TheoremReport(tuple(parts))
 
 
-def _part1_failure(
-    h: TorusGroup,
-    table: CosetTable,
-    coset_color: np.ndarray,
-    defined: bool,
-    broken: np.ndarray,
-    cg: ColorGroupResult,
-) -> str:
+def _part1_failure(h: TorusGroup, j: TorusGroup, x: Vec, table: CosetTable, cg: ColorGroupResult) -> str:
     """Part 1's counterexample: the first element g of H, in canonical
     order, that has no sigma or whose sigma disagrees with the coset action
     at some coset p, named with the first such p.  A g with sigma fails at
-    p exactly when g rep_p is broken.  `defined` says whether sigma is
-    defined on all of H; only when it is not does a membership pass over H
-    find the first element without sigma.  The elements before it are
-    walked in windows that double from 64, one product pass per coset over
-    each window, up to the first window that holds a failure; so the walk
-    costs products in proportion to the failing element's position."""
+    p exactly when g rep_p sends x out of the color of its coset g rep_p J,
+    which the coset's key names (see `quotient._coset_keys`).  Only when
+    sigma is not defined on all of H (H is not within the color group) does
+    a membership pass over H find the first element without sigma.  The
+    elements before it are walked in windows that double from 64, one
+    product pass per coset over each window, up to the first window that
+    holds a failure; so the walk costs products in proportion to the
+    failing element's position."""
     n = h.modulus
     reps = table.representative_codes
     k = len(reps)
-    end = h.order if defined else int(np.argmin(cg.subgroup.includes(h.codes)))
+    coset_color = cg.assignment[images(reps, x, n)]
+    position = np.zeros(48 * n**3, dtype=np.int64)  # each coset's position, by key
+    position[_coset_keys(j, *split(reps, n))] = np.arange(k)
+    end = h.order if h.within(cg.subgroup) else int(np.argmin(cg.subgroup.includes(h.codes)))
     start, width = 0, 64
     while start < end:
         window = h.codes[start : min(start + width, end)]
         bad = np.full(len(window), k)  # the first coset at which each element fails
         for pos in range(k):
-            failing = broken[h.locate(multiply(window, reps[pos], n))]
+            # the products g rep_p, split once for their images of x and their keys
+            linear, t = split(multiply(window, reps[pos], n), n)
+            image = flat((apply_linear(linear, x, n) + t) % n, n)
+            failing = cg.assignment[image] != coset_color[position[_coset_keys(j, linear, t)]]
             np.minimum(bad, np.where(failing, pos, k), out=bad)
         failed = np.flatnonzero(bad < k)
         if len(failed):
             g, pos = window[failed[0]], int(bad[failed[0]])
             c = int(coset_color[pos])
-            moved = int(table.coset_ids[h.locate(multiply(g, reps[pos], n))])
+            moved = int(position[_coset_keys(j, *split(multiply(g, reps[pos], n), n))])
             return (
                 f"element {decode(g, n)[0]} sends coset {pos} to {moved} but color "
                 f"{c} to {int(cg.image_colors(g, c))}"

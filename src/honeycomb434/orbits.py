@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quotient import TorusGroup, apply_linear, check_vertex, coords, flat, images, join
+from .quotient import TorusGroup, _cell_minima, apply_linear, check_vertex, coords, flat, images, join
 
 Vec = tuple[int, int, int]
 
@@ -56,11 +56,10 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
 
 def _orbit_decomposition(acting: TorusGroup) -> OrbitDecomposition:
     n = acting.modulus
-    basis = acting.torus_lattice
     cells = acting._cells
     # each coset's smallest vertex, in cell order, under each (L, t_L)
-    smallest = np.indices([row[k] for k, row in enumerate(basis)]).reshape(3, -1).T
-    least = cells[images(join(acting.linear, acting.shifts, n), smallest, n)].min(axis=1)
+    moved = images(join(acting.linear, acting.shifts, n), _cell_minima(acting.torus_lattice), n)
+    least = cells[moved].min(axis=1)
     cell_orbit = np.cumsum(least == np.arange(len(least))) - 1
     ids = cell_orbit[least][cells]
     ids.setflags(write=False)

@@ -217,8 +217,8 @@ class TorusGroup:
     `includes`, `within` and `index` are computed from the form with no
     pass over the codes, and `left_cosets` with no walk.
     `codes`, the sorted, read-only int64 array of the element codes, is
-    enumerated from the form on first use; `locate` searches it, and
-    `elements` decodes it to a frozenset of `Isometry` on first use.
+    enumerated from the form on first use, and `elements` decodes it to a
+    frozenset of `Isometry` on first use.
     Groups compare by identity; `within` compares element sets.
     `parent` is the full group; the full group is its own parent.
     `translation_lattice` is the triangular basis (at most three rows) of
@@ -293,11 +293,6 @@ class TorusGroup:
         rows = np.array(self.torus_lattice) % n
         return np.concatenate((join(self.linear, self.shifts, n), identity_code(n) + flat(rows, n)))
 
-    def locate(self, codes) -> np.ndarray:
-        """Positions of the given element codes in `codes`; meaningful
-        only where `includes` is true."""
-        return np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
-
     def includes(self, codes) -> np.ndarray:
         """Which of the given integers are codes of elements of this group:
         (L, t) is one iff L is one of its linear parts and t - t_L lies in
@@ -335,6 +330,12 @@ def _vertex_cells(basis: tuple[Vec, Vec, Vec], n: int) -> np.ndarray:
     j = y // d
     z = (z - i * c - j * e) % n % f
     return (x % a * d + y % d) * f + z
+
+
+def _cell_minima(basis: tuple[Vec, Vec, Vec]) -> np.ndarray:
+    """The smallest member of each cell of `_vertex_cells`, in cell order:
+    the box [0, b_11) x [0, b_22) x [0, b_33) in C order, shape (cells, 3)."""
+    return np.indices([row[i] for i, row in enumerate(basis)]).reshape(3, -1).T
 
 
 def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
@@ -730,39 +731,51 @@ class CosetTable:
     representative_codes: np.ndarray
 
 
-def left_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
-    """Label H's codes by their left cosets g J, read off the two forms.
+def _coset_keys(j: TorusGroup, linear, t) -> np.ndarray:
+    """The key of each coset g J, for g = (B, b) given as linear indices B
+    and translation coordinates b (shape (..., 3)), broadcast together.
 
-    Take g = (B, b) in H.  The coset g J has the linear parts B pi(J); let
-    B0 be the smallest of them, and M0 = B^-1 B0, a part of J with shift
-    s_M0.  Then g J holds (B0, b + B s_M0 + B0 Lambda_J), and B0 Lambda_J =
-    B Lambda_J because pi(J) keeps Lambda_J.  So the key of g J is B0 N^3
-    plus the cell of b + B s_M0 modulo B0 Lambda_J (see `_vertex_cells`),
-    with one cell map per distinct basis of B0 Lambda_J, J's own reused.
-    Keys in order are the cosets in the canonical order of their smallest
-    elements, so ranking the keys that occur numbers the cosets, and each
-    coset's smallest element is the first code carrying its id.
+    The coset g J has the linear parts B pi(J); let B0 be the smallest of
+    them, and M0 = B^-1 B0, a part of J with shift s_M0.  Then g J holds
+    (B0, b + B s_M0 + B0 Lambda_J), and B0 Lambda_J = B Lambda_J because
+    pi(J) keeps Lambda_J.  So the key of g J is B0 N^3 plus the cell of
+    b + B s_M0 modulo B0 Lambda_J (see `_vertex_cells`).  Keys in order are
+    the cosets in the canonical order of their smallest elements.  B0 and
+    B s_M0 of each of the 48 parts B, and one cell map per distinct basis
+    of B0 Lambda_J, J's own reused, are built once and kept on J's `_memo`.
+    """
+    n, memo = j.modulus, j._memo
+    if "coset keys" not in memo:
+        every = np.arange(48)
+        parts = _MUL[:, j.linear]  # B pi(J), one row per linear part B
+        pick = parts.argmin(axis=1)
+        smallest = parts[every, pick]  # B0 of each part B
+        offsets = apply_linear(every, j.shifts, n)[pick, every]  # B s_M0 of each part B
+        bases = {j.torus_lattice: 0}
+        lattice_of = np.zeros(48, dtype=np.int64)
+        for part in set(smallest.tolist()):
+            basis = _torus_basis(apply_linear(part, np.array(j.torus_lattice), n).tolist(), n)
+            lattice_of[part] = bases.setdefault(basis, len(bases))
+        cell_maps = np.array([j._cells] + [_vertex_cells(basis, n) for basis in list(bases)[1:]])
+        memo["coset keys"] = smallest * n**3, offsets, lattice_of[smallest], cell_maps
+    base, offsets, map_of, cell_maps = memo["coset keys"]
+    return base[linear] + cell_maps[map_of[linear], flat((t + offsets[linear]) % n, n)]
+
+
+def left_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
+    """Label H's codes by their left cosets g J, by their keys (see
+    `_coset_keys`): ranking the keys that occur numbers the cosets in the
+    canonical order of their smallest elements, and each coset's smallest
+    element is the first code carrying its id.
     """
     if h.modulus != j.modulus:
         raise SubgroupError("mismatched moduli")
     if not j.within(h):
         raise SubgroupError("J is not contained in H")
     n = h.modulus
-    parts = _MUL[h.linear[:, None], j.linear]  # B pi(J), one row per linear part B of H
-    pick, across = parts.argmin(axis=1), np.arange(len(h.linear))
-    smallest = parts[across, pick]  # B0 of each part B
-    offsets = apply_linear(h.linear, j.shifts, n)[pick, across]  # B s_M0 of each part B
-    # one cell map per distinct basis of B0 Lambda_J, J's own first
-    bases = {j.torus_lattice: 0}
-    lattice_of = np.zeros(48, dtype=np.int64)
-    for part in set(smallest.tolist()):
-        basis = _torus_basis(apply_linear(part, np.array(j.torus_lattice), n).tolist(), n)
-        lattice_of[part] = bases.setdefault(basis, len(bases))
-    cell_maps = np.array([j._cells] + [_vertex_cells(basis, n) for basis in list(bases)[1:]])
     # H's codes are one block of translations per linear part, in part order
     t = coords(h.codes.reshape(len(h.linear), -1) % n**3, n)
-    cells = cell_maps[lattice_of[smallest][:, None], flat((t + offsets[:, None]) % n, n)]
-    keys = (smallest[:, None] * n**3 + cells).reshape(-1)
+    keys = _coset_keys(j, h.linear[:, None], t).reshape(-1)
     present = np.zeros(48 * n**3, dtype=bool)
     present[keys] = True
     ids = (np.cumsum(present) - 1)[keys]

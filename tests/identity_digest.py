@@ -5,8 +5,13 @@ Run from the repository root, once on each tree to compare:
 
     PYTHONPATH=src python tests/identity_digest.py
 
-It prints one line per digest, `<name> <sha256 hex>`.  Each digest feeds
-UTF-8 text to one sha256, in this order:
+It prints one line per digest, `<name> <sha256 hex>`.  The expected
+lines are committed as `tests/identity_digests.txt`, so a change in bytes
+shows as a diff:
+
+    PYTHONPATH=src python tests/identity_digest.py | diff tests/identity_digests.txt -
+
+Each digest feeds UTF-8 text to one sha256, in this order:
 
 - exports: for N = 2, 4, 8 and 16, then each preset in `PRESET_NAMES`
   order, four texts in turn: `export_report`, `export_xyz` over the

@@ -513,6 +513,34 @@ def test_config_validation_errors(tmp_path, capsys, mangle, message):
     assert not out_dir.exists()
 
 
+def spaced_label(config):
+    config["coloring"]["plans"][0]["labels"] = ["light blue", "white"]
+    config["elements"] = {"light blue": "Na", "white": "Cl"}
+
+
+@pytest.mark.parametrize("command", ["color", "export"])
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (spaced_label, "color label 'light blue' is not one word"),
+        (lambda c: c["elements"].update(white="Cl -"), "color element symbol 'Cl -' is not one word"),
+    ],
+    ids=["label", "element"],
+)
+def test_a_label_a_coloring_file_cannot_hold_is_a_config_error(tmp_path, capsys, command, mangle, message):
+    # the color command would write a .coloring file that from_text refuses
+    with open("src/honeycomb434/configs/rock-salt.json") as f:
+        cfg = json.load(f)
+    mangle(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--config", str(path), "--out-dir", str(out_dir))
+    assert code == 2
+    assert message in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "mangle", [lambda c: c.update(exports=[]), lambda c: c.pop("exports")], ids=["empty", "absent"]
 )

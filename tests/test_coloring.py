@@ -406,13 +406,41 @@ def test_theorem_when_j_misses_the_smallest_element_of_h(group4, subs4):
     half = subs4["half"]
     j = build_subgroup(group4, ("PQP", "R", "S"))
     table = quotient.left_cosets(half, j)
-    assert table.coset_ids[half.locate(encode(IDENTITY, 4))] != 0
+    assert table.coset_ids[np.searchsorted(half.codes, encode(IDENTITY, 4))] != 0
     labels = tuple(f"c{i}" for i in range(32))
     coloring = build_coloring(half, [OrbitPlan(1, j, labels)], background="white")
     assert coloring.label_of((0, 0, 1)) == "c0"
     report = verify_theorem(half, j, (0, 0, 1), coloring)
     assert report.ok, report
     assert report.parts[0].detail == "checked 1536 elements on 32 cosets"
+
+
+def test_a_failing_part_1_makes_no_search_over_h(monkeypatch):
+    # the failing walk names the coset of each product g rep_p by its key,
+    # with no sorted search over H's codes; its windows pass position 64
+    rock_salt, nbo = preset("rock-salt", 8).coloring, preset("nbo", 8).coloring
+    full = rock_salt.recipe.group
+    quarter = quotient.certify_translations(build_subgroup(full, ("Q", "R", "S", "QPQRQPQRP")))
+    nbo_quarter = nbo.recipe.group
+    searched = []
+    original = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        searched.append(np.size(a))
+        return original(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    report = verify_theorem(full, quarter, (0, 0, 0), rock_salt)
+    assert report.parts[0].detail == (
+        "element Isometry(perm=(0, 1, 2), signs=(-1, -1, -1), trans=(1, 0, 0)) "
+        "sends coset 0 to 3 but color 0 to 1"
+    )
+    report = verify_theorem(nbo_quarter, nbo_quarter, (0, 0, 1), nbo)
+    assert report.parts[0].detail == (
+        "element Isometry(perm=(0, 1, 2), signs=(-1, -1, -1), trans=(1, 1, 1)) "
+        "sends coset 0 to 0 but color 0 to 1"
+    )
+    assert [size for size in searched if size >= nbo_quarter.order] == []
 
 
 PART_NAMES = (
@@ -786,6 +814,37 @@ def test_merge_validation_errors(subs2):
     plan_error("different coset positions", quarter,
                [OrbitPlan(0, eighth, ("a", "b")), OrbitPlan(1, eighth, ("c", "d"))],
                merges=(("a", "d"),))
+
+
+def test_merges_chain(subs2):
+    # (a, b) and (b, c) put a, b and c in one color, as the whole triangle
+    # of declarations does
+    eighth = subs2["eighth"]
+    plans = [OrbitPlan(k, eighth, (label,)) for k, label in enumerate("abcd")]
+    chain = build_coloring(eighth, plans, merges=(("a", "b"), ("b", "c")))
+    triangle = build_coloring(eighth, plans, merges=(("a", "b"), ("b", "c"), ("a", "c")))
+    assert chain.labels == triangle.labels == ("a", "d")
+    assert chain.assignment.tobytes() == triangle.assignment.tobytes()
+    decomp = decompose(eighth)
+    for plan in plans:
+        assert verify_theorem(eighth, eighth, decomp.orbits[plan.orbit].representative, chain).ok
+    # each declared pair is checked: a chain cannot join two colors of one plan
+    quarter = subs2["quarter"]
+    plan_error("different coset positions", quarter,
+               [OrbitPlan(0, eighth, ("a", "b")), OrbitPlan(1, eighth, ("c", "d"))],
+               merges=(("a", "c"), ("c", "b")))
+
+
+@pytest.mark.parametrize("word", ["a b", "", "a\tb", "Na Cl", "a\u2028b", " a"], ids=repr)
+def test_labels_and_element_symbols_are_one_word(subs2, rock_salt, word):
+    # to_text writes them as whitespace-separated fields, which from_text
+    # could not read back
+    with pytest.raises(ValueError, match=re.escape(f"color label {word!r} is not one word")):
+        build_coloring(subs2["full"], [OrbitPlan(0, subs2["half"], (word, "white"))])
+    with pytest.raises(ValueError, match=re.escape(f"color element symbol {word!r} is not one word")):
+        rock_salt.with_elements({"white": word})
+    named = rock_salt.with_elements({"white": "Cl-1"})
+    assert VertexColoring.from_text(named.to_text()) == named
 
 
 def test_serialization_round_trip(nbo, perovskite):

@@ -48,6 +48,7 @@ from honeycomb434.quotient import (
     index,
     left_cosets,
     multiply,
+    split,
 )
 
 from conftest import WORDS, form_groups, oversized_witness_words
@@ -399,7 +400,7 @@ def test_left_cosets_partition(group2, subs2):
         assert union == set(group2.elements)
         # ids map every element to the coset that holds it: all of g J
         for pos, g in enumerate(group2.codes):
-            g_j = group2.locate(multiply(g, sub.codes, n))
+            g_j = np.searchsorted(group2.codes, multiply(g, sub.codes, n))
             assert (table.coset_ids[g_j] == table.coset_ids[pos]).all()
         # representatives are the canonical minima, in coset order
         for cid, rep in enumerate(decode(table.representative_codes, n)):
@@ -627,29 +628,60 @@ def test_left_cosets_match_the_oracle(modulus, subs2, subs4):
             assert rep == canonical_min(cosets[cid])
 
 
-@pytest.mark.parametrize("modulus", [2, 4, 8])
-def test_left_cosets_match_the_code_walk(modulus):
-    # left_cosets keys each coset by its smallest linear part and a lattice
-    # cell; the code walk labels each coset whole from its smallest element
-    groups = dict(form_groups(modulus))
+@pytest.fixture(scope="module", params=[2, 4, 8])
+def walked_pairs(request):
+    """The form groups and the large-index J, by name, and for every pair
+    (H, J) of them with J within H, the code walk's cosets of J in H."""
+    groups = dict(form_groups(request.param))
     full = groups["the full group"]
-    n = modulus
+    n = request.param
     # [H:J] = N^3 in the full group
     groups["large-index J"] = certify_translations(
         build_subgroup(full, ("Q", "R", "S", f"(QPQRSR)^{n}", f"(RQPQRS)^{n}", f"(PQRSRQ)^{n}"))
     )
+    walks = {
+        (h_name, j_name): oracle.code_walk_cosets(h, j)
+        for h_name, h in groups.items()
+        for j_name, j in groups.items()
+        if j.within(h)
+    }
+    return groups, walks
+
+
+def test_left_cosets_match_the_code_walk(walked_pairs):
+    # left_cosets keys each coset by its smallest linear part and a lattice
+    # cell; the code walk labels each coset whole from its smallest element
+    groups, walks = walked_pairs
     pairs = 0
-    for h_name, h in groups.items():
-        for j_name, j in groups.items():
-            if not j.within(h):
-                continue
-            table = left_cosets(h, j)
-            ids, representatives = oracle.code_walk_cosets(h, j)
-            assert np.array_equal(table.coset_ids, ids), (h_name, j_name)
-            assert np.array_equal(table.representative_codes, representatives), (h_name, j_name)
-            pairs += 1
+    for (h_name, j_name), (ids, representatives) in walks.items():
+        table = left_cosets(groups[h_name], groups[j_name])
+        assert np.array_equal(table.coset_ids, ids), (h_name, j_name)
+        assert np.array_equal(table.representative_codes, representatives), (h_name, j_name)
+        pairs += 1
     # every group lies within itself and within the full group
     assert pairs >= 2 * len(groups) - 1
+
+
+def test_coset_keys_of_products_match_the_code_walk(walked_pairs):
+    # a key names the coset of any element of H, not only of H's codes in
+    # left_cosets' blocks: random products g h get the key of the smallest
+    # element of the coset that the code walk puts them in
+    groups, walks = walked_pairs
+    n = groups["the full group"].modulus
+    rng = np.random.default_rng(n)
+    for (h_name, j_name), (ids, representatives) in walks.items():
+        h, j = groups[h_name], groups[j_name]
+        representative_keys = quotient._coset_keys(j, *split(representatives, n))
+        # keys ascend with the cosets' smallest elements
+        assert (np.diff(representative_keys) > 0).all(), (h_name, j_name)
+        for g in rng.choice(h.codes, 3):
+            products = multiply(g, rng.choice(h.codes, 32), n)
+            positions = np.searchsorted(h.codes, products)
+            assert np.array_equal(h.codes[positions], products)
+            keys = quotient._coset_keys(j, *split(products, n))
+            assert np.array_equal(keys, representative_keys[ids[positions]]), (h_name, j_name)
+        # one element alone, as J's own coset is found
+        assert quotient._coset_keys(j, *split(h.codes[-1], n)) == representative_keys[ids[-1]]
 
 
 # point group, and the rank of the translation lattice, in the comments
