@@ -337,6 +337,14 @@ def _outside(codes: np.ndarray, j: TorusGroup) -> Isometry | None:
     return decode(loose[0], j.modulus)[0] if len(loose) else None
 
 
+def _find(root: list[int], s: int) -> int:
+    """The root of s in the union-find forest root, halving its path."""
+    while root[s] != s:
+        root[s] = root[root[s]]
+        s = root[s]
+    return s
+
+
 def build_coloring(
     h: TorusGroup,
     plans: Iterable[OrbitPlan],
@@ -410,13 +418,6 @@ def build_coloring(
     for s, label in enumerate(names):
         where.setdefault(label, []).append(s)
     root = list(range(len(slots)))
-
-    def find(s: int) -> int:
-        while root[s] != s:
-            root[s] = root[root[s]]
-            s = root[s]
-        return s
-
     for a, b in merges:
         if a not in where or b not in where:
             raise PlanError(f"merge ({a!r}, {b!r}) names a label no plan uses")
@@ -429,18 +430,18 @@ def build_coloring(
                 raise PlanError(f"merge of {a!r} and {b!r}: the plans use different subgroups")
             if qa != qb:
                 raise PlanError(f"merge of {a!r} and {b!r}: labels sit at different coset positions")
-        top = find(where[a][0])
+        top = _find(root, where[a][0])
         for s in where[a] + where[b]:
-            root[find(s)] = top
+            root[_find(root, s)] = top
     for label, found in where.items():
         if len(found) > 1 and (label, label) not in merges:
             raise PlanError(f"label {label!r} is reused without a merge declaration")
 
     # Color table in first-occurrence order of the classes, named by their root slots' labels.
     color_of: dict[int, int] = {}
-    roots = [find(s) for s in range(len(slots))]
+    roots = [_find(root, s) for s in range(len(slots))]
     slot_color = np.array([color_of.setdefault(r, len(color_of)) for r in roots], dtype=np.int16)
-    flagged = None if background is None else find(len(slots) - 1)
+    flagged = None if background is None else _find(root, len(slots) - 1)
     table = tuple(ColorInfo(names[r], None, r == flagged) for r in color_of)
 
     assignment = np.full((n, n, n), -1, dtype=np.int16)
@@ -596,11 +597,13 @@ def verify_theorem(
     and the orbit map agrees with the cosets: every g in H sends x into the
     color of the coset gJ.  For sigma(g) sends the class of rep_p x to the
     class of g rep_p x, and g rep_p ranges over H.  So a passing check makes one
-    pass over H; only a failing one walks the cosets, to name the first
-    failing element in canonical order.  Part 3 counts the orbits of the
-    colors under sigma of H's form codes (at most 51, see
-    `TorusGroup._form_codes`), by a union-find: they generate H, and sigma
-    is a homomorphism on H, so every group takes this one path.
+    pass over H; only a failing one hands the coset colors to
+    `_part1_failure`, which walks H in bounded chunks, each against every
+    coset at once, to name the first failing element in canonical order.
+    Part 3 counts the orbits of the colors under sigma of H's form codes
+    (at most 51, see `TorusGroup._form_codes`), by a union-find: they
+    generate H, and sigma is a homomorphism on H, so every group takes
+    this one path.
     The coset table is the one `build_coloring` made for the same H and J.
 
     Returns a report with one entry per part; failures carry the
@@ -626,7 +629,7 @@ def verify_theorem(
     if defined and (a[images(h.codes, x, n)] == coset_color[table.coset_ids]).all():
         ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
     else:
-        ok1, detail1 = False, _part1_failure(h, j, x, table, cg)
+        ok1, detail1 = False, _part1_failure(h, j, x, table, cg, coset_color)
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
     orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
@@ -668,7 +671,13 @@ def verify_theorem(
     return TheoremReport(tuple(parts))
 
 
-def _part1_failure(h: TorusGroup, j: TorusGroup, x: Vec, table: CosetTable, cg: ColorGroupResult) -> str:
+# the most products g rep_p that one pass of part 1's failing walk makes
+_PART1_PRODUCTS = 2**15
+
+
+def _part1_failure(
+    h: TorusGroup, j: TorusGroup, x: Vec, table: CosetTable, cg: ColorGroupResult, coset_color: np.ndarray
+) -> str:
     """Part 1's counterexample: the first element g of H, in canonical
     order, that has no sigma or whose sigma disagrees with the coset action
     at some coset p, named with the first such p.  A g with sigma fails at
@@ -676,37 +685,33 @@ def _part1_failure(h: TorusGroup, j: TorusGroup, x: Vec, table: CosetTable, cg: 
     which the coset's key names (see `quotient._coset_keys`).  Only when
     sigma is not defined on all of H (H is not within the color group) does
     a membership pass over H find the first element without sigma.  The
-    elements before it are walked in windows that double from 64, one
-    product pass per coset over each window, up to the first window that
-    holds a failure; so the walk costs products in proportion to the
-    failing element's position."""
+    elements before it are walked in chunks, each multiplied by every
+    representative in one pass of at most `_PART1_PRODUCTS` products (one
+    element per chunk at least), up to the first chunk that holds a
+    failure; so the walk costs products in proportion to the failing
+    element's position."""
     n = h.modulus
     reps = table.representative_codes
     k = len(reps)
-    coset_color = cg.assignment[images(reps, x, n)]
     position = np.zeros(48 * n**3, dtype=np.int64)  # each coset's position, by key
     position[_coset_keys(j, *split(reps, n))] = np.arange(k)
     end = h.order if h.within(cg.subgroup) else int(np.argmin(cg.subgroup.includes(h.codes)))
-    start, width = 0, 64
-    while start < end:
-        window = h.codes[start : min(start + width, end)]
-        bad = np.full(len(window), k)  # the first coset at which each element fails
-        for pos in range(k):
-            # the products g rep_p, split once for their images of x and their keys
-            linear, t = split(multiply(window, reps[pos], n), n)
-            image = flat((apply_linear(linear, x, n) + t) % n, n)
-            failing = cg.assignment[image] != coset_color[position[_coset_keys(j, linear, t)]]
-            np.minimum(bad, np.where(failing, pos, k), out=bad)
-        failed = np.flatnonzero(bad < k)
-        if len(failed):
-            g, pos = window[failed[0]], int(bad[failed[0]])
-            c = int(coset_color[pos])
-            moved = int(position[_coset_keys(j, *split(multiply(g, reps[pos], n), n))])
+    step = max(1, _PART1_PRODUCTS // k)
+    for start in range(0, end, step):
+        chunk = h.codes[start : min(start + step, end)]
+        # the products g rep_p, one row per coset p, split once for their images of x and their keys
+        linear, t = split(multiply(chunk, reps, n), n)
+        moved = position[_coset_keys(j, linear, t)]
+        failing = cg.assignment[flat((apply_linear(linear, x, n) + t) % n, n)] != coset_color[moved]
+        failed = failing.any(axis=0)
+        if failed.any():
+            i = int(failed.argmax())
+            pos = int(failing[:, i].argmax())
+            g, c = chunk[i], int(coset_color[pos])
             return (
-                f"element {decode(g, n)[0]} sends coset {pos} to {moved} but color "
+                f"element {decode(g, n)[0]} sends coset {pos} to {int(moved[pos, i])} but color "
                 f"{c} to {int(cg.image_colors(g, c))}"
             )
-        start, width = start + width, 2 * width
     return f"element {decode(h.codes[end], n)[0]} does not permute the colors"
 
 
@@ -716,17 +721,10 @@ def _color_orbit_count(h: TorusGroup, cg: ColorGroupResult) -> int:
     sigma of H's form codes, which generate H."""
     colors = len(cg.class_vertices)
     roots = list(range(colors))
-
-    def find(c: int) -> int:
-        while roots[c] != c:
-            roots[c] = roots[roots[c]]
-            c = roots[c]
-        return c
-
     moved = cg.assignment[images(h._form_codes, coords(cg.class_vertices, h.modulus), h.modulus)]
     for c, row in enumerate(moved.tolist()):
         for d in row:
-            roots[find(c)] = find(d)
+            roots[_find(roots, c)] = _find(roots, d)
     return sum(roots[c] == c for c in range(colors))
 
 

@@ -167,13 +167,12 @@ _MUL = _composition_table()
 
 
 def multiply(a, b, n: int) -> np.ndarray:
-    """Codes of the products a * b ("b first, then a"); one of a and b is a
-    single code, the other any array of codes; two arrays raise ValueError."""
-    if np.ndim(a) and np.ndim(b):
-        raise ValueError("multiply takes a single code on one side")
+    """Codes of the products a * b ("b first, then a") for every pair of
+    codes in a and b (any shapes): the outer product, of shape
+    b.shape + a.shape, like `images` and `apply_linear`."""
     la, ta = split(a, n)
     lb, tb = split(b, n)
-    return join(_MUL[la, lb], (apply_linear(la, tb, n) + ta) % n, n)
+    return join(_MUL[la, lb.reshape(lb.shape + (1,) * la.ndim)], (apply_linear(la, tb, n) + ta) % n, n)
 
 
 def images(codes, v, n: int) -> np.ndarray:

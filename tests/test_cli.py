@@ -474,6 +474,7 @@ def test_invalid_json_config(tmp_path, capsys):
         (lambda c: c["coloring"]["plans"][0].update(orbit=False), "'orbit' index"),
         (lambda c: c["exports"][0].update(path="/abs/path.xyz"), "path"),
         (lambda c: c["subgroups"].update(half="PQP"), "subgroup"),
+        (lambda c: c["subgroups"].update(alternating=["Z"]), "subgroup 'alternating': unexpected character 'Z'"),
         (lambda c: c.update(modulus=3), "even integer"),
         (lambda c: c.update(modulus=10**6), "modulus 1000000 is above the limit 16"),
         # output paths are joined to --out-dir and must stay inside it

@@ -2,6 +2,7 @@ import functools
 import re
 import tracemalloc
 
+import identity_digest
 import numpy as np
 import oracle
 import pytest
@@ -236,6 +237,18 @@ def test_a_failing_part_1_walks_h_only_as_far_as_the_failure(monkeypatch):
     i = 0
     assert report.parts[0].detail.startswith(f"element {quotient.decode(h.codes[i], 8)[0]} ")
     assert sum(products) <= 2 * len(plan.labels) * (i + 64)
+    # one pass with every coset's representative, within the cap
+    assert max(products) <= coloring_module._PART1_PRODUCTS
+
+
+@pytest.mark.parametrize("products", [1, 7, coloring_module._PART1_PRODUCTS])
+def test_the_failing_walks_chunks_do_not_change_a_report(monkeypatch, products):
+    # the sweep's 576 theorem reports at N = 2 and 4, the failing part 1
+    # details among them, whatever elements share a pass
+    monkeypatch.setattr(coloring_module, "_PART1_PRODUCTS", products)
+    assert identity_digest.sweep_digest(moduli=(2, 4)) == (
+        "f377494bb24ac911c9b0abf268cd81689f2eca9e3d8d76bf25443a0b060ae449"
+    )
 
 
 @pytest.mark.parametrize("modulus", [2, 4])
@@ -417,7 +430,8 @@ def test_theorem_when_j_misses_the_smallest_element_of_h(group4, subs4):
 
 def test_a_failing_part_1_makes_no_search_over_h(monkeypatch):
     # the failing walk names the coset of each product g rep_p by its key,
-    # with no sorted search over H's codes; its windows pass position 64
+    # with no sorted search over H's codes; the first failure is at position
+    # 64 of H, in the walk's first chunk
     rock_salt, nbo = preset("rock-salt", 8).coloring, preset("nbo", 8).coloring
     full = rock_salt.recipe.group
     quarter = quotient.certify_translations(build_subgroup(full, ("Q", "R", "S", "QPQRQPQRP")))

@@ -301,6 +301,15 @@ def test_report_contents(models):
     assert "formula: CaTiO3" in pv
 
 
+def test_a_report_needs_the_construction_recipe():
+    # a coloring read from text has no recipe, so no groups to report
+    text = "modulus 2\ncolor red\n" + "".join(
+        f"{x} {y} {z} red\n" for x in range(2) for y in range(2) for z in range(2)
+    )
+    with pytest.raises(ValueError, match="no construction recipe"):
+        export_report(CrystalModel("one", VertexColoring.from_text(text)))
+
+
 def test_export_dispatch(models):
     rs = models["rock-salt"]
     assert export(rs, "xyz", region=(1, 1, 1)) == export_xyz(rs)

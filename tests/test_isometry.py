@@ -278,6 +278,10 @@ def test_from_matrix_roundtrip_and_validation():
         Isometry.from_matrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
     with pytest.raises(ValueError):
         Isometry.from_matrix(((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        Isometry.from_matrix(((1, 0), (0, 1)), (0, 0, 0))
+    with pytest.raises(ValueError, match="columns are not a permutation"):
+        Isometry.from_matrix(((1, 0, 0), (1, 0, 0), (0, 0, 1)), (0, 0, 0))
 
 
 letters = st.lists(st.sampled_from("PQRS"), max_size=12).map(tuple)

@@ -571,9 +571,21 @@ def test_apply_linear_matches_isometry_apply_with_either_factor_fixed(modulus):
     assert np.array_equal(
         apply_linear(parts, grid, n), expected[parts].transpose(2, 0, 1, 3).reshape(-1, 2, 6, 8, 3)
     )
-    # multiply is not elementwise: one side must be a single code
-    with pytest.raises(ValueError, match="a single code on one side"):
-        multiply(np.arange(4), np.arange(4), n)
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_multiply_is_the_outer_product_of_isometry_products(modulus):
+    # every product a * b, of shape b.shape + a.shape, whether each side is
+    # an array of codes or a single code
+    rng = np.random.default_rng(modulus)
+    codes = build_group(modulus).codes
+    a, b = rng.choice(codes, (3, 2)), rng.choice(codes, 5)
+    expected = np.array(
+        [[encode(x * y, modulus) for x in decode(a.reshape(-1), modulus)] for y in decode(b, modulus)]
+    ).reshape(5, 3, 2)
+    assert np.array_equal(multiply(a, b, modulus), expected)
+    assert np.array_equal(multiply(a, b[1], modulus), expected[1])
+    assert np.array_equal(multiply(a[2, 0], b, modulus), expected[:, 2, 0])
 
 
 def test_composition_table_matches_isometry_products():
@@ -1057,6 +1069,8 @@ def test_the_space_group_form_answers_as_the_codes_do(modulus):
             else:
                 with pytest.raises(SubgroupError):
                     index(a, b)
+                with pytest.raises(SubgroupError, match="J is not contained in H"):
+                    left_cosets(a, b)
 
 
 @pytest.mark.parametrize("name", ["the full group", "eighth", "<P>"])
@@ -1070,3 +1084,5 @@ def test_an_integer_outside_the_codes_is_no_element(name):
 def test_groups_of_different_moduli_are_not_within_each_other(group2, group4, subs2):
     assert not subs2["eighth"].within(group4)
     assert not group4.within(group2)
+    with pytest.raises(SubgroupError, match="mismatched moduli"):
+        left_cosets(group4, subs2["eighth"])
