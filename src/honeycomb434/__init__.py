@@ -26,7 +26,6 @@ from .isometry import (
 )
 from .quotient import (
     CertificationError,
-    IntegerLattice,
     SubgroupError,
     TorusGroup,
     build_group,
@@ -74,7 +73,6 @@ __all__ = [
     "perturbed_generators",
     "translation",
     "CertificationError",
-    "IntegerLattice",
     "SubgroupError",
     "TorusGroup",
     "build_group",

@@ -32,9 +32,10 @@ infinite group step integer states (linear index, x, y, z) through step
 rows (`isometry._step_rows`), with no `Isometry` product: a letter's rows
 are `isometry._STEPS`, built at import, and a longer word's are built once
 per `build_subgroup` and kept on the subgroup's `_memo` for
-`certify_translations`.  Lattice bases are reduced without coefficients
-(`_reduce`, `_holds`); only the witness search keeps them, in an
-`IntegerLattice`.  Words, witnesses and reports keep `Isometry` values.
+`certify_translations`.  One elimination, `_reduce`, reduces every
+lattice basis; only the witness search asks it for the coefficients
+that `_solve` reads its witnesses from.  Words, witnesses and reports
+keep `Isometry` values.
 """
 
 from __future__ import annotations
@@ -190,12 +191,9 @@ def encode(g: Isometry, n: int) -> int:
 
 
 def decode(codes, n: int) -> list[Isometry]:
-    """The isometries of the given codes, in the given order."""
-    linear, xyz = split(codes, n)
-    return [
-        Isometry(*LINEAR_PARTS[l], tuple(t))
-        for l, t in zip(np.atleast_1d(linear).tolist(), xyz.reshape(-1, 3).tolist())
-    ]
+    """The isometries of the given codes, of any shape, in C order."""
+    linear, xyz = split(np.ravel(codes), n)
+    return [Isometry(*LINEAR_PARTS[l], tuple(t)) for l, t in zip(linear.tolist(), xyz.tolist())]
 
 
 def identity_code(n: int) -> int:
@@ -341,54 +339,76 @@ def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
     return tuple(parse_word(g) if isinstance(g, str) else check_letters(g) for g in gens)
 
 
-def _eliminate(pivot: Vec, v: Vec, col: int) -> tuple[int, int, int, int]:
-    """The gcd step that merges v into the pivot row of column col:
-    (x, y, qb, qv) with g = x pivot[col] + y v[col] their positive gcd, and
-    qb, qv the two entries divided by g.  The new pivot is x pivot + y v,
-    and qv pivot - qb v, zero in column col, goes on to the next column."""
-    old_r, r = pivot[col], v[col]
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_s, old_t, pivot[col] // old_r, v[col] // old_r
+# a lattice vector and its coefficients: the input rows of `_reduce` it
+# combines, as a sparse dict {row number: multiplier}
+Row = tuple[Vec, dict[int, int]]
 
 
-def _reduce(rows: Iterable[Vec]) -> tuple[Vec, ...]:
-    """The triangular basis of the lattice the rows span, with no
-    coefficients: the same eliminations, in the same order, as
-    `IntegerLattice.add`, so the same basis as `IntegerLattice.basis()`."""
-    pivots: dict[int, Vec] = {}
-    for v in rows:
+def _combine(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
+    """x a + y b for two coefficient dicts, with no zero entries."""
+    out = {k: x * c for k, c in a.items()}
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + y * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _reduce(rows: Iterable[Row]) -> tuple[Row, ...]:
+    """The triangular basis of the lattice the rows span: one row per pivot
+    column, in column order, zero left of its pivot and positive on it.
+
+    Each input row comes with its coefficients, empty where the caller
+    asks for none.  A row v merges into the pivot row p of its first
+    nonzero column by a gcd step: with g = x p[col] + y v[col] their
+    positive gcd, the pivot becomes x p + y v, and (v[col]/g) p -
+    (p[col]/g) v, zero in that column, goes on to the next column.  The
+    coefficients are combined along with the vectors, so each basis row
+    carries the combination of input rows it equals.  A basis fed back in
+    ahead of more rows is rebuilt as it was, so the eliminations go on
+    exactly as if the earlier rows had been fed with the new ones."""
+    pivots: dict[int, Row] = {}
+    for v, co in rows:
         for col in range(3):
             if v[col] == 0:
                 continue
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = tuple(v) if v[col] > 0 else (-v[0], -v[1], -v[2])
+                if v[col] < 0:
+                    v, co = (-v[0], -v[1], -v[2]), {k: -c for k, c in co.items()}
+                pivots[col] = (tuple(v), co)
                 break
-            x, y, qb, qv = _eliminate(pivot, v, col)
-            pivots[col] = (x * pivot[0] + y * v[0], x * pivot[1] + y * v[1], x * pivot[2] + y * v[2])
-            v = (qv * pivot[0] - qb * v[0], qv * pivot[1] - qb * v[1], qv * pivot[2] - qb * v[2])
+            p, pco = pivot
+            g, r = p[col], v[col]
+            x, s, y, t = 1, 0, 0, 1
+            while r:
+                q = g // r
+                g, r = r, g - q * r
+                x, s = s, x - q * s
+                y, t = t, y - q * t
+            if g < 0:
+                g, x, y = -g, -x, -y
+            qp, qv = p[col] // g, v[col] // g
+            if pco or co:
+                pco, co = _combine(x, pco, y, co), _combine(qv, pco, -qp, co)
+            pivots[col] = ((x * p[0] + y * v[0], x * p[1] + y * v[1], x * p[2] + y * v[2]), pco)
+            v = (qv * p[0] - qp * v[0], qv * p[1] - qp * v[1], qv * p[2] - qp * v[2])
     return tuple(pivots[col] for col in sorted(pivots))
 
 
-def _holds(basis: tuple[Vec, ...], target: Vec) -> bool:
-    """Does the lattice with this triangular basis hold the target?  Each
-    row, in turn, takes as many of itself off the target as its pivot entry
+def _solve(basis: tuple[Row, ...], target: Vec) -> dict[int, int] | None:
+    """The coefficients that spell the target over the input rows of a
+    `_reduce` basis, or None if its lattice misses the target.  Each row,
+    in turn, takes as many of itself off the target as its pivot entry
     fits, which leaves the remainder mod that entry in the pivot column.
     Rows are zero left of their pivots, so later rows keep every column
     already handled, and the target is held iff nothing is left."""
     x, y, z = target
-    for a, b, c in basis:
+    solved: dict[int, int] = {}
+    for (a, b, c), co in basis:
         q = x // a if a else y // b if b else z // c
         x, y, z = x - q * a, y - q * b, z - q * c
-    return not (x or y or z)
+        if q and co:
+            solved = _combine(1, solved, q, co)
+    return None if x or y or z else solved
 
 
 def _word_steps(word: tuple[str, ...], memo: dict) -> tuple[tuple[int, int, int, int], ...]:
@@ -435,7 +455,7 @@ def _enumerate(
                 schreier[x + dx - shift[0], y + dy - shift[1], z + dz - shift[2]] = None
     linear = np.array(walk, dtype=np.int64)
     shifts = np.array(list(picked.values()), dtype=np.int64)
-    return linear, shifts, _reduce(schreier)
+    return linear, shifts, tuple(row for row, _ in _reduce((row, {}) for row in schreier))
 
 
 def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
@@ -444,7 +464,8 @@ def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
     the diagonal entry of its column (the Hermite normal form), so equal
     lattices have equal bases.  The diagonal entries divide N, so the
     lattice has N^3 / (b_11 b_22 b_33) points mod N."""
-    (a, b, c), (_, d, e), (_, _, f) = _reduce((*rows, (n, 0, 0), (0, n, 0), (0, 0, n)))
+    rows = chain(rows, ((n, 0, 0), (0, n, 0), (0, 0, n)))
+    (a, b, c), (_, d, e), (_, _, f) = (row for row, _ in _reduce((row, {}) for row in rows))
     q, e = b // d, e % f
     return (a, b - q * d, (c - q * e) % f), (0, d, e), (0, 0, f)
 
@@ -501,78 +522,6 @@ def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     return sub
 
 
-class IntegerLattice:
-    """Integer span of a growing list of 3-vectors, with membership
-    certificates expressed over the originally added rows.
-
-    Maintains a triangular basis by gcd elimination; `solve` returns
-    integer coefficients c with sum(c[i] * row[i]) == target, or None when
-    the target is outside the lattice.  Exact and deterministic.
-    """
-
-    def __init__(self):
-        self._pivots: dict[int, tuple[tuple[int, int, int], dict[int, int]]] = {}
-        self._count = 0
-
-    @staticmethod
-    def _combine(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
-        out = {}
-        for k, v in a.items():
-            out[k] = x * v
-        for k, v in b.items():
-            out[k] = out.get(k, 0) + y * v
-        return {k: v for k, v in out.items() if v}
-
-    def add(self, vec: Vec) -> int:
-        """Insert a vector; returns its row index for certificates."""
-        index = self._count
-        self._count += 1
-        v = list(vec)
-        co = {index: 1}
-        for col in range(3):
-            if v[col] == 0:
-                continue
-            if col not in self._pivots:
-                if v[col] < 0:
-                    v = [-x for x in v]
-                    co = {k: -c for k, c in co.items()}
-                self._pivots[col] = (tuple(v), co)
-                return index
-            bvec, bco = self._pivots[col]
-            x, y, qb, qv = _eliminate(bvec, v, col)
-            new_pivot = tuple(x * bvec[k] + y * v[k] for k in range(3))
-            new_pco = self._combine(x, bco, y, co)
-            v = [qv * bvec[k] - qb * v[k] for k in range(3)]
-            co = self._combine(qv, bco, -qb, co)
-            self._pivots[col] = (new_pivot, new_pco)
-        return index
-
-    def basis(self) -> tuple[Vec, ...]:
-        """The triangular basis, one row per pivot column in column order:
-        each row is zero left of its pivot column and positive there."""
-        return tuple(self._pivots[col][0] for col in sorted(self._pivots))
-
-    def solve(self, target: Vec) -> dict[int, int] | None:
-        t = list(target)
-        acc: dict[int, int] = {}
-        for col in range(3):
-            if t[col] == 0:
-                continue
-            if col not in self._pivots:
-                return None
-            bvec, bco = self._pivots[col]
-            if t[col] % bvec[col]:
-                return None
-            q = t[col] // bvec[col]
-            for k in range(3):
-                t[k] -= q * bvec[k]
-            for idx, c in bco.items():
-                acc[idx] = acc.get(idx, 0) + q * c
-        if any(t):
-            return None
-        return {k: v for k, v in acc.items() if v}
-
-
 # the most generator factors the witness search multiplies; it runs only
 # once the lattice holds the targets, and stops at the first depth whose
 # translations span them, so the bound never changes a witness
@@ -592,12 +541,16 @@ def _certificate_search(
     the state (linear index, x, y, z), and a factor one lookup in its step
     rows, which come from memo (see `_word_steps`) or are built into it.
 
-    Returns (found, lattice, row_word): the lattice holds the pure
-    translations (rows) in discovery order, and row_word(i) spells out the
-    word that reached row i.  Each product keeps only a back-pointer (its
-    parent product and last generator), so words are built only for the
-    rows asked for.  `found` is True when the targets became solvable
-    within _SEARCH_DEPTH factors.
+    The pure translations found (rows) are numbered in discovery order.
+    At each depth that finds some, the basis so far goes back to `_reduce`
+    ahead of them, each tagged {row number: 1}, so the basis carries every
+    row's coefficients; the search stops at the first depth whose basis
+    holds every target, or after _SEARCH_DEPTH factors.
+
+    Returns (basis, row_word): the last basis, and row_word(i), which
+    spells out the word that reached row i.  Each product keeps only a
+    back-pointer (its parent product and last generator), so words are
+    built only for the rows asked for.
     """
     memo = {} if memo is None else memo
     gens: list[Isometry] = []
@@ -611,7 +564,7 @@ def _certificate_search(
             gen_words.append(ww)
 
     steps = [_word_steps(w, memo) for w in gen_words]
-    lattice = IntegerLattice()
+    basis: tuple[Row, ...] = ()
     # product 0 is the identity; product i > 0 is product parents[i] times
     # generator factors[i]
     parents, factors = [-1], [-1]
@@ -624,15 +577,12 @@ def _certificate_search(
             i = parents[i]
         return tuple(chain.from_iterable(gen_words[g] for g in reversed(last)))
 
-    def spanned() -> bool:
-        return all(lattice.solve(t) is not None for t in targets)
-
     identity = (_IDENTITY_LINEAR, 0, 0, 0)
     seen = {identity}
     frontier = [(identity, 0)]
     for _ in range(_SEARCH_DEPTH):
         next_frontier = []
-        fresh = False
+        fresh: list[Row] = []
         for (l, x, y, z), i in frontier:
             for g, step in enumerate(steps):
                 m, dx, dy, dz = step[l]
@@ -643,15 +593,16 @@ def _certificate_search(
                 next_frontier.append((state, len(parents)))
                 # the identity is seen, so this translation is not zero
                 if m == _IDENTITY_LINEAR:
+                    fresh.append((state[1:], {len(row_products): 1}))
                     row_products.append(len(parents))
-                    lattice.add(state[1:])
-                    fresh = True
                 parents.append(i)
                 factors.append(g)
-        if fresh and spanned():
-            return True, lattice, row_word
+        if fresh:
+            basis = _reduce(chain(basis, fresh))
+            if all(_solve(basis, t) is not None for t in targets):
+                break
         frontier = next_frontier
-    return False, lattice, row_word
+    return basis, row_word
 
 
 def certify_translations(sub: TorusGroup) -> TorusGroup:
@@ -661,9 +612,11 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     (0,0,N) iff they lie in its translation lattice, which `build_subgroup`
     keeps.  Only then does a breadth-first search over products of the
     generator evaluations collect pure translations until they span the
-    three; their combinations are the witness words, re-evaluated exactly
-    and stored on the returned subgroup.  The search reuses the step rows
-    `build_subgroup` kept on the subgroup's `_memo`.
+    three (see `_certificate_search`).  `_solve` spells each target over
+    the search's basis as a combination of the translations found, and
+    the words that reached them, so combined, are the witness words,
+    re-evaluated exactly and stored on the returned subgroup.  The search
+    reuses the step rows `build_subgroup` kept on the subgroup's `_memo`.
 
     Raises CertificationError when the translations lie outside the
     lattice (no certificate exists), when the search finds no witness
@@ -673,21 +626,23 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     n = sub.modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
     words = [_spelled(w) for w in sub.generator_words]
-    missing = [t for t in targets if not _holds(sub.translation_lattice, t)]
+    held = tuple((row, {}) for row in sub.translation_lattice)
+    missing = [t for t in targets if _solve(held, t) is None]
     if missing:
         raise CertificationError(
             f"translations {missing[0]} not reachable from {words} (no certificate exists)"
         )
     memo = sub._memo.setdefault("step rows", {})
-    found, lattice, row_word = _certificate_search(sub.generator_words, targets, memo)
-    if not found:
-        missing = [t for t in targets if lattice.solve(t) is None]
+    basis, row_word = _certificate_search(sub.generator_words, targets, memo)
+    solved = {t: _solve(basis, t) for t in targets}
+    missing = [t for t, coefficients in solved.items() if coefficients is None]
+    if missing:
         raise CertificationError(
             f"translations {missing[0]} lie in the lattice of {words}, but no witness "
             f"was found within {_SEARCH_DEPTH} generator factors"
         )
     # each witness is counted before any is built
-    terms = {t: [(row_word(i), c) for i, c in sorted(lattice.solve(t).items())] for t in targets}
+    terms = {t: [(row_word(i), c) for i, c in sorted(co.items())] for t, co in solved.items()}
     for target, row_terms in terms.items():
         letters = sum(len(w) * abs(c) for w, c in row_terms)
         if letters > _WITNESS_LETTERS:

@@ -24,9 +24,6 @@ from honeycomb434.crystal import (
     substitute,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-
 @pytest.fixture(scope="module")
 def models():
     return {name: preset(name) for name in ("rock-salt", "NbO", "ReO3", "perovskite")}

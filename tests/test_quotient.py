@@ -32,7 +32,6 @@ from honeycomb434.quotient import (
     MAX_MODULUS,
     _MUL,
     CertificationError,
-    IntegerLattice,
     SubgroupError,
     TorusGroup,
     apply_linear,
@@ -305,14 +304,32 @@ def test_an_oversized_witness_is_refused_before_it_is_built():
     )
 
 
-def oracle_lattice_holds(words, modulus):
-    """Does the translation lattice of <words> hold N e_1, N e_2 and N e_3?
-
-    Schreier generators from the oracle's unreduced matrices, then sympy's
-    Hermite normal form: no code shared with the package."""
+def hermite_membership(rows):
+    """Membership in the lattice the integer rows span, by sympy's Hermite
+    normal form: no code shared with the package.  The form's columns are
+    a basis, so a target is held iff its one rational combination of them
+    is integral."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import hermite_normal_form
 
+    basis = hermite_normal_form(sympy.Matrix(list(rows) or [[0, 0, 0]]).T)
+    if basis.cols == 0:
+        return lambda target: not any(target)
+    left_inverse = (basis.T * basis).inv() * basis.T
+
+    def holds(target):
+        target = sympy.Matrix(target)
+        x = left_inverse * target
+        return all(entry.is_integer for entry in x) and basis * x == target
+
+    return holds
+
+
+def oracle_lattice_holds(words, modulus):
+    """Does the translation lattice of <words> hold N e_1, N e_2 and N e_3?
+
+    Schreier generators from the oracle's unreduced matrices, then
+    `hermite_membership`."""
     gens = [oracle.eval_letters(w) for w in words]
     picked = {oracle.IDENT[0]: oracle.IDENT}
     walk = [oracle.IDENT]
@@ -325,11 +342,8 @@ def oracle_lattice_holds(words, modulus):
             else:
                 picked[x[0]] = x
                 walk.append(x)
-    spanning = sympy.Matrix(sorted(rows) or [[0, 0, 0]]).T
-    if spanning.rank() < 3:
-        return False
-    basis = hermite_normal_form(spanning)
-    return all(entry.is_integer for entry in modulus * basis.inv())
+    holds = hermite_membership(sorted(rows))
+    return all(holds(t) for t in ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,21 +439,25 @@ def test_member(group2, subs2):
     assert member(translation((2, 0, 0)))
 
 
+def numbered(rows):
+    """The rows as `_reduce` input, each its own combination {i: 1}."""
+    return [(row, {i: 1}) for i, row in enumerate(rows)]
+
+
+def combination(rows, coefficients):
+    """The sum of c * rows[i] over the coefficients {i: c}."""
+    return tuple(sum(c * rows[i][axis] for i, c in coefficients.items()) for axis in range(3))
+
+
 def test_integer_lattice_solves_with_certificates():
-    lattice = IntegerLattice()
     rows = [(1, 1, 0), (1, -1, 0), (0, 0, 2)]
-    for row in rows:
-        lattice.add(row)
-    coeffs = lattice.solve((2, 0, 0))
+    basis = quotient._reduce(numbered(rows))
+    coeffs = quotient._solve(basis, (2, 0, 0))
     assert coeffs is not None
-    total = [0, 0, 0]
-    for idx, c in coeffs.items():
-        for axis in range(3):
-            total[axis] += c * rows[idx][axis]
-    assert tuple(total) == (2, 0, 0)
-    assert lattice.solve((0, 0, 1)) is None
-    assert lattice.solve((1, 0, 0)) is None
-    assert lattice.solve((0, 0, 0)) == {}
+    assert combination(rows, coeffs) == (2, 0, 0)
+    assert quotient._solve(basis, (0, 0, 1)) is None
+    assert quotient._solve(basis, (1, 0, 0)) is None
+    assert quotient._solve(basis, (0, 0, 0)) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,17 +465,10 @@ def test_integer_lattice_solves_with_certificates():
                 min_size=1, max_size=6),
        st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)))
 def test_integer_lattice_certificates_always_reproduce_target(rows, target):
-    lattice = IntegerLattice()
-    for row in rows:
-        lattice.add(row)
-    coeffs = lattice.solve(target)
+    coeffs = quotient._solve(quotient._reduce(numbered(rows)), target)
     if coeffs is None:
         return
-    total = [0, 0, 0]
-    for idx, c in coeffs.items():
-        for axis in range(3):
-            total[axis] += c * rows[idx][axis]
-    assert tuple(total) == tuple(target)
+    assert combination(rows, coeffs) == tuple(target)
 
 
 def test_subgroup_words_must_parse(group2):
@@ -540,6 +551,8 @@ def test_code_closure_matches_the_isometry_closure(modulus):
         assert list(sub.codes) == sorted(sub.codes)
         canonical = sorted(expected, key=lambda el: oracle.canonical_key(as_oracle(el)))
         assert decode(sub.codes, modulus) == canonical, name
+        # any shape decodes in C order
+        assert decode(sub.codes.reshape(2, -1), modulus) == canonical, name
 
 
 def test_linear_parts_are_the_48_signed_permutations_in_canonical_order():
@@ -581,7 +594,7 @@ def test_multiply_is_the_outer_product_of_isometry_products(modulus):
     codes = build_group(modulus).codes
     a, b = rng.choice(codes, (3, 2)), rng.choice(codes, 5)
     expected = np.array(
-        [[encode(x * y, modulus) for x in decode(a.reshape(-1), modulus)] for y in decode(b, modulus)]
+        [[encode(x * y, modulus) for x in decode(a, modulus)] for y in decode(b, modulus)]
     ).reshape(5, 3, 2)
     assert np.array_equal(multiply(a, b, modulus), expected)
     assert np.array_equal(multiply(a, b[1], modulus), expected[1])
@@ -767,10 +780,8 @@ def test_tuple_words_get_the_string_word_checks(group2):
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
                 max_size=8))
 def test_integer_lattice_basis_is_triangular_and_spans_the_rows(rows):
-    lattice = IntegerLattice()
-    for row in rows:
-        lattice.add(row)
-    basis = lattice.basis()
+    reduced = quotient._reduce(numbered(rows))
+    basis = [row for row, _ in reduced]
     pivots = [next(k for k in range(3) if row[k]) for row in basis]
     # one row per pivot column, in column order, zero left of its pivot
     # and positive on it
@@ -778,16 +789,14 @@ def test_integer_lattice_basis_is_triangular_and_spans_the_rows(rows):
     for row, col in zip(basis, pivots):
         assert all(row[k] == 0 for k in range(col)) and row[col] > 0
     for row in list(rows) + list(basis):
-        assert lattice.solve(row) is not None
+        assert quotient._solve(reduced, row) is not None
     # the basis spans no more than the rows: it has as many rows as their rank
     assert len(basis) == np.linalg.matrix_rank(np.array(rows, dtype=float).reshape(-1, 3))
 
 
 def test_integer_lattice_basis_of_a_full_rank_lattice():
-    lattice = IntegerLattice()
-    for row in ((4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (0, 2, 2)):
-        lattice.add(row)
-    basis = lattice.basis()
+    rows = ((4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (0, 2, 2))
+    basis = [row for row, _ in quotient._reduce(numbered(rows))]
     assert len(basis) == 3
     # the diagonal divides 4, and its product is the determinant: 16, that
     # of twice the fcc lattice
@@ -806,8 +815,8 @@ axis_multiples = st.builds(
     lambda n, axis, sign: tuple(sign * n if k == axis else 0 for k in range(3)),
     st.sampled_from([2, 4, 8, 16]), st.integers(0, 2), st.sampled_from([1, -1]),
 )
-# rows for the coefficient-free reduction: small entries, zero rows,
-# negatives, N e_i and repeats of earlier rows among them
+# rows for the reduction: small entries, zero rows, negatives, N e_i and
+# repeats of earlier rows among them
 lattice_rows = st.lists(
     st.one_of(small_vectors, st.just((0, 0, 0)), axis_multiples), max_size=10
 ).flatmap(repeated)
@@ -815,20 +824,27 @@ lattice_rows = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(lattice_rows, st.lists(small_vectors, max_size=6))
-def test_the_coefficient_free_basis_is_the_integer_lattice_basis(rows, probes):
-    lattice = IntegerLattice()
+def test_the_reduced_basis_carries_its_coefficients(rows, probes):
+    basis = quotient._reduce(numbered(rows))
+    # each basis row is the combination of input rows its coefficients name
+    for row, coefficients in basis:
+        assert combination(rows, coefficients) == row
+    # every input row is solved back exactly
     for row in rows:
-        lattice.add(row)
-    basis = quotient._reduce(rows)
-    assert basis == lattice.basis()
-    # membership on the triangular basis is solve's yes or no, for the
-    # rows, their sums and differences, multiples of the axes and others
+        assert combination(rows, quotient._solve(basis, row)) == row
+    # with no coefficients asked for, the same eliminations give the same rows
+    assert quotient._reduce((row, {}) for row in rows) == tuple((row, {}) for row, _ in basis)
+    # _solve's yes or no is the Hermite normal form's, for the rows, their
+    # sums and differences, multiples of the axes and others
+    holds = hermite_membership(rows)
     pairs = [(a, b) for a in rows[:4] for b in rows[:4]]
     targets = [*rows, *probes, *[tuple(x + y for x, y in zip(a, b)) for a, b in pairs],
                *[tuple(x - y for x, y in zip(a, b)) for a, b in pairs],
                (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, 0, 0)]
     for t in targets:
-        assert quotient._holds(basis, t) == (lattice.solve(t) is not None), t
+        solved = quotient._solve(basis, t)
+        assert (solved is not None) == holds(t), t
+        assert solved is None or combination(rows, solved) == t, t
 
 
 def test_step_rows_are_built_once_per_longer_word(monkeypatch):
@@ -864,7 +880,8 @@ def isometry_certificate_search(words, targets):
     kept with its factor list: the reference for `_certificate_search`,
     which walks integer states on a step table with back-pointers.  Same
     generators, breadth-first order and first-spanning-depth stop.
-    Returns (found, lattice, the word of each lattice row)."""
+    Each depth that finds translations reduces every row found so far
+    afresh.  Returns (found, basis, the word of each row)."""
     gens, gen_words = [], []
     for w in words:
         for ww in (w, tuple(reversed(w))):
@@ -872,8 +889,7 @@ def isometry_certificate_search(words, targets):
             if not el.is_identity and el not in gens:
                 gens.append(el)
                 gen_words.append(ww)
-    lattice = IntegerLattice()
-    row_factors = []
+    basis, rows, row_factors = (), [], []
     seen = {IDENTITY}
     frontier = [(IDENTITY, ())]
     found = False
@@ -889,27 +905,33 @@ def isometry_certificate_search(words, targets):
                 next_frontier.append((ne, factors + (g,)))
                 if ne.is_translation and ne.trans != (0, 0, 0):
                     row_factors.append(factors + (g,))
-                    lattice.add(ne.trans)
+                    rows.append(ne.trans)
                     fresh = True
-        if fresh and all(lattice.solve(t) is not None for t in targets):
-            found = True
-            break
+        if fresh:
+            basis = quotient._reduce(numbered(rows))
+            if all(quotient._solve(basis, t) is not None for t in targets):
+                found = True
+                break
         frontier = next_frontier
     row_words = [tuple(letter for g in f for letter in gen_words[g]) for f in row_factors]
-    return found, lattice, row_words
+    return found, basis, row_words
 
 
 def assert_searches_agree(words, modulus):
     words = tuple(map(parse_word, words))
     n = modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
-    found, lattice, row_word = quotient._certificate_search(words, targets)
-    expected_found, expected, row_words = isometry_certificate_search(words, targets)
-    assert found == expected_found
-    assert lattice._count == expected._count == len(row_words)
-    assert lattice.basis() == expected.basis()
+    basis, row_word = quotient._certificate_search(words, targets)
+    found, expected, row_words = isometry_certificate_search(words, targets)
+    # the same rows, words, basis and coefficients: row_word spells each
+    # row found, and there is no row past them
     assert [row_word(i) for i in range(len(row_words))] == row_words
-    assert [lattice.solve(t) for t in targets] == [expected.solve(t) for t in targets]
+    with pytest.raises(IndexError):
+        row_word(len(row_words))
+    assert basis == expected
+    solved = [quotient._solve(basis, t) for t in targets]
+    assert solved == [quotient._solve(expected, t) for t in targets]
+    assert found == all(coefficients is not None for coefficients in solved)
     return found
 
 
@@ -937,8 +959,10 @@ def test_certificate_search_matches_the_isometry_search_on_random_words(words, m
     # the search runs once the lattice holds the targets, as in
     # certify_translations; elsewhere it would walk all 24 levels of a
     # group with infinitely many elements
-    held = build_subgroup(build_group(modulus), words).translation_lattice
-    if all(quotient._holds(held, t) for t in ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus))):
+    lattice = build_subgroup(build_group(modulus), words).translation_lattice
+    held = [(row, {}) for row in lattice]
+    targets = ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus))
+    if all(quotient._solve(held, t) is not None for t in targets):
         assert assert_searches_agree(words, modulus)
 
 

@@ -1,10 +1,15 @@
 """Every ```python block of README.md runs as written, each in a fresh
-namespace, so the documented API cannot drift from the code."""
+namespace, so the documented API cannot drift from the code; the shell
+transcript and the JSON config are checked against the program too."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from honeycomb434 import cli, crystal
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
@@ -33,3 +38,27 @@ def test_readme_has_python_blocks():
 def test_readme_block_runs(line, code):
     # padded so that a traceback names the README's own line numbers
     exec(compile("\n" * (line - 1) + code, str(README), "exec"), {"__name__": "readme"})
+
+
+def fenced(language: str) -> list[str]:
+    """The code of README.md's ```<language> blocks."""
+    return re.findall(rf"^```{language}\n(.*?)^```", TEXT, flags=re.M | re.S)
+
+
+def test_readme_transcript_is_what_the_command_prints(capsys):
+    # the one shell block that is a transcript: a `$ ` command line and the
+    # stderr it prints; a certification failure exits 3
+    (transcript,) = [block for block in fenced("sh") if block.startswith("$ ")]
+    command, expected = transcript.split("\n", 1)
+    prompt, program, *argv = shlex.split(command)
+    assert (prompt, program) == ("$", "honeycomb434")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", expected)
+
+
+def test_readme_config_is_the_bundled_reo3_config():
+    (block,) = fenced("json")
+    data = json.loads(block)
+    crystal.validate_config(data)
+    assert data == json.loads(crystal._BUNDLED["reo3"].read_text())
