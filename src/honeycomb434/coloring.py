@@ -28,7 +28,6 @@ from .isometry import Isometry, _quoted, eval_word
 from .orbits import decompose, stabilizer_codes
 from .quotient import (
     MAX_MODULUS,
-    CosetTable,
     TorusGroup,
     _cell_minima,
     _coset_keys,
@@ -42,7 +41,6 @@ from .quotient import (
     decode,
     encode,
     flat,
-    identity_code,
     images,
     index,
     left_cosets,
@@ -306,28 +304,15 @@ def _integer(value: str, number: int, field: str) -> int:
     return int(value)
 
 
-def _ordered_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
-    """Left cosets of J in H with J itself first, the rest in canonical order.
-
-    Ids are positions in that ordering, and `representatives` stay each
-    coset's smallest element.  Jx must get the first label, which pins J's
-    own position; the canonical order of the remaining cosets keeps ids
-    deterministic.  Computed once per (H, J) pair of group objects and kept
-    on H, so `build_coloring` and `verify_theorem` share one table.
-    """
+def _ordered_cosets(h: TorusGroup, j: TorusGroup) -> np.ndarray:
+    """The codes of each left coset's smallest element, J's own coset first
+    (Jx gets the first label), the rest in canonical order.  Kept on H per
+    J, so `build_coloring` and `verify_theorem` share them."""
     memo = h._memo
     if ("cosets", j) not in memo:
-        table = left_cosets(h, j)
-        n, k = h.modulus, len(table.representative_codes)
-        # keys ascend with the ids, so J's coset is the rank of the identity's key (the last)
-        keys = _coset_keys(j, *split(np.concatenate((table.representative_codes, [identity_code(n)])), n))
-        first = int(np.count_nonzero(keys[:-1] < keys[-1]))
-        order = np.array([first] + [c for c in range(k) if c != first], dtype=np.int64)
-        rank = np.empty(k, dtype=np.int64)
-        rank[order] = np.arange(k)
-        ids = rank[table.coset_ids]
-        ids.setflags(write=False)
-        memo["cosets", j] = CosetTable(h, ids, table.representative_codes[order])
+        reps = left_cosets(h, j).representative_codes
+        own = int(j.includes(reps).argmax())
+        memo["cosets", j] = np.concatenate((reps[own : own + 1], np.delete(reps, own)))
     return memo["cosets", j]
 
 
@@ -353,8 +338,9 @@ def build_coloring(
 ) -> VertexColoring:
     """Color the torus by the orbit/coset scheme.
 
-    Every planned orbit is partitioned into the left-coset images of its
-    representative and labeled in coset order (J's own class first); all
+    Every planned orbit Hx is partitioned into the sets r_p Jx, one per
+    left coset r_p J, which are disjoint since Stab_H(x) <= J, and labeled
+    in coset order (J's own class first); all
     unplanned orbits share the `background` label, which is flagged as
     background in the color table.  A label may appear more than once only
     if the duplication is declared in `merges`; merged labels must come
@@ -448,13 +434,15 @@ def build_coloring(
     painted = assignment.reshape(-1)
     first = 0  # each plan's first slot
     for plan in plans:
-        rep = decomp.orbits[plan.orbit].representative
-        cosets = _ordered_cosets(h, plan.subgroup)
-        colors = slot_color[first : first + len(plan.labels)][cosets.coset_ids]
-        first += len(plan.labels)
-        # the image of the representative under every element of H, in the
-        # color of that element's coset
-        moved = images(h.codes, rep, n)
+        j, reps = plan.subgroup, _ordered_cosets(h, plan.subgroup)
+        colors = slot_color[first : first + len(reps)]
+        first += len(reps)
+        # coset p paints r_p Jx; J is each (M, s_M) plus its lattice, so Jx
+        # is every vertex of the lattice cells that hold x's images under
+        # J's form codes
+        hit = np.zeros(n**3, dtype=bool)
+        hit[j._cells[images(j._form_codes, decomp.orbits[plan.orbit].representative, n)]] = True
+        moved = images(reps, coords(np.flatnonzero(hit[j._cells]), n), n)
         prev = painted[moved]
         if ((prev >= 0) & (prev != colors)).any():
             raise AssertionError("a vertex colored by two plans; broken plan validation")
@@ -594,17 +582,20 @@ def verify_theorem(
 
     Part 1 holds exactly when sigma is defined on all of H, that is when H
     lies within the color group (a check on the two space-group forms),
-    and the orbit map agrees with the cosets: every g in H sends x into the
-    color of the coset gJ.  For sigma(g) sends the class of rep_p x to the
-    class of g rep_p x, and g rep_p ranges over H.  So a passing check makes one
-    pass over H; only a failing one hands the coset colors to
-    `_part1_failure`, which walks H in bounded chunks, each against every
-    coset at once, to name the first failing element in canonical order.
+    and every g in H sends x into the color phi(gJ), where phi(p) is the
+    color of r_p x for coset p's representative r_p.  Given sigma, that
+    holds iff each product s r_p, for each coset p and each of H's form
+    codes s (at most 51, which generate H; see `TorusGroup._form_codes`),
+    sends x into the color phi(s r_p J).  For by induction on the length
+    of g as a word in them, color(g r_p x) = phi(g r_p J) for every p: if
+    g r_p J = r_q J, then g r_p x and r_q x share a color, so sigma(s)
+    gives s g r_p x the color of s r_q x, which the check makes
+    phi(s r_q J) = phi(s g r_p J); and g = y r_0^-1, with r_0 in J, gives
+    color(y x) = phi(yJ) for every y in H.  Only a failing check walks H,
+    in `_part1_failure`, by the same check.
     Part 3 counts the orbits of the colors under sigma of H's form codes
-    (at most 51, see `TorusGroup._form_codes`), by a union-find: they
-    generate H, and sigma is a homomorphism on H, so every group takes
+    by a union-find: sigma is a homomorphism on H, so every group takes
     this one path.
-    The coset table is the one `build_coloring` made for the same H and J.
 
     Returns a report with one entry per part; failures carry the
     counterexample."""
@@ -614,22 +605,31 @@ def verify_theorem(
     x = check_vertex(x, n)
     decomp = decompose(h)
     orbit = decomp.orbit_of(x)
-    table = _ordered_cosets(h, j)
-    k = len(table.representative_codes)
+    reps = _ordered_cosets(h, j)
+    k = len(reps)
     a = coloring.assignment.reshape(-1)
     parts: list[PartResult] = []
 
     # coset position -> color, read off each coset's representative
-    coset_color = a[images(table.representative_codes, x, n)]
+    coset_color = a[images(reps, x, n)]
+    position = np.zeros(48 * n**3, dtype=np.int64)  # each coset's position, by key
+    position[_coset_keys(j, *split(reps, n))] = np.arange(k)
+
+    def check(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the products g r_p of the codes g with every representative,
+        one row per coset p: the position of the coset g r_p J, and whether
+        g r_p sends x out of that coset's color."""
+        linear, t = split(multiply(codes, reps, n), n)
+        moved = position[_coset_keys(j, linear, t)]
+        return moved, a[flat((apply_linear(linear, x, n) + t) % n, n)] != coset_color[moved]
 
     cg = color_group(coloring)
     # sigma is defined on all of H exactly when H lies in the color group
     defined = h.within(cg.subgroup)
-    # is every element of H's image of x in the color of its coset?
-    if defined and (a[images(h.codes, x, n)] == coset_color[table.coset_ids]).all():
+    if defined and not check(h._form_codes)[1].any():
         ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
     else:
-        ok1, detail1 = False, _part1_failure(h, j, x, table, cg, coset_color)
+        ok1, detail1 = False, _part1_failure(h, cg, check, coset_color)
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
     orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
@@ -675,34 +675,22 @@ def verify_theorem(
 _PART1_PRODUCTS = 2**15
 
 
-def _part1_failure(
-    h: TorusGroup, j: TorusGroup, x: Vec, table: CosetTable, cg: ColorGroupResult, coset_color: np.ndarray
-) -> str:
+def _part1_failure(h: TorusGroup, cg: ColorGroupResult, check, coset_color: np.ndarray) -> str:
     """Part 1's counterexample: the first element g of H, in canonical
     order, that has no sigma or whose sigma disagrees with the coset action
-    at some coset p, named with the first such p.  A g with sigma fails at
-    p exactly when g rep_p sends x out of the color of its coset g rep_p J,
-    which the coset's key names (see `quotient._coset_keys`).  Only when
-    sigma is not defined on all of H (H is not within the color group) does
-    a membership pass over H find the first element without sigma.  The
-    elements before it are walked in chunks, each multiplied by every
-    representative in one pass of at most `_PART1_PRODUCTS` products (one
-    element per chunk at least), up to the first chunk that holds a
-    failure; so the walk costs products in proportion to the failing
-    element's position."""
+    at some coset p, named with the first such p, which `verify_theorem`'s
+    check finds.  Only when H is not within the color group does a
+    membership pass over H find the first element without sigma.  The
+    elements before it are checked in chunks of at most `_PART1_PRODUCTS`
+    products (one element per chunk at least), up to the first chunk that
+    holds a failure; so the walk costs products in proportion to the
+    failing element's position."""
     n = h.modulus
-    reps = table.representative_codes
-    k = len(reps)
-    position = np.zeros(48 * n**3, dtype=np.int64)  # each coset's position, by key
-    position[_coset_keys(j, *split(reps, n))] = np.arange(k)
     end = h.order if h.within(cg.subgroup) else int(np.argmin(cg.subgroup.includes(h.codes)))
-    step = max(1, _PART1_PRODUCTS // k)
+    step = max(1, _PART1_PRODUCTS // len(coset_color))
     for start in range(0, end, step):
         chunk = h.codes[start : min(start + step, end)]
-        # the products g rep_p, one row per coset p, split once for their images of x and their keys
-        linear, t = split(multiply(chunk, reps, n), n)
-        moved = position[_coset_keys(j, linear, t)]
-        failing = cg.assignment[flat((apply_linear(linear, x, n) + t) % n, n)] != coset_color[moved]
+        moved, failing = check(chunk)
         failed = failing.any(axis=0)
         if failed.any():
             i = int(failed.argmax())

@@ -22,10 +22,12 @@ are read off the form, by array passes with Python loops over at most the
 48 linear parts, so no group is closed.  Code order is the canonical
 element order used for deterministic coset ids: lexicographic on
 (flattened linear matrix, translation), the linear parts taken in the
-order of `isometry.LINEAR_PARTS`.  `TorusGroup.codes`, the sorted,
+order of `isometry.LINEAR_PARTS`.  One rule names the coset gJ of any
+element g, its key (`_coset_keys`); `left_cosets`, the colorings and the
+theorem check all find cosets by it.  `TorusGroup.codes`, the sorted,
 read-only int64 array of a group's codes (for the full group, every code
-from 0 to 48 N^3 - 1), is enumerated from the form on first use: only the
-passes that walk a group (vertex images, coset labels) read it.
+from 0 to 48 N^3 - 1), is enumerated from the form on first use: only
+`CosetTable.coset_ids`, `elements` and a failing theorem check read it.
 `elements` decodes it to a frozenset of `Isometry` on first use, and two
 groups compare by identity, not by element set.  The walks in the
 infinite group step integer states (linear index, x, y, z) through step
@@ -63,12 +65,9 @@ from .isometry import (
 
 Vec = tuple[int, int, int]
 
-# the largest modulus accepted; the full group has 48 N^3 elements.  At
-# N = 16 each bundled config builds, colors and writes its exports in
-# 0.06-0.12 s, and the CLI's color and export commands, which also check
-# the theorem and the color group, take 0.11-0.22 s together (2-vCPU Xeon,
-# Python 3.11, package already imported, three runs per config, each in a
-# fresh interpreter)
+# the largest modulus accepted; the full group has 48 N^3 elements, and
+# the cap bounds what a command costs, a coloring without a recipe (whose
+# color group is found by whole-assignment tests) included
 MAX_MODULUS = 16
 
 
@@ -211,8 +210,8 @@ class TorusGroup:
     the triangular basis of its translations mod N (the lattice they span
     with N Z^3, in Hermite normal form; three rows, each diagonal entry
     dividing N).  The group is every (L, t_L + lambda), so `order`,
-    `includes`, `within` and `index` are computed from the form with no
-    pass over the codes, and `left_cosets` with no walk.
+    `includes`, `within`, `index` and `left_cosets` are computed from the
+    form with no pass over the codes.
     `codes`, the sorted, read-only int64 array of the element codes, is
     enumerated from the form on first use, and `elements` decodes it to a
     frozenset of `Isometry` on first use.
@@ -670,19 +669,24 @@ def index(ambient: TorusGroup, sub: TorusGroup) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CosetTable:
-    """Left cosets gJ of J in H.
-
-    `coset_ids[i]` is the coset id of H's i-th element code and
-    `representative_codes[c]` the code of coset c's smallest element.
-    `left_cosets` numbers cosets by the canonical order of their smallest
-    element, so ids are stable across runs.  `decode` turns the
-    representatives into `Isometry` values, and `np.bincount(coset_ids)`
-    gives the coset sizes.
-    """
+    """Left cosets gJ of J in H (`group` and `subgroup`), numbered by the
+    canonical order of their smallest elements, so ids are stable across
+    runs.  `representative_codes[c]` is the code of coset c's smallest
+    element; `decode` turns them into `Isometry` values.  `coset_ids[i]`,
+    the id of H's i-th element code, is computed on first access;
+    `np.bincount(coset_ids)` gives the coset sizes."""
 
     group: TorusGroup
-    coset_ids: np.ndarray
+    subgroup: TorusGroup
     representative_codes: np.ndarray
+
+    @cached_property
+    def coset_ids(self) -> np.ndarray:
+        """Each of H's codes keyed, and its key found among the
+        representatives' keys, which ascend (see `_coset_keys`)."""
+        n, j = self.group.modulus, self.subgroup
+        keys = _coset_keys(j, *split(self.representative_codes, n))
+        return np.searchsorted(keys, _coset_keys(j, *split(self.group.codes, n)))
 
 
 def _coset_keys(j: TorusGroup, linear, t) -> np.ndarray:
@@ -717,22 +721,25 @@ def _coset_keys(j: TorusGroup, linear, t) -> np.ndarray:
 
 
 def left_cosets(h: TorusGroup, j: TorusGroup) -> CosetTable:
-    """Label H's codes by their left cosets g J, by their keys (see
-    `_coset_keys`): ranking the keys that occur numbers the cosets in the
-    canonical order of their smallest elements, and each coset's smallest
-    element is the first code carrying its id.
+    """The left cosets g J of J in H, read off the two forms by their keys
+    (see `_coset_keys`), with no pass over H's codes.
+
+    A coset whose smallest linear part is B0 meets B0 in one cell of
+    B0 Lambda_J, and those cells tile H's translations t_B0 + Lambda_H of
+    that part, since B0 Lambda_J lies in Lambda_H.  So each part of H that
+    is its own B0 has its translations keyed in flat order, and the first
+    translation with each key is its coset's smallest element.  Sorting
+    the keys numbers the cosets in canonical order.
     """
     if h.modulus != j.modulus:
         raise SubgroupError("mismatched moduli")
     if not j.within(h):
         raise SubgroupError("J is not contained in H")
     n = h.modulus
-    # H's codes are one block of translations per linear part, in part order
-    t = coords(h.codes.reshape(len(h.linear), -1) % n**3, n)
-    keys = _coset_keys(j, h.linear[:, None], t).reshape(-1)
-    present = np.zeros(48 * n**3, dtype=bool)
-    present[keys] = True
-    ids = (np.cumsum(present) - 1)[keys]
-    # a coset's first code is where the running maximum of the ids steps up
-    top = np.maximum.accumulate(ids)
-    return CosetTable(h, ids, h.codes[np.concatenate(([True], top[1:] > top[:-1]))])
+    # a key is B0 N^3 plus a cell: the parts of H that are their own B0
+    own = h.linear[_coset_keys(j, h.linear, np.zeros(3, dtype=np.int64)) // n**3 == h.linear]
+    part, t = np.nonzero(h._cells == h._part_cells[own, None])
+    keys = _coset_keys(j, own[part], coords(t, n))
+    order = np.argsort(keys, kind="stable")
+    first = order[np.concatenate(([True], np.diff(keys[order]) > 0))]
+    return CosetTable(h, j, own[part[first]] * n**3 + t[first])

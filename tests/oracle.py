@@ -9,6 +9,9 @@ The exceptions are the two code walks, which use the package's code layer
 `eager_codes`, which lists a group's codes from its space-group form as
 the group's constructor once did on every group, and stays as the
 reference for `TorusGroup.codes`, which enumerates them on first use.
+`full_pass_part1` is the theorem's part 1 as a pass over all of H, which
+`verify_theorem` once made, and stays as the reference for its check on
+H's form codes at moduli where `theorem_report` is slow.
 `code_walk_decomposition` walks the vertices, and `code_walk_cosets` H's
 codes, in order; each one not yet labelled labels its whole orbit, or
 coset, by one array pass.  They were the package's own orbit and coset
@@ -331,6 +334,24 @@ def code_walk_cosets(h, j):
             ids[np.searchsorted(h.codes, multiply(h.codes[pos], j.codes, n))] = len(firsts)
             firsts.append(pos)
     return ids, h.codes[firsts]
+
+
+def full_pass_part1(h, j, x, coloring):
+    """Part 1's verdict on package objects as `verify_theorem` once decided
+    it, by one pass over all of H: sigma is defined on H (H lies within
+    the color group), and every g in H sends x into the color of its coset
+    gJ, the color of that coset's representative's image of x, read
+    through `left_cosets(h, j).coset_ids`."""
+    from honeycomb434.coloring import color_group
+    from honeycomb434.quotient import images, left_cosets
+
+    n = h.modulus
+    if not h.within(color_group(coloring).subgroup):
+        return False
+    table = left_cosets(h, j)
+    a = coloring.assignment.reshape(-1)
+    coset_color = a[images(table.representative_codes, x, n)]
+    return bool((a[images(h.codes, x, n)] == coset_color[table.coset_ids]).all())
 
 
 def eager_codes(group):

@@ -591,6 +591,35 @@ def test_theorem_reports_match_the_oracle(group2, group4, modulus, name):
             ), (a, b, x)
 
 
+def test_part_1_matches_the_full_pass_over_h_at_modulus_8():
+    # the oracle's exhaustive walk is too slow at N = 8: part 1's verdict
+    # from H's form codes against the pass over all of H it replaced, on
+    # every sweep pair, preset and vertex, and on the N^3-coset plan
+    full = quotient.build_group(8)
+    subs = {name: build_subgroup(full, words) for name, words in identity_digest.SWEEP_WORDS.items()}
+    pairs = [(a, b) for a in subs for b in subs if subs[b].within(subs[a])]
+    assert len(pairs) == 12
+    verdicts = []
+    for name in PRESET_NAMES:
+        coloring = preset(name, 8).coloring
+        for a, b in pairs:
+            for x in identity_digest.SWEEP_VERTICES:
+                ok = verify_theorem(subs[a], subs[b], x, coloring).parts[0].ok
+                assert ok == oracle.full_pass_part1(subs[a], subs[b], x, coloring), (name, a, b, x)
+                verdicts.append(ok)
+    assert 0 < sum(verdicts) < len(verdicts)
+    plan = adversarial_plan(full)
+    coloring = build_coloring(full, [plan])
+    for x, ok in (((0, 0, 0), True), ((0, 0, 1), False)):
+        assert verify_theorem(full, plan.subgroup, x, coloring).parts[0].ok is ok
+        assert oracle.full_pass_part1(full, plan.subgroup, x, coloring) is ok
+    # build_group's shifts are all zero, so only its lattice rows move the
+    # origin: the unit translations swap rock salt's two colors
+    rock_salt = preset("rock-salt", 8).coloring
+    assert verify_theorem(full, full, (0, 0, 0), rock_salt).parts[0].ok is False
+    assert oracle.full_pass_part1(full, full, (0, 0, 0), rock_salt) is False
+
+
 def test_nbo_counts_and_background(nbo):
     assert nbo.labels == ("dark-blue", "green", "white")
     assert nbo.counts() == {"dark-blue": 3, "green": 3, "white": 2}
@@ -950,7 +979,8 @@ def test_part_3_on_a_color_group_matches_the_brute_force_color_orbits(modulus, c
 
 def test_part_3_makes_no_pass_over_h(monkeypatch):
     # one color per vertex and no recipe: H, the color group, is the full
-    # group, without words; a per-color pass over H would make 512 of them
+    # group, without words; a per-color pass over H would make 512 of them,
+    # and neither part 1 nor part 3 maps x under every element of H
     h = quotient.build_group(8)
     plan = adversarial_plan(h)
     built = build_coloring(h, [plan])
@@ -971,8 +1001,8 @@ def test_part_3_makes_no_pass_over_h(monkeypatch):
     report = verify_theorem(cg.subgroup, plan.subgroup, (0, 0, 0), coloring)
     assert report.ok
     assert report.parts[2].detail == "1 color orbits vs 1 vertex orbits"
-    # part 1's orbit map is the one pass
-    assert passes == ["images"]
+    # part 1 checks H's form codes against the cosets, with no pass over H
+    assert passes == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,8 +169,8 @@ def test_codes_on_first_use_are_the_eager_enumeration(modulus):
 @pytest.mark.parametrize("modulus", [2, 4, 8])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_only_the_coloring_group_enumerates_its_codes(name, modulus):
-    # the benchmark's library steps: of the groups a preset builds, only H
-    # is walked (vertex images and coset labels)
+    # the benchmark's library steps: cosets, painting and the theorem read
+    # the groups' forms, so not even the coloring's H enumerates its codes
     model = preset(name, modulus)
     coloring = model.coloring
     h, plans = coloring.recipe.group, coloring.recipe.plans
@@ -183,7 +184,7 @@ def test_only_the_coloring_group_enumerates_its_codes(name, modulus):
     export_off(model, (2, 2, 2))
     export_report(model)
     groups = [h, h.parent, *(plan.subgroup for plan in plans), cg.subgroup]
-    assert [("codes" in g.__dict__) for g in groups] == [g is h for g in groups]
+    assert [("codes" in g.__dict__) for g in groups] == [False] * len(groups)
 
 
 @pytest.mark.parametrize("modulus", [2, 4, 8])
@@ -685,6 +686,19 @@ def test_left_cosets_match_the_code_walk(walked_pairs):
         pairs += 1
     # every group lies within itself and within the full group
     assert pairs >= 2 * len(groups) - 1
+
+
+def test_left_cosets_enumerate_no_codes(walked_pairs):
+    # copies of the groups start without codes; left_cosets reads the
+    # representatives off the forms, and only coset_ids reads H's codes
+    groups, walks = walked_pairs
+    fresh = {name: replace(group) for name, group in groups.items()}
+    for h_name, j_name in walks:
+        h, j = fresh[h_name], fresh[j_name]
+        table = left_cosets(h, j)
+        assert np.array_equal(table.representative_codes, walks[h_name, j_name][1]), (h_name, j_name)
+        assert "codes" not in h.__dict__ and "codes" not in j.__dict__, (h_name, j_name)
+        assert "coset_ids" not in table.__dict__
 
 
 def test_coset_keys_of_products_match_the_code_walk(walked_pairs):

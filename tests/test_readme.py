@@ -1,6 +1,7 @@
 """Every ```python block of README.md runs as written, each in a fresh
 namespace, so the documented API cannot drift from the code; the shell
-transcript and the JSON config are checked against the program too."""
+transcript and the JSON config are checked against the program too, and
+the README names no private name, whose home is the docstrings."""
 
 import json
 import re
@@ -62,3 +63,18 @@ def test_readme_config_is_the_bundled_reo3_config():
     data = json.loads(block)
     crystal.validate_config(data)
     assert data == json.loads(crystal._BUNDLED["reo3"].read_text())
+
+
+def private_names(text: str) -> list[str]:
+    """The backticked spans of a text that name an identifier with a
+    leading underscore, such as `quotient._reduce` or `_memo`; a dunder
+    such as `__init__` is not private."""
+    return [span for span in re.findall(r"`([^`\n]+)`", text) if re.search(r"(?<!\w)_[A-Za-z]", span)]
+
+
+def test_readme_names_no_private_name():
+    assert private_names("`quotient._reduce`, `TorusGroup._memo`, `MAX_MODULUS`, `__init__`") == [
+        "quotient._reduce",
+        "TorusGroup._memo",
+    ]
+    assert private_names(TEXT) == []
