@@ -29,6 +29,10 @@ Each digest feeds UTF-8 text to one sha256, in this order:
   `conftest.WORDS` in order, one line `repr((N, name,
   translation_lattice, witness words))`, each witness word its letters
   joined into one string; the lines are joined by newlines.
+- wide-off: `export_off` of the N = 2 perovskite over the region
+  (16384, 1, 1), 131,072 sites.  Its vertex numbers reach 7 digits and
+  its x coordinates 32767.200, widths that no region of the other
+  digests reaches.
 """
 
 from __future__ import annotations
@@ -96,6 +100,11 @@ def witness_digest(moduli=(2, 4, 8, 16)) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def wide_off_digest() -> str:
+    text = export_off(preset("perovskite", 2), (16384, 1, 1))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digests(export_moduli=(2, 4, 8, 16), sweep_moduli=(2, 4, 8), witness_moduli=(2, 4, 8, 16)) -> dict:
     return {
         "exports": export_digest(export_moduli),
@@ -105,5 +114,5 @@ def digests(export_moduli=(2, 4, 8, 16), sweep_moduli=(2, 4, 8), witness_moduli=
 
 
 if __name__ == "__main__":
-    for key, value in digests().items():
+    for key, value in {**digests(), "wide-off": wide_off_digest()}.items():
         print(key, value)

@@ -352,26 +352,31 @@ REFERENCE_FACES = (
 )
 
 
+def reference_site(coloring, site, base):
+    """The 8 vertex lines and 6 face lines of the cube at `site`, whose
+    corners are numbered from `base`."""
+    x, y, z = site
+    r, g, b = PALETTE.get(coloring.label_of(site), FALLBACK_COLOR)
+    verts = [
+        f"{x + dx * CUBE_HALF_WIDTH:.3f} "
+        f"{y + dy * CUBE_HALF_WIDTH:.3f} "
+        f"{z + dz * CUBE_HALF_WIDTH:.3f}"
+        for dx, dy, dz in REFERENCE_CORNERS
+    ]
+    faces = [f"4 {' '.join(str(base + i) for i in quad)} {r} {g} {b}" for quad in REFERENCE_FACES]
+    return verts, faces
+
+
 def reference_off(model, region):
     sx, sy, sz = _region_shape(region, model.modulus)
-    coloring = model.coloring
     verts = []
     faces = []
     for x in range(sx):
         for y in range(sy):
             for z in range(sz):
-                label = coloring.label_of((x, y, z))
-                r, g, b = PALETTE.get(label, FALLBACK_COLOR)
-                base = len(verts)
-                for dx, dy, dz in REFERENCE_CORNERS:
-                    verts.append(
-                        f"{x + dx * CUBE_HALF_WIDTH:.3f} "
-                        f"{y + dy * CUBE_HALF_WIDTH:.3f} "
-                        f"{z + dz * CUBE_HALF_WIDTH:.3f}"
-                    )
-                for quad in REFERENCE_FACES:
-                    idx = " ".join(str(base + i) for i in quad)
-                    faces.append(f"4 {idx} {r} {g} {b}")
+                v, f = reference_site(model.coloring, (x, y, z), len(verts))
+                verts += v
+                faces += f
     head = ["OFF", f"{len(verts)} {len(faces)} 0"]
     return "\n".join(head + verts + faces) + "\n"
 
@@ -438,6 +443,36 @@ def test_off_matches_the_reference_renderer_where_numbers_widen(models, region):
     # at N = 2, 4096 cells along one axis reach the coordinate 8191.200 and
     # vertex numbers of 6 digits, where fixed-width rows could go wrong
     assert off_mismatch(models["rock-salt"], region) is None
+
+
+def test_off_digit_seams_of_a_wide_region_match_the_reference_line_format(models):
+    # at N = 2, (16384, 1, 1) holds 131,072 sites of 2 x 2 in y and z.
+    # Sites 125, 1250, 12500 and 125000 start at vertex numbers 1,000,
+    # 10,000, 100,000 and 1,000,000, and the x coordinates pass 999.800
+    # at x = 1000; the full reference would take minutes, so only the
+    # lines around those seams are rendered
+    model = models["perovskite"]
+    text = export_off(model, (16384, 1, 1))
+    data = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    sites = 131_072
+    assert text.startswith(f"OFF\n{8 * sites} {6 * sites} 0\n")
+    assert len(ends) == 2 + 14 * sites
+
+    def site(s):
+        x, rest = divmod(s, 4)
+        return x, *divmod(rest, 2)
+
+    def line(i):
+        return data[starts[i] : ends[i]].tobytes().decode()
+
+    for s in (124, 125, 1249, 1250, 12499, 12500, 124999, 125000, sites - 1):
+        _, faces = reference_site(model.coloring, site(s), 8 * s)
+        assert [line(2 + 8 * sites + 6 * s + i) for i in range(6)] == faces, s
+    for s in range(4 * 999, 4 * 1001):
+        verts, _ = reference_site(model.coloring, site(s), 8 * s)
+        assert [line(2 + 8 * s + i) for i in range(8)] == verts, s
 
 
 @pytest.mark.parametrize(
