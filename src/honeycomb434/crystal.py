@@ -351,66 +351,51 @@ CUBE_HALF_WIDTH = 0.2
 # face, its four corners
 _CORNER_SIDES = (np.array(_CUBE_CORNERS) > 0).astype(np.intp)
 _FACE_CORNERS = np.array(_CUBE_FACES, dtype=np.intp)
+_FACE_WORDS = np.concatenate([_FACE_CORNERS, np.broadcast_to([8, 9], (6, 2))], axis=1)
 
 
 # the most sites in one block of the OFF export: both sections are written
-# through scratch blocks of at most this many sites, whatever the region's
-# shape
+# through one scratch of this many sites, whatever the region's shape
 _OFF_BLOCK_SITES = 512
 
-
-def _ascii_cells(strings: list[str]) -> np.ndarray:
-    """The strings as void cells, NUL-padded to the longest."""
-    table = np.array(strings, dtype=bytes)
-    return table.view(f"V{table.itemsize}")
+# the OFF export's cells of 8 bytes as words: byte i is bits 8i to 8i + 7
+_WORD = np.dtype("<u8")
 
 
-def _cells(rows: np.ndarray) -> np.ndarray:
-    """The last axis of an array, contiguous, as one void cell."""
-    return rows.view(f"V{rows.shape[-1] * rows.itemsize}")[..., 0]
+def _word(cell: bytes) -> int:
+    """The word of a cell given by its first bytes, the rest NUL."""
+    return int.from_bytes(cell, "little")
 
 
-def _ascii_text(rows: np.ndarray) -> str:
-    """A NUL-padded array as text, in order, NULs dropped."""
-    return rows.tobytes().replace(b"\0", b"").decode("ascii")
+# a coordinate cell ends in its fraction and separator, in bytes 3 to 7 of
+# its last word: per separator (space, newline), the fraction of v - 0.2
+# and of v + 0.2
+_FRACTIONS = np.array(
+    [
+        [_word(b"\0" * 3 + (b"%.3f" % f)[1:] + sep) for f in (1 - CUBE_HALF_WIDTH, CUBE_HALF_WIDTH)]
+        for sep in (b" ", b"\n")
+    ],
+    _WORD,
+)
 
 
-def _corner_tables(sx: int, sy: int, sz: int) -> tuple[np.ndarray, ...]:
-    """Per axis, the 8 corner cells of each coordinate v on it: the cube
-    edge v - 0.2 or v + 0.2 the corner takes, to three decimals, then a
-    space, or on the z axis a newline."""
-    extent = max(sx, sy, sz)
-    cells = _ascii_cells(
-        [
-            f"{v + side * CUBE_HALF_WIDTH:.3f}{separator}"
-            for separator in " \n"
-            for v in range(extent)
-            for side in (-1, 1)
-        ]
-    ).reshape(2, extent, 2)
-    return tuple(
-        cells[int(axis == 2), :size][:, _CORNER_SIDES[:, axis]]
-        for axis, size in enumerate((sx, sy, sz))
-    )
+def _digit_words(count: int, end: int) -> np.ndarray:
+    """The numbers 0 to count - 1 as words of their ASCII digits, the last
+    digit in byte end - 1, NUL left of a shorter number's leading digit."""
+    digits = len(str(count - 1))
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=_WORD)
+    words = np.zeros(1, _WORD)
+    for byte in range(end - digits, end):
+        words = (words[:, None] | ascii_digits << 8 * byte).ravel()
+    words = words[:count]
+    for place in range(1, digits):
+        words[: 10**place] -= ord("0") << 8 * (end - 1 - place)
+    return words
 
 
-def _number_rows(first: int, count: int, scratch: np.ndarray) -> np.ndarray:
-    """" k" for the vertex numbers first to first + count - 1 as uint8 rows
-    of the scratch: the digits right-aligned after the space, NUL left of a
-    shorter number's leading digit."""
-    width = len(str(first + count - 1))
-    rows = scratch[: count * (1 + width)].reshape(count, 1 + width)
-    rows[:, 0] = ord(" ")
-    # MAX_EXPORT_SITES keeps every vertex number below 2^21
-    rest = np.arange(first, first + count, dtype=np.int32)
-    for column in range(width, 0, -1):
-        quotient = rest // 10
-        rows[:, column] = rest - 10 * quotient + ord("0")
-        rest = quotient
-    # the numbers ascend, so those below 10^p are the first 10^p - first
-    for column in range(1, width):
-        rows[: max(0, 10 ** (width - column) - first), column] = 0
-    return rows
+def _text(buffer: bytearray, size: int) -> str:
+    """The first `size` bytes of the buffer as text, NULs dropped."""
+    return (buffer if size == len(buffer) else buffer[:size]).translate(None, b"\0").decode("ascii")
 
 
 def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
@@ -419,9 +404,23 @@ def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
 
     Sites go in x, y, z order, and site s numbers its corners 8s to
     8s + 7.  Both sections are written a block of whole z-rows, or of runs
-    of one longer row, at a time: its lines fill a scratch matrix of
-    NUL-padded cells, which becomes text with the NULs dropped.  The block
-    texts are joined once; no string is formatted per site."""
+    of one longer row, at a time, into one scratch per export whose every
+    field is a NUL-padded cell of 8 bytes (or 16), copied as uint64 words.
+    A block's bytes become text with the NULs dropped, and the block texts
+    are joined once.  No string is formatted per site.
+
+    - A vertex line is three coordinate cells, `v - 0.2` or `v + 0.2` to
+      three decimals and then a space, or a newline on z, broadcast from
+      a per-axis table of the 8 corner cells of each coordinate.  The
+      cells are 16 bytes where the region's longest side passes 1000.
+    - A vertex number k is a " k" cell below 1000, and above it the OR of
+      a " " + k // 1000 cell and a cell of k's last three digits;
+      `MAX_EXPORT_SITES` keeps k // 1000 to four digits.
+    - A face line is four number cells picked by the face's corners, then
+      a 16-byte " r g b\\n4" color cell that also holds the next line's
+      leading 4: the section starts with a 4, and the last one is dropped.
+      One `take` gathers a block's lines from its numbers and colors.
+    """
     sx, sy, sz = _region_shape(region, model.modulus)
     sites = sx * sy * sz
     head = f"OFF\n{8 * sites} {6 * sites} 0\n"
@@ -431,41 +430,76 @@ def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
     n = coloring.modulus
     run = min(sz, _OFF_BLOCK_SITES)
     rows_per_block = min(_OFF_BLOCK_SITES // run, sx * sy)
-    x_cells, y_cells, z_cells = _corner_tables(sx, sy, sz)
-    c = z_cells.itemsize
-    vertex_scratch = np.empty((rows_per_block, run, 8, 3 * c), np.uint8)
-    palette = [PALETTE.get(info.label, FALLBACK_COLOR) for info in coloring.color_table]
-    rgb = _ascii_cells([" %d %d %d\n" % color for color in palette])
-    # a face line is "4", four " k" vertex numbers and the site's color
     block = rows_per_block * run
-    digits = len(str(8 * sites - 1))
-    number_scratch = np.empty(8 * block * (1 + digits), np.uint8)
-    face_scratch = np.empty(6 * block * (1 + 4 * (1 + digits) + rgb.itemsize), np.uint8)
-    vertices, faces = [head], []
+
+    # the digits of 0 to 999, of every coordinate and of every k // 1000,
+    # ending in byte 7
+    extent = max(sx, sy, sz)
+    thousands = (8 * sites - 1) // 1000 + 1
+    digits = _digit_words(max(1000, extent, thousands), 8)
+
+    # [separator, v, side, word]: the cells of v - 0.2 and v + 0.2; their
+    # digits end in the first word, before the fraction in a cell of one
+    k = 1 if extent <= 1000 else 2
+    end = 3 if k == 1 else 8
+    cells = np.zeros((2, extent, 2, k), _WORD)
+    cells[..., -1] = _FRACTIONS[:, None]
+    cells[:, 0, 0, -1] = _FRACTIONS[:, 1]
+    v = digits[:extent] >> 8 * (8 - end)
+    cells[:, :, 1, 0] |= v
+    cells[:, 1:, 0, 0] |= v[:-1]
+    cells[:, 0, 0, 0] |= _word(b"-0") << 8 * (end - 2)
+    x_cells, y_cells, z_cells = (
+        cells[int(axis == 2), :size][:, _CORNER_SIDES[:, axis]]
+        for axis, size in enumerate((sx, sy, sz))
+    )
+    vertex_buffer = bytearray(8 * block * 8 * 3 * k)
+    vertex_scratch = np.frombuffer(vertex_buffer, _WORD).reshape(rows_per_block, run, 8, 3 * k)
+
+    # the number cell of k is high[k // 1000] | low: 1000 numbers are the
+    # corners of 125 sites, and per site of the first 125 its " k" cells,
+    # then per site of each later 125 its cells of k's last three digits
+    lows = np.concatenate(
+        [digits[:1000] | _word(b"\0" * 4 + b" "), digits[:1000] | _word(b"\0" * 5 + b"000")]
+    ).reshape(250, 8)
+    high = digits[:thousands] >> 24 | _word(b" ")
+    high[0] = 0
+    palette = [PALETTE.get(info.label, FALLBACK_COLOR) for info in coloring.color_table]
+    rgb = np.frombuffer(
+        b"".join((b" %d %d %d\n4" % color).ljust(16, b"\0") for color in palette), _WORD
+    ).reshape(-1, 2)
+    site_rgb = rgb[coloring.assignment]
+    z_mod = np.arange(sz) % n
+    # per site its 8 number cells and its color cell, which its face lines
+    # pick as _FACE_WORDS
+    site_words = np.empty((block, 10), _WORD)
+    face_buffer = bytearray(8 * block * 6 * 6)
+    face_scratch = np.frombuffer(face_buffer, _WORD).reshape(block, 6, 6)
+
+    vertices, faces = [head], ["4"]
     for row in range(0, sx * sy, rows_per_block):
         x, y = np.divmod(np.arange(row, min(row + rows_per_block, sx * sy)), sy)
-        xy = np.empty((len(x), 8, 2), z_cells.dtype)
-        xy[..., 0] = x_cells[x]
-        xy[..., 1] = y_cells[y]
-        colors = coloring.assignment[x % n, y % n]
+        xs, ys = x_cells[x][:, None], y_cells[y][:, None]
+        colors = site_rgb[x % n, y % n]
         for z0 in range(0, sz, run):
-            z = np.arange(z0, min(z0 + run, sz))
-            lines = vertex_scratch[: len(x), : len(z)]
-            _cells(lines[..., : 2 * c])[...] = _cells(xy)[:, None]
-            _cells(lines[..., 2 * c :])[...] = z_cells[z]
-            vertices.append(_ascii_text(lines))
+            z = slice(z0, min(z0 + run, sz))
+            lines = vertex_scratch[: len(x), : z.stop - z0]
+            lines[..., :k] = xs
+            lines[..., k : 2 * k] = ys
+            lines[..., 2 * k :] = z_cells[z]
+            vertices.append(_text(vertex_buffer, lines.nbytes))
 
-            m = len(x) * len(z)
-            numbers = _number_rows(8 * (row * sz + z0), 8 * m, number_scratch)
-            k = numbers.shape[1]
-            lines = face_scratch[: m * 6 * (1 + 4 * k + rgb.itemsize)].reshape(m, 6, -1)
-            lines[:, :, 0] = ord("4")
-            corners = _cells(lines[:, :, 1 : 1 + 4 * k].reshape(m, 6, 4, k))
-            corners[...] = _cells(numbers).reshape(m, 8)[:, _FACE_CORNERS]
-            _cells(lines[:, :, 1 + 4 * k :])[...] = rgb[colors[:, z % n]].reshape(m, 1)
-            faces.append(_ascii_text(lines))
-    vertices += faces
-    return "".join(vertices)
+            m = lines.shape[0] * lines.shape[1]
+            first = row * sz + z0
+            for t in range(first // 125, (first + m - 1) // 125 + 1):
+                a, b = max(first, 125 * t), min(first + m, 125 * t + 125)
+                low = 125 * max(t - 1, 0)
+                np.bitwise_or(lows[a - low : b - low], high[t], out=site_words[a - first : b - first, :8])
+            site_words[:m, 8:] = colors[:, z_mod[z]].reshape(m, 2)
+            face_scratch[:m] = site_words[:m, _FACE_WORDS]
+            faces.append(_text(face_buffer, face_scratch[:m].nbytes))
+    faces[-1] = faces[-1][:-1]
+    return "".join(vertices + faces)
 
 
 def export_report(model: CrystalModel) -> str:
