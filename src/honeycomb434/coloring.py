@@ -584,18 +584,19 @@ def verify_theorem(
     lies within the color group (a check on the two space-group forms),
     and every g in H sends x into the color phi(gJ), where phi(p) is the
     color of r_p x for coset p's representative r_p.  Given sigma, that
-    holds iff each product s r_p, for each coset p and each of H's form
-    codes s (at most 51, which generate H; see `TorusGroup._form_codes`),
+    holds iff each product s r_p, for each coset p and each of H's
+    generator codes s (at most 8; see `TorusGroup._generator_codes`),
     sends x into the color phi(s r_p J).  For by induction on the length
     of g as a word in them, color(g r_p x) = phi(g r_p J) for every p: if
     g r_p J = r_q J, then g r_p x and r_q x share a color, so sigma(s)
     gives s g r_p x the color of s r_q x, which the check makes
     phi(s r_q J) = phi(s g r_p J); and g = y r_0^-1, with r_0 in J, gives
-    color(y x) = phi(yJ) for every y in H.  Only a failing check walks H,
-    in `_part1_failure`, by the same check.
-    Part 3 counts the orbits of the colors under sigma of H's form codes
-    by a union-find: sigma is a homomorphism on H, so every group takes
-    this one path.
+    color(y x) = phi(yJ) for every y in H.  The induction holds for any
+    set of codes that generates H.  Only a failing check walks H, in
+    `_part1_failure`, by the same check.
+    Part 3 counts the orbits of the colors under sigma of H's generator
+    codes by a union-find: sigma is a homomorphism on H, so every group
+    takes this one path.
 
     Returns a report with one entry per part; failures carry the
     counterexample."""
@@ -626,7 +627,7 @@ def verify_theorem(
     cg = color_group(coloring)
     # sigma is defined on all of H exactly when H lies in the color group
     defined = h.within(cg.subgroup)
-    if defined and not check(h._form_codes)[1].any():
+    if defined and not check(h._generator_codes)[1].any():
         ok1, detail1 = True, f"checked {h.order} elements on {k} cosets"
     else:
         ok1, detail1 = False, _part1_failure(h, cg, check, coset_color)
@@ -706,10 +707,10 @@ def _part1_failure(h: TorusGroup, cg: ColorGroupResult, check, coset_color: np.n
 def _color_orbit_count(h: TorusGroup, cg: ColorGroupResult) -> int:
     """The number of orbits of H on the colors through sigma, which must be
     defined on all of H: a union-find of each color with its images under
-    sigma of H's form codes, which generate H."""
+    sigma of H's generator codes."""
     colors = len(cg.class_vertices)
     roots = list(range(colors))
-    moved = cg.assignment[images(h._form_codes, coords(cg.class_vertices, h.modulus), h.modulus)]
+    moved = cg.assignment[images(h._generator_codes, coords(cg.class_vertices, h.modulus), h.modulus)]
     for c, row in enumerate(moved.tolist()):
         for d in row:
             roots[_find(roots, c)] = _find(roots, d)

@@ -289,6 +289,32 @@ class TorusGroup:
         rows = np.array(self.torus_lattice) % n
         return np.concatenate((join(self.linear, self.shifts, n), identity_code(n) + flat(rows, n)))
 
+    @cached_property
+    def _generator_codes(self) -> np.ndarray:
+        """A few codes that generate the group: the translation by each
+        basis row of its lattice, then (L, t_L) for each linear part, in
+        order, that the parts picked before it do not generate.  Their
+        products give each (L, t_L + lambda).  Each pick at least doubles
+        the point group the picks generate, so there are at most 8 codes."""
+        n = self.modulus
+        rows = np.array(self.torus_lattice) % n
+        parts = self.linear.tolist()
+        generated, picks = [_IDENTITY_LINEAR], []
+        for i, part in enumerate(parts):
+            if part in generated:
+                continue
+            picks.append(i)
+            # the picks generate a union of the cosets G r of the group G
+            # the earlier ones generate: r runs from 1 over each new r s
+            old, reps = np.array(generated), [_IDENTITY_LINEAR]
+            for r in reps:
+                for p in picks:
+                    g = int(_MUL[r, parts[p]])
+                    if g not in generated:
+                        reps.append(g)
+                        generated += _MUL[old, g].tolist()
+        return np.concatenate((identity_code(n) + flat(rows, n), join(self.linear[picks], self.shifts[picks], n)))
+
     def includes(self, codes) -> np.ndarray:
         """Which of the given integers are codes of elements of this group:
         (L, t) is one iff L is one of its linear parts and t - t_L lies in
@@ -302,12 +328,12 @@ class TorusGroup:
 
     def within(self, other: TorusGroup) -> bool:
         """Is every element of this group an element of `other`?  Exactly
-        when other includes each (L, t_L) of this group and the translation
-        by each row of its lattice basis: at most 51 lookups, and none when
-        other is the full group, the one group of order 48 N^3."""
+        when other includes each of this group's generator codes: at most 8
+        lookups, and none when other is the full group, the one group of
+        order 48 N^3."""
         if self.modulus != other.modulus:
             return False
-        return other.order == 48 * other.modulus**3 or bool(other.includes(self._form_codes).all())
+        return other.order == 48 * other.modulus**3 or bool(other.includes(self._generator_codes).all())
 
 
 def _vertex_cells(basis: tuple[Vec, Vec, Vec], n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ the group's constructor once did on every group, and stays as the
 reference for `TorusGroup.codes`, which enumerates them on first use.
 `full_pass_part1` is the theorem's part 1 as a pass over all of H, which
 `verify_theorem` once made, and stays as the reference for its check on
-H's form codes at moduli where `theorem_report` is slow.
+H's generator codes at moduli where `theorem_report` is slow.
 `code_walk_decomposition` walks the vertices, and `code_walk_cosets` H's
 codes, in order; each one not yet labelled labels its whole orbit, or
 coset, by one array pass.  They were the package's own orbit and coset

@@ -593,8 +593,8 @@ def test_theorem_reports_match_the_oracle(group2, group4, modulus, name):
 
 def test_part_1_matches_the_full_pass_over_h_at_modulus_8():
     # the oracle's exhaustive walk is too slow at N = 8: part 1's verdict
-    # from H's form codes against the pass over all of H it replaced, on
-    # every sweep pair, preset and vertex, and on the N^3-coset plan
+    # from H's generator codes against the pass over all of H it replaced,
+    # on every sweep pair, preset and vertex, and on the N^3-coset plan
     full = quotient.build_group(8)
     subs = {name: build_subgroup(full, words) for name, words in identity_digest.SWEEP_WORDS.items()}
     pairs = [(a, b) for a in subs for b in subs if subs[b].within(subs[a])]
@@ -933,8 +933,8 @@ def test_text_round_trip(coloring):
 # layers by x mod 2 at N = 4
 @example(coloring=tiled([0, 0, 0, 0, 1, 1, 1, 1], 4))
 def test_color_orbits_match_the_union_find_oracle(subs2, subs4, coloring):
-    # part 3 joins every color to its images under sigma of H's form codes;
-    # the oracle joins it to its images under all of H
+    # part 3 joins every color to its images under sigma of H's generator
+    # codes; the oracle joins it to its images under all of H
     cg = color_group(coloring)
     subs = {2: subs2, 4: subs4}[coloring.modulus]
     for h in [cg.subgroup] + [sub for sub in subs.values() if sub.within(cg.subgroup)]:
@@ -1001,7 +1001,7 @@ def test_part_3_makes_no_pass_over_h(monkeypatch):
     report = verify_theorem(cg.subgroup, plan.subgroup, (0, 0, 0), coloring)
     assert report.ok
     assert report.parts[2].detail == "1 color orbits vs 1 vertex orbits"
-    # part 1 checks H's form codes against the cosets, with no pass over H
+    # part 1 checks H's generator codes against the cosets, with no pass over H
     assert passes == []
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import identity_digest
 import oracle
 from honeycomb434.isometry import (
     GENERATORS,
@@ -509,12 +510,16 @@ def isometry_closure(modulus, words):
 
 
 def code_closure(modulus, words):
-    """The subgroup generated by the words, closed breadth-first over codes:
-    one array pass per generator and level, a boolean mask over the 48 N^3
-    codes keeping each element once.  The reference for the space-group
-    enumeration of `build_subgroup`."""
+    """The subgroup generated by the words, closed breadth-first over codes.
+    The reference for the space-group enumeration of `build_subgroup`."""
+    return closure(modulus, [encode(eval_word(w), modulus) for w in words])
+
+
+def closure(modulus, seeds):
+    """The subgroup generated by the codes, closed breadth-first: one array
+    pass per generator and level, a boolean mask over the 48 N^3 codes
+    keeping each element once."""
     n = modulus
-    seeds = [encode(eval_word(w), n) for w in words]
     seen = np.zeros(48 * n**3, dtype=bool)
     seen[identity_code(n)] = True
     frontier = np.array([identity_code(n)], dtype=np.int64)
@@ -526,6 +531,19 @@ def code_closure(modulus, words):
         seen |= fresh
         frontier = np.flatnonzero(fresh)
     return np.flatnonzero(seen)
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_the_generator_codes_generate_the_group(modulus):
+    # part 1, part 3 and `within` read only these codes: the translations
+    # by the lattice rows, then (L, t_L) for a generating set of the point
+    # group
+    full = build_group(modulus)
+    sweep = {name: build_subgroup(full, w) for name, w in identity_digest.SWEEP_WORDS.items()}
+    for name, group in {**sweep, **form_groups(modulus)}.items():
+        generators = group._generator_codes
+        assert len(generators) <= 8, name
+        assert np.array_equal(closure(modulus, generators), group.codes), name
 
 
 @pytest.mark.parametrize("modulus", [2, 4, 8, 16])
