@@ -347,34 +347,27 @@ _CUBE_FACES = (
 )
 # half the edge of each site's cube in the OFF export, in lattice units
 CUBE_HALF_WIDTH = 0.2
-# per corner, which cube edge (0 low, 1 high) it takes on each axis, and per
-# face, its four corners
+# per corner, which cube edge (0 low, 1 high) it takes on each axis; per
+# face, its four corners, then words 8 and 9 of a site's words: its color
 _CORNER_SIDES = (np.array(_CUBE_CORNERS) > 0).astype(np.intp)
 _FACE_CORNERS = np.array(_CUBE_FACES, dtype=np.intp)
 _FACE_WORDS = np.concatenate([_FACE_CORNERS, np.broadcast_to([8, 9], (6, 2))], axis=1)
 
 
-# the most sites in one block of the OFF export: both sections are written
-# through one scratch of this many sites, whatever the region's shape
+# the most sites in one block of the OFF export, whatever the region's shape
 _OFF_BLOCK_SITES = 512
-
-# the OFF export's cells of 8 bytes as words: byte i is bits 8i to 8i + 7
+# the OFF export's cells of 8 bytes, as little-endian words
 _WORD = np.dtype("<u8")
 
 
 def _word(cell: bytes) -> int:
-    """The word of a cell given by its first bytes, the rest NUL."""
     return int.from_bytes(cell, "little")
 
 
-# a coordinate cell ends in its fraction and separator, in bytes 3 to 7 of
-# its last word: per separator (space, newline), the fraction of v - 0.2
-# and of v + 0.2
+# per separator (space, newline), bytes 3 to 7 of the cells of v -/+ 0.2
 _FRACTIONS = np.array(
-    [
-        [_word(b"\0" * 3 + (b"%.3f" % f)[1:] + sep) for f in (1 - CUBE_HALF_WIDTH, CUBE_HALF_WIDTH)]
-        for sep in (b" ", b"\n")
-    ],
+    [[_word(b"\0" * 3 + (b"%.3f" % f)[1:] + sep) for f in (1 - CUBE_HALF_WIDTH, CUBE_HALF_WIDTH)]
+     for sep in (b" ", b"\n")],
     _WORD,
 )
 
@@ -383,13 +376,12 @@ def _digit_words(count: int, end: int) -> np.ndarray:
     """The numbers 0 to count - 1 as words of their ASCII digits, the last
     digit in byte end - 1, NUL left of a shorter number's leading digit."""
     digits = len(str(count - 1))
-    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=_WORD)
     words = np.zeros(1, _WORD)
     for byte in range(end - digits, end):
-        words = (words[:, None] | ascii_digits << 8 * byte).ravel()
+        words = (words[:, None] | np.arange(48, 58, dtype=_WORD) << 8 * byte).ravel()
     words = words[:count]
     for place in range(1, digits):
-        words[: 10**place] -= ord("0") << 8 * (end - 1 - place)
+        words.view(np.uint8).reshape(-1, 8)[: 10**place, end - 1 - place] = 0
     return words
 
 
@@ -402,44 +394,29 @@ def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
     """Every site of the region as a small axis-aligned cube with
     face colors from the palette; vacancies are drawn too.
 
-    Sites go in x, y, z order, and site s numbers its corners 8s to
-    8s + 7.  Both sections are written a block of whole z-rows, or of runs
-    of one longer row, at a time, into one scratch per export whose every
-    field is a NUL-padded cell of 8 bytes (or 16), copied as uint64 words.
-    A block's bytes become text with the NULs dropped, and the block texts
-    are joined once.  No string is formatted per site.
-
-    - A vertex line is three coordinate cells, `v - 0.2` or `v + 0.2` to
-      three decimals and then a space, or a newline on z, broadcast from
-      a per-axis table of the 8 corner cells of each coordinate.  The
-      cells are 16 bytes where the region's longest side passes 1000.
-    - A vertex number k is a " k" cell below 1000, and above it the OR of
-      a " " + k // 1000 cell and a cell of k's last three digits;
-      `MAX_EXPORT_SITES` keeps k // 1000 to four digits.
-    - A face line is four number cells picked by the face's corners, then
-      a 16-byte " r g b\\n4" color cell that also holds the next line's
-      leading 4: the section starts with a 4, and the last one is dropped.
-      One `take` gathers a block's lines from its numbers and colors.
-    """
+    Sites go in x, y, z order; site s numbers its corners 8s to 8s + 7.
+    A block of whole z-rows, or of runs of one longer row, fills a scratch
+    allocated once per export, whose fields are NUL-padded cells of 8 bytes
+    (16 for coordinates past 999.8) copied as uint64 words; its bytes become
+    text with the NULs dropped, and the block texts are joined once.  A
+    vertex line is three cells from per-axis tables of each coordinate's 8
+    corners.  A vertex number k is a " k" cell, or above 1000 the OR of a
+    " " + k // 1000 cell and one of its last three digits.  A face line is
+    four number cells and a " r g b\\n4" cell holding the next line's 4."""
     sx, sy, sz = _region_shape(region, model.modulus)
     sites = sx * sy * sz
     head = f"OFF\n{8 * sites} {6 * sites} 0\n"
     if not sites:
         return head
-    coloring = model.coloring
-    n = coloring.modulus
+    coloring, n = model.coloring, model.modulus
     run = min(sz, _OFF_BLOCK_SITES)
     rows_per_block = min(_OFF_BLOCK_SITES // run, sx * sy)
     block = rows_per_block * run
-
-    # the digits of 0 to 999, of every coordinate and of every k // 1000,
-    # ending in byte 7
+    # the digits of 0 to 999, of each coordinate and of each k // 1000
     extent = max(sx, sy, sz)
     thousands = (8 * sites - 1) // 1000 + 1
     digits = _digit_words(max(1000, extent, thousands), 8)
-
-    # [separator, v, side, word]: the cells of v - 0.2 and v + 0.2; their
-    # digits end in the first word, before the fraction in a cell of one
+    # [separator, v, side, word]: the cells of v - 0.2 and v + 0.2
     k = 1 if extent <= 1000 else 2
     end = 3 if k == 1 else 8
     cells = np.zeros((2, extent, 2, k), _WORD)
@@ -449,53 +426,42 @@ def export_off(model: CrystalModel, region=(1, 1, 1)) -> str:
     cells[:, :, 1, 0] |= v
     cells[:, 1:, 0, 0] |= v[:-1]
     cells[:, 0, 0, 0] |= _word(b"-0") << 8 * (end - 2)
-    x_cells, y_cells, z_cells = (
-        cells[int(axis == 2), :size][:, _CORNER_SIDES[:, axis]]
-        for axis, size in enumerate((sx, sy, sz))
-    )
+    x_cells, y_cells, z_cells = [
+        cells[a // 2, :size][:, _CORNER_SIDES[:, a]] for a, size in enumerate((sx, sy, sz))
+    ]
     vertex_buffer = bytearray(8 * block * 8 * 3 * k)
     vertex_scratch = np.frombuffer(vertex_buffer, _WORD).reshape(rows_per_block, run, 8, 3 * k)
-
-    # the number cell of k is high[k // 1000] | low: 1000 numbers are the
-    # corners of 125 sites, and per site of the first 125 its " k" cells,
-    # then per site of each later 125 its cells of k's last three digits
-    lows = np.concatenate(
-        [digits[:1000] | _word(b"\0" * 4 + b" "), digits[:1000] | _word(b"\0" * 5 + b"000")]
-    ).reshape(250, 8)
+    # 125 sites have 1000 corners: " k" for sites 0 to 124, then high[k // 1000] | k % 1000
+    low = digits[:1000].reshape(125, 8)
+    lows = np.concatenate([low | _word(b"\0" * 4 + b" "), low | _word(b"\0" * 5 + b"000")])
     high = digits[:thousands] >> 24 | _word(b" ")
     high[0] = 0
     palette = [PALETTE.get(info.label, FALLBACK_COLOR) for info in coloring.color_table]
-    rgb = np.frombuffer(
-        b"".join((b" %d %d %d\n4" % color).ljust(16, b"\0") for color in palette), _WORD
-    ).reshape(-1, 2)
-    site_rgb = rgb[coloring.assignment]
-    z_mod = np.arange(sz) % n
-    # per site its 8 number cells and its color cell, which its face lines
-    # pick as _FACE_WORDS
+    rgb = b"".join((b" %d %d %d\n4" % color).ljust(16, b"\0") for color in palette)
+    site_rgb = np.frombuffer(rgb, _WORD).reshape(-1, 2)[coloring.assignment]
+    # per site its 8 number cells and its color cell, picked by face lines
     site_words = np.empty((block, 10), _WORD)
     face_buffer = bytearray(8 * block * 6 * 6)
     face_scratch = np.frombuffer(face_buffer, _WORD).reshape(block, 6, 6)
 
+    # each color cell ends in the next face line's 4: start with one, drop the last
     vertices, faces = [head], ["4"]
     for row in range(0, sx * sy, rows_per_block):
         x, y = np.divmod(np.arange(row, min(row + rows_per_block, sx * sy)), sy)
         xs, ys = x_cells[x][:, None], y_cells[y][:, None]
         colors = site_rgb[x % n, y % n]
         for z0 in range(0, sz, run):
-            z = slice(z0, min(z0 + run, sz))
-            lines = vertex_scratch[: len(x), : z.stop - z0]
+            z = np.arange(z0, min(z0 + run, sz))
+            lines = vertex_scratch[: len(x), : len(z)]
             lines[..., :k] = xs
             lines[..., k : 2 * k] = ys
-            lines[..., 2 * k :] = z_cells[z]
+            lines[..., 2 * k :] = z_cells[z0 : z0 + len(z)]
             vertices.append(_text(vertex_buffer, lines.nbytes))
-
-            m = lines.shape[0] * lines.shape[1]
-            first = row * sz + z0
+            m, first = len(x) * len(z), row * sz + z0
             for t in range(first // 125, (first + m - 1) // 125 + 1):
-                a, b = max(first, 125 * t), min(first + m, 125 * t + 125)
-                low = 125 * max(t - 1, 0)
-                np.bitwise_or(lows[a - low : b - low], high[t], out=site_words[a - first : b - first, :8])
-            site_words[:m, 8:] = colors[:, z_mod[z]].reshape(m, 2)
+                a, b, shift = max(first, 125 * t), min(first + m, 125 * t + 125), 125 * max(t - 1, 0)
+                np.bitwise_or(lows[a - shift : b - shift], high[t], out=site_words[a - first : b - first, :8])
+            site_words[:m, 8:] = colors[:, z % n].reshape(m, 2)
             face_scratch[:m] = site_words[:m, _FACE_WORDS]
             faces.append(_text(face_buffer, face_scratch[:m].nbytes))
     faces[-1] = faces[-1][:-1]
