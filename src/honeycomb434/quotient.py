@@ -304,8 +304,9 @@ class TorusGroup:
             if part in generated:
                 continue
             picks.append(i)
-            # the picks generate a union of the cosets G r of the group G
-            # the earlier ones generate: r runs from 1 over each new r s
+            # the picks generate the union of the cosets G r of G, the group
+            # the earlier picks generate, over r = 1 and each product r s of
+            # a coset's r and a pick s that falls outside the union so far
             old, reps = np.array(generated), [_IDENTITY_LINEAR]
             for r in reps:
                 for p in picks:
