@@ -164,6 +164,7 @@ def _composition_table() -> np.ndarray:
 
 
 _MUL = _composition_table()
+_MUL_ROWS = _MUL.tolist()  # the same table as lists of ints, for lookups one at a time
 
 
 def multiply(a, b, n: int) -> np.ndarray:
@@ -299,7 +300,7 @@ class TorusGroup:
         n = self.modulus
         rows = np.array(self.torus_lattice) % n
         parts = self.linear.tolist()
-        generated, picks = [_IDENTITY_LINEAR], []
+        generated, picks = {_IDENTITY_LINEAR}, []
         for i, part in enumerate(parts):
             if part in generated:
                 continue
@@ -307,13 +308,13 @@ class TorusGroup:
             # the picks generate the union of the cosets G r of G, the group
             # the earlier picks generate, over r = 1 and each product r s of
             # a coset's r and a pick s that falls outside the union so far
-            old, reps = np.array(generated), [_IDENTITY_LINEAR]
+            old, reps = list(generated), [_IDENTITY_LINEAR]
             for r in reps:
                 for p in picks:
-                    g = int(_MUL[r, parts[p]])
+                    g = _MUL_ROWS[r][parts[p]]
                     if g not in generated:
                         reps.append(g)
-                        generated += _MUL[old, g].tolist()
+                        generated.update(_MUL_ROWS[o][g] for o in old)
         return np.concatenate((identity_code(n) + flat(rows, n), join(self.linear[picks], self.shifts[picks], n)))
 
     def includes(self, codes) -> np.ndarray:
@@ -365,9 +366,10 @@ def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
     return tuple(parse_word(g) if isinstance(g, str) else check_letters(g) for g in gens)
 
 
-# a lattice vector and its coefficients: the input rows of `_reduce` it
-# combines, as a sparse dict {row number: multiplier}
-Row = tuple[Vec, dict[int, int]]
+# a lattice vector (x, y, z), followed, where the caller asks for them, by
+# its coefficients: the input rows of `_reduce` it combines, as a sparse
+# dict {row number: multiplier}
+Row = tuple
 
 
 def _combine(x: int, a: dict[int, int], y: int, b: dict[int, int]) -> dict[int, int]:
@@ -382,27 +384,26 @@ def _reduce(rows: Iterable[Row]) -> tuple[Row, ...]:
     """The triangular basis of the lattice the rows span: one row per pivot
     column, in column order, zero left of its pivot and positive on it.
 
-    Each input row comes with its coefficients, empty where the caller
-    asks for none.  A row v merges into the pivot row p of its first
-    nonzero column by a gcd step: with g = x p[col] + y v[col] their
-    positive gcd, the pivot becomes x p + y v, and (v[col]/g) p -
-    (p[col]/g) v, zero in that column, goes on to the next column.  The
-    coefficients are combined along with the vectors, so each basis row
-    carries the combination of input rows it equals.  A basis fed back in
-    ahead of more rows is rebuilt as it was, so the eliminations go on
-    exactly as if the earlier rows had been fed with the new ones."""
+    The rows are vectors, or all carry their coefficients after the
+    vector.  A row v merges into the pivot row p of its first nonzero
+    column by a gcd step: with g = x p[col] + y v[col] their positive gcd,
+    the pivot becomes x p + y v, and (v[col]/g) p - (p[col]/g) v, zero in
+    that column, goes on to the next column.  Coefficients are combined
+    along with the vectors, so each basis row carries the combination of
+    input rows it equals.  A basis fed back in ahead of more rows is
+    rebuilt as it was, so the eliminations go on exactly as if the
+    earlier rows had been fed with the new ones."""
     pivots: dict[int, Row] = {}
-    for v, co in rows:
+    for v in rows:
         for col in range(3):
             if v[col] == 0:
                 continue
-            pivot = pivots.get(col)
-            if pivot is None:
+            p = pivots.get(col)
+            if p is None:
                 if v[col] < 0:
-                    v, co = (-v[0], -v[1], -v[2]), {k: -c for k, c in co.items()}
-                pivots[col] = (tuple(v), co)
+                    v = (-v[0], -v[1], -v[2], *({k: -c for k, c in co.items()} for co in v[3:]))
+                pivots[col] = tuple(v)
                 break
-            p, pco = pivot
             g, r = p[col], v[col]
             x, s, y, t = 1, 0, 0, 1
             while r:
@@ -413,27 +414,31 @@ def _reduce(rows: Iterable[Row]) -> tuple[Row, ...]:
             if g < 0:
                 g, x, y = -g, -x, -y
             qp, qv = p[col] // g, v[col] // g
-            if pco or co:
-                pco, co = _combine(x, pco, y, co), _combine(qv, pco, -qp, co)
-            pivots[col] = ((x * p[0] + y * v[0], x * p[1] + y * v[1], x * p[2] + y * v[2]), pco)
-            v = (qv * p[0] - qp * v[0], qv * p[1] - qp * v[1], qv * p[2] - qp * v[2])
+            merged = (x * p[0] + y * v[0], x * p[1] + y * v[1], x * p[2] + y * v[2])
+            rest = (qv * p[0] - qp * v[0], qv * p[1] - qp * v[1], qv * p[2] - qp * v[2])
+            if len(v) > 3:
+                merged += (_combine(x, p[3], y, v[3]),)
+                rest += (_combine(qv, p[3], -qp, v[3]),)
+            pivots[col], v = merged, rest
     return tuple(pivots[col] for col in sorted(pivots))
 
 
 def _solve(basis: tuple[Row, ...], target: Vec) -> dict[int, int] | None:
     """The coefficients that spell the target over the input rows of a
-    `_reduce` basis, or None if its lattice misses the target.  Each row,
-    in turn, takes as many of itself off the target as its pivot entry
-    fits, which leaves the remainder mod that entry in the pivot column.
-    Rows are zero left of their pivots, so later rows keep every column
-    already handled, and the target is held iff nothing is left."""
+    `_reduce` basis (empty if its rows carry none), or None if its lattice
+    misses the target.  Each row, in turn, takes as many of itself off the
+    target as its pivot entry fits, which leaves the remainder mod that
+    entry in the pivot column.  Rows are zero left of their pivots, so
+    later rows keep every column already handled, and the target is held
+    iff nothing is left."""
     x, y, z = target
     solved: dict[int, int] = {}
-    for (a, b, c), co in basis:
+    for row in basis:
+        a, b, c = row[0], row[1], row[2]
         q = x // a if a else y // b if b else z // c
         x, y, z = x - q * a, y - q * b, z - q * c
-        if q and co:
-            solved = _combine(1, solved, q, co)
+        if q and len(row) > 3:
+            solved = _combine(1, solved, q, row[3])
     return None if x or y or z else solved
 
 
@@ -481,7 +486,7 @@ def _enumerate(
                 schreier[x + dx - shift[0], y + dy - shift[1], z + dz - shift[2]] = None
     linear = np.array(walk, dtype=np.int64)
     shifts = np.array(list(picked.values()), dtype=np.int64)
-    return linear, shifts, tuple(row for row, _ in _reduce((row, {}) for row in schreier))
+    return linear, shifts, _reduce(schreier)
 
 
 def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
@@ -491,7 +496,7 @@ def _torus_basis(rows: Iterable[Vec], n: int) -> tuple[Vec, Vec, Vec]:
     lattices have equal bases.  The diagonal entries divide N, so the
     lattice has N^3 / (b_11 b_22 b_33) points mod N."""
     rows = chain(rows, ((n, 0, 0), (0, n, 0), (0, 0, n)))
-    (a, b, c), (_, d, e), (_, _, f) = (row for row, _ in _reduce((row, {}) for row in rows))
+    (a, b, c), (_, d, e), (_, _, f) = _reduce(rows)
     q, e = b // d, e % f
     return (a, b - q * d, (c - q * e) % f), (0, d, e), (0, 0, f)
 
@@ -619,7 +624,7 @@ def _certificate_search(
                 next_frontier.append((state, len(parents)))
                 # the identity is seen, so this translation is not zero
                 if m == _IDENTITY_LINEAR:
-                    fresh.append((state[1:], {len(row_products): 1}))
+                    fresh.append((*state[1:], {len(row_products): 1}))
                     row_products.append(len(parents))
                 parents.append(i)
                 factors.append(g)
@@ -652,8 +657,7 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     n = sub.modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
     words = [_spelled(w) for w in sub.generator_words]
-    held = tuple((row, {}) for row in sub.translation_lattice)
-    missing = [t for t in targets if _solve(held, t) is None]
+    missing = [t for t in targets if _solve(sub.translation_lattice, t) is None]
     if missing:
         raise CertificationError(
             f"translations {missing[0]} not reachable from {words} (no certificate exists)"

@@ -1,7 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from honeycomb434 import cli, quotient
 from honeycomb434.cli import main
@@ -313,6 +317,8 @@ def test_errors_after_a_command_show_that_commands_usage(monkeypatch, capsys, ar
 
 
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    # a plain line builds no parser; any other line builds only its
+    # command's parser
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -321,9 +327,101 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run(capsys, "check")
     assert code == 0, err
-    assert built == ["honeycomb434 check"]
+    assert built == []
+    for argv, expected in ((["check", "--help"], 0), (["check", "extra"], 2)):
+        built.clear()
+        assert run(capsys, *argv)[0] == expected
+        assert built == ["honeycomb434 check"]
+
+
+MODULI = st.sampled_from(["2", "4", "8", "16", "0", "3", "-2", "x", "1e3", " 4", "+4", "4_0", "٤"])
+PATHS = st.sampled_from(["rock-salt", "nbo", "out", "out dir", "", "-h", "--"])
+WORDS = st.sampled_from(["P", "Q", "QPQ", "(SRQPQR)^2", "-P", ""])
+# each command's options as a user types them, and whether it takes words
+OPTIONS = {
+    "check": ([st.just(["--perturb"])], False),
+    "subgroup": (
+        [
+            MODULI.map(lambda value: ["--modulus", value]),
+            st.sampled_from([["--cross-check"], ["--no-cross-check"]]),
+        ],
+        True,
+    ),
+    "orbits": ([MODULI.map(lambda value: ["--modulus", value])], True),
+    "color": (
+        [
+            PATHS.map(lambda value: ["--config", value]),
+            PATHS.map(lambda value: ["--out-dir", value]),
+        ],
+        False,
+    ),
+}
+OPTIONS["export"] = OPTIONS["color"]
+# words argparse reads or refuses that a plain line never holds
+OTHER = st.sampled_from([
+    "--", "-h", "--help", "--pert", "--cross", "--no-cross", "--mod", "--conf", "--out",
+    "--modulus=4", "--config=nbo", "--out-dir=out", "--modulus", "--config", "-2", "extra",
+])
+
+
+@st.composite
+def command_lines(draw):
+    """A command and the words after it: some of its options once each, in
+    any order, and a run of words if it takes them; then at times more
+    options, runs of words or other words, anywhere."""
+    name = draw(st.sampled_from(list(OPTIONS)))
+    options, takes_words = OPTIONS[name]
+    order = draw(st.permutations(options))
+    pieces = [draw(option) for option in order[: draw(st.integers(0, len(options)))]]
+    extras = [st.lists(WORDS, min_size=1, max_size=3), OTHER.map(lambda word: [word]), *options]
+    for piece in [draw(extras[0])] * takes_words + draw(st.lists(st.one_of(extras), max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return name, [word for piece in pieces for word in piece]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(("subgroup", ["Q", "R", "--modulus", "4", "--no-cross-check"]))
+@example(("orbits", ["--modulus", "16", "P", "Q"]))
+@example(("color", ["--out-dir", "out", "--config", "nbo"]))
+@example(("check", ["--perturb"]))
+def test_argparse_parses_every_plain_line_to_the_same_arguments(line):
+    name, argv = line
+    plain = cli._read_plain(name, argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        try:
+            parsed_name, parsed = cli._parse([name, *argv])
+        except SystemExit:
+            pytest.fail(f"argparse refuses {[name, *argv]}: {stderr.getvalue()}")
+    assert parsed_name == name
+    assert vars(plain) == vars(parsed)
+
+
+def test_lines_argparse_must_read_are_not_plain():
+    # abbreviations, = forms, --, -h, repeats, values that start with -,
+    # words around an option, refused moduli and the cross-check limit
+    for argv in (
+        ["subgroup", "P", "--mod", "4"],
+        ["subgroup", "P", "--modulus=4"],
+        ["subgroup", "--", "P"],
+        ["subgroup", "P", "-h"],
+        ["check", "--perturb", "--perturb"],
+        ["subgroup", "P", "--cross-check", "--no-cross-check"],
+        ["orbits", "P", "--modulus", "-2"],
+        ["subgroup", "P", "--no-cross-check", "Q"],
+        ["orbits", "P", "--modulus", "3"],
+        ["orbits", "P", "--modulus", "x"],
+        ["subgroup", "P", "--modulus", "16"],
+        ["subgroup"],
+        ["color", "--out-dir", "out"],
+        ["check", "extra"],
+    ):
+        assert cli._read_plain(argv[0], argv[1:]) is None, argv
 
 
 def test_color_command(tmp_path, capsys):

@@ -443,7 +443,7 @@ def test_member(group2, subs2):
 
 def numbered(rows):
     """The rows as `_reduce` input, each its own combination {i: 1}."""
-    return [(row, {i: 1}) for i, row in enumerate(rows)]
+    return [(*row, {i: 1}) for i, row in enumerate(rows)]
 
 
 def combination(rows, coefficients):
@@ -813,7 +813,7 @@ def test_tuple_words_get_the_string_word_checks(group2):
                 max_size=8))
 def test_integer_lattice_basis_is_triangular_and_spans_the_rows(rows):
     reduced = quotient._reduce(numbered(rows))
-    basis = [row for row, _ in reduced]
+    basis = [row[:3] for row in reduced]
     pivots = [next(k for k in range(3) if row[k]) for row in basis]
     # one row per pivot column, in column order, zero left of its pivot
     # and positive on it
@@ -828,7 +828,7 @@ def test_integer_lattice_basis_is_triangular_and_spans_the_rows(rows):
 
 def test_integer_lattice_basis_of_a_full_rank_lattice():
     rows = ((4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (0, 2, 2))
-    basis = [row for row, _ in quotient._reduce(numbered(rows))]
+    basis = [row[:3] for row in quotient._reduce(numbered(rows))]
     assert len(basis) == 3
     # the diagonal divides 4, and its product is the determinant: 16, that
     # of twice the fcc lattice
@@ -859,13 +859,13 @@ lattice_rows = st.lists(
 def test_the_reduced_basis_carries_its_coefficients(rows, probes):
     basis = quotient._reduce(numbered(rows))
     # each basis row is the combination of input rows its coefficients name
-    for row, coefficients in basis:
-        assert combination(rows, coefficients) == row
+    for *row, coefficients in basis:
+        assert combination(rows, coefficients) == tuple(row)
     # every input row is solved back exactly
     for row in rows:
         assert combination(rows, quotient._solve(basis, row)) == row
     # with no coefficients asked for, the same eliminations give the same rows
-    assert quotient._reduce((row, {}) for row in rows) == tuple((row, {}) for row, _ in basis)
+    assert quotient._reduce(rows) == tuple(row[:3] for row in basis)
     # _solve's yes or no is the Hermite normal form's, for the rows, their
     # sums and differences, multiples of the axes and others
     holds = hermite_membership(rows)
@@ -992,9 +992,8 @@ def test_certificate_search_matches_the_isometry_search_on_random_words(words, m
     # certify_translations; elsewhere it would walk all 24 levels of a
     # group with infinitely many elements
     lattice = build_subgroup(build_group(modulus), words).translation_lattice
-    held = [(row, {}) for row in lattice]
     targets = ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus))
-    if all(quotient._solve(held, t) is not None for t in targets):
+    if all(quotient._solve(lattice, t) is not None for t in targets):
         assert assert_searches_agree(words, modulus)
 
 

@@ -58,6 +58,19 @@ def test_readme_transcript_is_what_the_command_prints(capsys):
     assert (code, captured.out, captured.err) == (3, "", expected)
 
 
+def test_readme_command_lines_are_read_without_argparse():
+    # every honeycomb434 line of the shell blocks is a plain line
+    lines = [
+        shlex.split(line.removeprefix("$ "), comments=True)
+        for block in fenced("sh")
+        for line in block.splitlines()
+        if line.removeprefix("$ ").startswith("honeycomb434 ")
+    ]
+    assert lines
+    for program, name, *argv in lines:
+        assert cli._read_plain(name, argv) is not None, [program, name, *argv]
+
+
 def test_readme_config_is_the_bundled_reo3_config():
     (block,) = fenced("json")
     data = json.loads(block)
