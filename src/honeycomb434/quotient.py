@@ -34,10 +34,13 @@ infinite group step integer states (linear index, x, y, z) through step
 rows (`isometry._step_rows`), with no `Isometry` product: a letter's rows
 are `isometry._STEPS`, built at import, and a longer word's are built once
 per `build_subgroup` and kept on the subgroup's `_memo` for
-`certify_translations`.  One elimination, `_reduce`, reduces every
-lattice basis; only the witness search asks it for the coefficients
-that `_solve` reads its witnesses from.  Words, witnesses and reports
-keep `Isometry` values.
+`certify_translations`, whose witness search reads the rows of each
+word's inverse off them (`_inverse_steps`).  That search collects the
+translations of each depth before it expands the depth, and stops
+without expanding the depth whose translations span its targets.  One
+elimination, `_reduce`, reduces every lattice basis; only the witness
+search asks it for the coefficients that `_solve` reads its witnesses
+from.  Words, witnesses and reports keep `Isometry` values.
 """
 
 from __future__ import annotations
@@ -390,7 +393,8 @@ def _reduce(rows: Iterable[Row]) -> tuple[Row, ...]:
     the pivot becomes x p + y v, and (v[col]/g) p - (p[col]/g) v, zero in
     that column, goes on to the next column.  Coefficients are combined
     along with the vectors, so each basis row carries the combination of
-    input rows it equals.  A basis fed back in ahead of more rows is
+    input rows it equals; a merged row equal to p or to v keeps that row's
+    dict.  A basis fed back in ahead of more rows is
     rebuilt as it was, so the eliminations go on exactly as if the
     earlier rows had been fed with the new ones."""
     pivots: dict[int, Row] = {}
@@ -417,8 +421,11 @@ def _reduce(rows: Iterable[Row]) -> tuple[Row, ...]:
             merged = (x * p[0] + y * v[0], x * p[1] + y * v[1], x * p[2] + y * v[2])
             rest = (qv * p[0] - qp * v[0], qv * p[1] - qp * v[1], qv * p[2] - qp * v[2])
             if len(v) > 3:
-                merged += (_combine(x, p[3], y, v[3]),)
-                rest += (_combine(qv, p[3], -qp, v[3]),)
+                # a merged row that is p or v as is shares its dict: no
+                # dict is ever changed once made
+                a, b = p[3], v[3]
+                merged += (a if (x, y) == (1, 0) else b if (x, y) == (0, 1) else _combine(x, a, y, b),)
+                rest += (_combine(qv, a, -qp, b),)
             pivots[col], v = merged, rest
     return tuple(pivots[col] for col in sorted(pivots))
 
@@ -451,6 +458,16 @@ def _word_steps(word: tuple[str, ...], memo: dict) -> tuple[tuple[int, int, int,
     if rows is None:
         rows = memo[word] = _step_rows(eval_word(word))
     return rows
+
+
+def _inverse_steps(rows: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """The step rows of g^-1 read off those of g: where g steps linear
+    part l to m, adding d, g^-1 steps m to l, adding -d (L_m = L_l L_g, so
+    L_m g^-1 has the linear part L_l and the translation -L_l t_g)."""
+    inverse: list = [None] * len(rows)
+    for l, (m, dx, dy, dz) in enumerate(rows):
+        inverse[m] = (l, -dx, -dy, -dz)
+    return tuple(inverse)
 
 
 def _enumerate(
@@ -570,13 +587,22 @@ def _certificate_search(
     translations until they span every target.  The depth counts factors,
     i.e. length as a word in the subgroup's own generators.  A product is
     the state (linear index, x, y, z), and a factor one lookup in its step
-    rows, which come from memo (see `_word_steps`) or are built into it.
+    rows.  A word's rows come from memo (see `_word_steps`) or are built
+    into it; its reversal is its inverse (each letter is a reflection),
+    whose rows are read off the word's (`_inverse_steps`), and a word's
+    element is where its rows send the identity part.
 
-    The pure translations found (rows) are numbered in discovery order.
-    At each depth that finds some, the basis so far goes back to `_reduce`
-    ahead of them, each tagged {row number: 1}, so the basis carries every
-    row's coefficients; the search stops at the first depth whose basis
-    holds every target, or after _SEARCH_DEPTH factors.
+    Each depth first collects only the translations it reaches: the steps
+    onto the identity linear part, which a table built once per search
+    lists for each linear part.  They are numbered in discovery order.
+    The basis so far goes back to `_reduce` ahead of them, each tagged
+    {row number: 1}, so the basis carries every row's coefficients, and
+    the search stops at the first depth whose basis vectors hold every
+    target, or after _SEARCH_DEPTH factors.  Only a depth that leaves a
+    target unspanned, and is not the last, is expanded in full, so the
+    stopping depth never is.
+    A product never steps along the inverse of the generator that reached
+    it, which leads back to its parent.
 
     Returns (basis, row_word): the last basis, and row_word(i), which
     spells out the word that reached row i.  Each product keeps only a
@@ -584,55 +610,81 @@ def _certificate_search(
     built only for the rows asked for.
     """
     memo = {} if memo is None else memo
-    gens: list[Isometry] = []
+    identity = (_IDENTITY_LINEAR, 0, 0, 0)
     gen_words: list[tuple[str, ...]] = []
+    steps: list[tuple[tuple[int, int, int, int], ...]] = []
+    index_of: dict[tuple[int, int, int, int], int] = {}  # generator element -> its index
+    inverse: list[int] = []  # the index of each generator's inverse
     for w in words:
-        for ww in (w, w[::-1]):
-            el = eval_word(ww)
-            if el.is_identity or el in gens:
-                continue
-            gens.append(el)
-            gen_words.append(ww)
+        rows = _word_steps(w, memo)
+        if rows[_IDENTITY_LINEAR] == identity:
+            continue
+        pair = []
+        for ww, ww_rows in ((w, rows), (w[::-1], rows if len(w) == 1 else _inverse_steps(rows))):
+            g = index_of.setdefault(ww_rows[_IDENTITY_LINEAR], len(steps))
+            if g == len(steps):
+                gen_words.append(ww)
+                steps.append(ww_rows)
+                inverse.append(g)
+            pair.append(g)
+        inverse[pair[0]], inverse[pair[1]] = pair[1], pair[0]
+    # the step a product reached by generator h must not take, and the
+    # steps it takes; the identity product, reached by none, is h = -1
+    back = [*inverse, -1]
+    moves = [[(g, rows) for g, rows in enumerate(steps) if g != b] for b in back]
+    # the steps onto the identity part from each linear part
+    arrivals: list[list[tuple[int, int, int, int]]] = [[] for _ in LINEAR_PARTS]
+    for g, rows in enumerate(steps):
+        for l, (m, dx, dy, dz) in enumerate(rows):
+            if m == _IDENTITY_LINEAR:
+                arrivals[l].append((g, dx, dy, dz))
 
-    steps = [_word_steps(w, memo) for w in gen_words]
     basis: tuple[Row, ...] = ()
-    # product 0 is the identity; product i > 0 is product parents[i] times
-    # generator factors[i]
-    parents, factors = [-1], [-1]
-    row_products: list[int] = []
+    # product i is (state, parent product, generator), product 0 the
+    # identity; the products of each depth follow those of the last, in
+    # breadth-first order
+    products = [(identity, -1, -1)]
+    row_steps: list[tuple[int, int]] = []  # (parent product, generator) of each row
 
     def row_word(row: int) -> tuple[str, ...]:
-        last, i = [], row_products[row]
+        i, g = row_steps[row]
+        last = [g]
         while i:
-            last.append(factors[i])
-            i = parents[i]
+            _, i, g = products[i]
+            last.append(g)
         return tuple(chain.from_iterable(gen_words[g] for g in reversed(last)))
 
-    identity = (_IDENTITY_LINEAR, 0, 0, 0)
     seen = {identity}
-    frontier = [(identity, 0)]
-    for _ in range(_SEARCH_DEPTH):
-        next_frontier = []
+    start = 0
+    for depth in range(_SEARCH_DEPTH):
+        stop = len(products)
+        reached = set()
         fresh: list[Row] = []
-        for (l, x, y, z), i in frontier:
-            for g, step in enumerate(steps):
-                m, dx, dy, dz = step[l]
-                state = (m, x + dx, y + dy, z + dz)
-                if state in seen:
-                    continue
-                seen.add(state)
-                next_frontier.append((state, len(parents)))
+        for i in range(start, stop):
+            (l, x, y, z), _, h = products[i]
+            for g, dx, dy, dz in arrivals[l]:
+                state = (_IDENTITY_LINEAR, x + dx, y + dy, z + dz)
                 # the identity is seen, so this translation is not zero
-                if m == _IDENTITY_LINEAR:
-                    fresh.append((*state[1:], {len(row_products): 1}))
-                    row_products.append(len(parents))
-                parents.append(i)
-                factors.append(g)
+                if g != back[h] and state not in seen and state not in reached:
+                    reached.add(state)
+                    fresh.append((x + dx, y + dy, z + dz, {len(row_steps): 1}))
+                    row_steps.append((i, g))
         if fresh:
             basis = _reduce(chain(basis, fresh))
-            if all(_solve(basis, t) is not None for t in targets):
+            vectors = [row[:3] for row in basis]
+            if all(_solve(vectors, t) is not None for t in targets):
                 break
-        frontier = next_frontier
+        if depth == _SEARCH_DEPTH - 1:
+            break
+        for i in range(start, stop):
+            (l, x, y, z), _, h = products[i]
+            for g, rows in moves[h]:
+                m, dx, dy, dz = rows[l]
+                state = (m, x + dx, y + dy, z + dz)
+                if state not in seen:
+                    seen.add(state)
+                    products.append((state, i, g))
+        start = stop
     return basis, row_word
 
 
@@ -643,11 +695,14 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     (0,0,N) iff they lie in its translation lattice, which `build_subgroup`
     keeps.  Only then does a breadth-first search over products of the
     generator evaluations collect pure translations until they span the
-    three (see `_certificate_search`).  `_solve` spells each target over
-    the search's basis as a combination of the translations found, and
-    the words that reached them, so combined, are the witness words,
-    re-evaluated exactly and stored on the returned subgroup.  The search
-    reuses the step rows `build_subgroup` kept on the subgroup's `_memo`.
+    three (see `_certificate_search`); it never expands the depth whose
+    translations span them.  `_solve` spells each target over the
+    search's basis as a combination of the translations found, and the
+    words that reached them, so combined, are the witness words,
+    re-evaluated exactly and stored on the returned subgroup; they are the
+    only words evaluated here.  The search reads the generator elements
+    and their inverses off the step rows `build_subgroup` kept on the
+    subgroup's `_memo`.
 
     Raises CertificationError when the translations lie outside the
     lattice (no certificate exists), when the search finds no witness

@@ -1,5 +1,7 @@
+import copy
 import tracemalloc
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -346,6 +348,24 @@ def oracle_lattice_holds(words, modulus):
                 walk.append(x)
     holds = hermite_membership(sorted(rows))
     return all(holds(t) for t in ((modulus, 0, 0), (0, modulus, 0), (0, 0, modulus)))
+
+
+# deep and wide searches, which random words seldom draw: the first two
+# sets stop at depth 6 after about 2,350 states, over half of them in the
+# stopping depth; the last stops at depth 9, and only N = 16 certifies it
+SEARCH_CORPUS = [
+    (("RRPRRPPQS", "QPRRRRQRPP", "RRRRRSRQ"), 2),
+    (("RRPRRPPQS", "QPRRRRQRPP", "RRRRRSRQ"), 16),
+    (("QQRRQPSRQPP", "RSSPQPRRS", "RQRQP"), 2),
+    (("QQRRQPSRQPP", "RSSPQPRRS", "RQRQP"), 16),
+    (("RQQQSQ", "QQSQRSPSSSQ", "RPSSQQQQS", "QSQ"), 2),
+    (("RQRRSRRQSP", "PSQRPQSSRS"), 16),
+]
+
+
+@pytest.mark.parametrize("words, modulus", SEARCH_CORPUS)
+def test_deep_and_wide_searches_match_the_isometry_search(words, modulus):
+    assert assert_searches_agree(words, modulus)
 
 
 @settings(max_examples=60, deadline=None)
@@ -879,10 +899,30 @@ def test_the_reduced_basis_carries_its_coefficients(rows, probes):
         assert solved is None or combination(rows, solved) == t, t
 
 
+def test_reduce_and_solve_change_no_coefficient_dict():
+    # a merged row that is the pivot or the new row as is keeps its dict,
+    # so bases share dicts with their input rows and with earlier bases:
+    # no reduction or solve may change one
+    rows = [(1, 0, 0), (2, 0, 0), (0, 3, 1), (0, 2, 4), (5, 1, 0), (0, 0, 2), (4, 4, 0), (0, 1, 1)]
+    inputs = numbered(rows)
+    kept = copy.deepcopy(inputs)
+    basis = quotient._reduce(inputs[:4])
+    # (1, 0, 0) takes (2, 0, 0) in with x, y = 1, 0: the pivot keeps its dict
+    assert basis[0][3] is inputs[0][3]
+    kept_basis = copy.deepcopy(basis)
+    more = quotient._reduce(chain(basis, inputs[4:]))
+    for t in [*rows, (2, 0, 0), (0, 0, 1), (3, 5, 7)]:
+        quotient._solve(basis, t)
+        quotient._solve(more, t)
+    assert inputs == kept
+    assert basis == kept_basis
+    assert all(combination(rows, co) == tuple(row) for *row, co in more)
+
+
 def test_step_rows_are_built_once_per_longer_word(monkeypatch):
-    # building and certifying a WORDS set builds rows only for its
-    # multi-letter words and their reversals, each at most once, and each
-    # multi-letter word exactly once; P, Q, R and S read isometry._STEPS
+    # building and certifying a WORDS set builds rows for exactly its
+    # multi-letter words, each once; their reversals' rows are read off
+    # them, and P, Q, R and S read isometry._STEPS
     built = []
     step_rows = quotient._step_rows
 
@@ -898,13 +938,35 @@ def test_step_rows_are_built_once_per_longer_word(monkeypatch):
             sub = certify_translations(build_subgroup(group, words))
             assert sub.certified
             longer = [w for w in sub.generator_words if len(w) > 1]
-            allowed = {eval_word(ww) for w in longer for ww in (w, w[::-1])}
-            assert len(built) == len(set(built)), name
-            assert set(built) <= allowed, name
-            assert {eval_word(w) for w in longer} <= set(built), name
-            assert not set(built) & set(GENERATORS.values()), name
+            assert built == [eval_word(w) for w in longer], name
     for letter, rows in isometry._STEPS.items():
         assert quotient._word_steps((letter,), {}) is rows
+
+
+@pytest.mark.parametrize("word", ["QPQRQPQRP", "(SRQPQR)^2", "PQRS", "SSPQ"])
+def test_the_inverse_rows_are_the_reversed_word_rows(word):
+    # each letter is a reflection, so a reversed word is the inverse
+    letters = parse_word(word)
+    rows = isometry._step_rows(eval_word(letters))
+    assert quotient._inverse_steps(rows) == isometry._step_rows(eval_word(letters[::-1]))
+
+
+def test_certification_evaluates_only_its_witnesses(monkeypatch, group2):
+    # the search reads every generator element, and each inverse, off the
+    # step rows the subgroup keeps: only the three witnesses are evaluated
+    evaluated = []
+
+    def counted(word):
+        evaluated.append(tuple(word))
+        return eval_word(word)
+
+    for name, words in WORDS.items():
+        sub = build_subgroup(group2, words)
+        evaluated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(quotient, "eval_word", counted)
+            done = certify_translations(sub)
+        assert evaluated == [w.word for w in done.translation_certificate], name
 
 
 def isometry_certificate_search(words, targets):
