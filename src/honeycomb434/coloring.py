@@ -31,6 +31,7 @@ from .quotient import (
     TorusGroup,
     _cell_minima,
     _coset_keys,
+    _grid,
     _space_group,
     _torus_basis,
     _vertex_cells,
@@ -496,7 +497,7 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     class_vertices = np.full(len(coloring.color_table), n3, dtype=np.int64)
     np.minimum.at(class_vertices, a, np.arange(n3))
     first = class_vertices[a]
-    grid = coords(np.arange(n3), n)
+    grid = _grid(n)
 
     def permutes(moved: np.ndarray) -> bool:
         """Is the vertex map v -> moved[v] (flat indices) a color permutation?"""
@@ -613,15 +614,17 @@ def verify_theorem(
 
     # coset position -> color, read off each coset's representative
     coset_color = a[images(reps, x, n)]
-    position = np.zeros(48 * n**3, dtype=np.int64)  # each coset's position, by key
-    position[_coset_keys(j, *split(reps, n))] = np.arange(k)
+    # each coset's position, found by its key among the representatives' keys
+    keys = _coset_keys(j, *split(reps, n))
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
 
     def check(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For the products g r_p of the codes g with every representative,
         one row per coset p: the position of the coset g r_p J, and whether
         g r_p sends x out of that coset's color."""
         linear, t = split(multiply(codes, reps, n), n)
-        moved = position[_coset_keys(j, linear, t)]
+        moved = order[np.searchsorted(sorted_keys, _coset_keys(j, linear, t))]
         return moved, a[flat((apply_linear(linear, x, n) + t) % n, n)] != coset_color[moved]
 
     cg = color_group(coloring)

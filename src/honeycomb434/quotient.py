@@ -14,12 +14,16 @@ a subgroup's `parent` is the full group, which is its own parent.
 
 Inside a group, an element (L, t) with t in [0, N)^3 is the integer code
 ``l * N^3 + (x * N + y) * N + z``, where l indexes the 48 signed
-permutation matrices ordered by flattened matrix.  Every group is a space
-group, held as that form by one constructor (`_space_group`): its linear
-parts, one shift t_L per part, and the triangular basis of its translation
-lattice mod N.  Order, membership, containment, index, cosets and orbits
-are read off the form, by array passes with Python loops over at most the
-48 linear parts, so no group is closed.  Code order is the canonical
+permutation matrices ordered by flattened matrix.  `flat` gives the
+flat index (x * N + y) * N + z of a translation or vertex, and `coords`
+reads its coordinates back from the one per-modulus table the code layer
+keeps: a read-only (N^3, 3) grid, built on first use and kept for the
+life of the process.  Every group is a space group, held as that form
+by one constructor (`_space_group`): its linear parts, one shift t_L per
+part, and the triangular basis of its translation lattice mod N.  Order,
+membership, containment, index, cosets and orbits are read off the form,
+by array passes with Python loops over at most the 48 linear parts, so
+no group is closed.  Code order is the canonical
 element order used for deterministic coset ids: lexicographic on
 (flattened linear matrix, translation), the linear parts taken in the
 order of `isometry.LINEAR_PARTS`.  One rule names the coset gJ of any
@@ -126,10 +130,38 @@ def flat(xyz: np.ndarray, n: int) -> np.ndarray:
     return (xyz[..., 0] * n + xyz[..., 1]) * n + xyz[..., 2]
 
 
+# one read-only coordinate grid per modulus, built on first use by `_grid`
+# and kept for the life of the process: at most MAX_MODULUS // 2 of them
+_GRIDS: dict[int, np.ndarray] = {}
+
+
+def _build_grid(n: int) -> np.ndarray:
+    """The (n^3, 3) int64 array whose row i holds the coordinates of flat
+    index i, made read-only."""
+    t = np.arange(n**3)
+    grid = np.empty((n**3, 3), dtype=np.int64)
+    grid[:, 0] = t // (n * n)
+    grid[:, 1] = t // n % n
+    grid[:, 2] = t % n
+    grid.flags.writeable = False
+    return grid
+
+
+def _grid(n: int) -> np.ndarray:
+    """The coordinates of every flat index mod n, as rows (see `_build_grid`)."""
+    grid = _GRIDS.get(n)
+    if grid is None:
+        grid = _GRIDS[n] = _build_grid(n)
+    return grid
+
+
 def coords(index, n: int) -> np.ndarray:
-    """Inverse of `flat`: shape (..., 3)."""
-    index = np.asarray(index)
-    return np.stack((index // (n * n), index // n % n, index % n), axis=-1)
+    """Inverse of `flat` for flat indices in [0, n^3), given as an integer
+    or an array-like of any shape: the rows of the modulus's read-only
+    coordinate grid, gathered into a fresh array of shape index.shape +
+    (3,).  An index of n^3 or more raises IndexError; a negative one is
+    outside the contract."""
+    return _grid(n)[np.asarray(index)]
 
 
 def split(codes, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,11 +191,12 @@ def _composition_table() -> np.ndarray:
     """table[a, b] is the linear index of L_a L_b: the part that sends a
     probe vector, on which the 48 parts differ, where L_a sends L_b's image
     of it."""
-    n, probe = 8, (1, 2, 3)
+    n, probe, parts = 8, (1, 2, 3), np.arange(48)
     lookup = np.full(n**3, -1, dtype=np.int64)
-    moved = apply_linear(np.arange(48), probe, n)
-    lookup[flat(moved, n)] = np.arange(48)
-    return np.stack([lookup[flat(apply_linear(a, moved, n), n)] for a in range(48)])
+    moved = apply_linear(parts, probe, n)
+    lookup[flat(moved, n)] = parts
+    # entry [b, a] is the part that sends the probe where L_a L_b does
+    return lookup[flat(apply_linear(parts, moved, n), n)].T
 
 
 _MUL = _composition_table()

@@ -211,6 +211,25 @@ def test_the_theorem_check_makes_a_constant_number_of_passes_over_h(monkeypatch)
     assert len(cosets) == 1
 
 
+@pytest.mark.parametrize("name", ["rock-salt", "nbo"])
+def test_the_theorem_check_memory_is_sized_by_the_cosets_not_the_group(name):
+    # at N = 16 a table over every code of the full group would be
+    # 48 * 16^3 int64 entries, 1.5 MB; the check keeps one key per coset
+    coloring = preset(name, 16).coloring
+    h = coloring.recipe.group
+    color_group(coloring)
+    group_table = 48 * 16**3 * 8
+    for plan in coloring.recipe.plans:
+        rep = decompose(h).orbits[plan.orbit].representative
+        tracemalloc.start()
+        try:
+            assert verify_theorem(h, plan.subgroup, rep, coloring).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < group_table // 8, peak
+
+
 def test_a_failing_part_1_walks_h_only_as_far_as_the_failure(monkeypatch):
     # the one-color-per-vertex coloring, checked at (0, 0, 1) instead of its
     # own anchor: part 1 fails, and a product pass per coset over all of H

@@ -647,6 +647,69 @@ def test_composition_table_matches_isometry_products():
     assert _MUL.tolist() == expected
 
 
+def arithmetic_coords(index, n):
+    """The inverse of `flat` by integer division: the reference for the
+    coordinate grid that `coords` reads."""
+    index = np.asarray(index)
+    return np.stack((index // (n * n), index // n % n, index % n), axis=-1)
+
+
+@pytest.mark.parametrize("modulus", range(2, MAX_MODULUS + 1, 2))
+def test_coords_is_the_arithmetic_inverse_of_flat_for_every_index(modulus):
+    n = modulus
+    every = np.arange(n**3)
+    for index in (every, every.reshape(n * n, n), every[::7]):
+        got = coords(index, n)
+        assert got.shape == index.shape + (3,) and got.dtype == np.int64
+        assert np.array_equal(got, arithmetic_coords(index, n))
+        assert np.array_equal(flat(got, n), index)
+    scalars = np.array([coords(i, n) for i in every.tolist()])
+    assert scalars.shape == (n**3, 3)
+    assert np.array_equal(scalars, arithmetic_coords(every, n))
+    assert np.array_equal(coords(np.int64(n**3 - 1), n), (n - 1, n - 1, n - 1))
+
+
+@pytest.mark.parametrize("modulus", [2, 4, MAX_MODULUS])
+def test_coords_refuses_an_index_past_the_grid(modulus):
+    n = modulus
+    with pytest.raises(IndexError):
+        coords(n**3, n)
+    with pytest.raises(IndexError):
+        coords(np.array([0, n**3]), n)
+
+
+def test_the_grid_is_built_once_per_modulus_and_is_read_only(monkeypatch):
+    built = []
+    original = quotient._build_grid
+
+    def counted(n):
+        built.append(n)
+        return original(n)
+
+    monkeypatch.setattr(quotient, "_GRIDS", {})
+    monkeypatch.setattr(quotient, "_build_grid", counted)
+    for n in (2, 4, 2, 4, 2):
+        coords(np.arange(n**3), n)
+        coords(1, n)
+    decompose(build_group(4))
+    assert built == [2, 4]
+    grid = quotient._grid(4)
+    assert grid is quotient._grid(4) and not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[5, 0] = 1
+    assert built == [2, 4]
+
+
+def test_coords_returns_a_copy_of_the_grid_rows():
+    index = np.arange(8)
+    for given in (index, index.reshape(2, 4), 3, (3, 5)):
+        first = coords(given, 2)
+        first[...] = 7
+        assert np.array_equal(coords(given, 2), arithmetic_coords(given, 2))
+    # a tuple is an array-like of indices, not a multi-axis index
+    assert coords((3, 5), 2).tolist() == [[0, 1, 1], [1, 0, 1]]
+
+
 element_words = st.text(alphabet="PQRS", min_size=0, max_size=12)
 
 
