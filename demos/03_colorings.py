@@ -57,7 +57,7 @@ def main() -> None:
     orbits = decompose(quarter)
     for orbit in orbits.orbits:
         print(f"    orbit {orbit.index}: representative {orbit.representative}, "
-              f"size {len(orbit.vertices)}")
+              f"size {orbit.size}")
     anchor = orbits.orbit_of((0, 0, 1)).index
     three = build_coloring(
         quarter,

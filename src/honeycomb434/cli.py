@@ -112,7 +112,7 @@ def cmd_orbits(args) -> int:
         stab_order = len(stabilizer_codes(sub, orbit.representative))
         print(
             f"  orbit {orbit.index}: representative {orbit.representative}, "
-            f"size {len(orbit.vertices)}, stabilizer order {stab_order}"
+            f"size {orbit.size}, stabilizer order {stab_order}"
         )
     return EXIT_OK
 

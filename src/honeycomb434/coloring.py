@@ -44,6 +44,7 @@ from .quotient import (
     flat,
     images,
     index,
+    join,
     left_cosets,
     multiply,
     split,
@@ -440,9 +441,9 @@ def build_coloring(
         first += len(reps)
         # coset p paints r_p Jx; J is each (M, s_M) plus its lattice, so Jx
         # is every vertex of the lattice cells that hold x's images under
-        # J's form codes
+        # the (M, s_M): the lattice moves x only within its own cell
         hit = np.zeros(n**3, dtype=bool)
-        hit[j._cells[images(j._form_codes, decomp.orbits[plan.orbit].representative, n)]] = True
+        hit[j._cells[images(join(j.linear, j.shifts, n), decomp.orbits[plan.orbit].representative, n)]] = True
         moved = images(reps, coords(np.flatnonzero(hit[j._cells]), n), n)
         prev = painted[moved]
         if ((prev >= 0) & (prev != colors)).any():
@@ -636,7 +637,7 @@ def verify_theorem(
         ok1, detail1 = False, _part1_failure(h, cg, check, coset_color)
     parts.append(PartResult("1: coset action equivalence", ok1, detail1))
 
-    orbit_colors = len(set(a[decomp.vertex_orbit == orbit.index].tolist()))
+    orbit_colors = int(np.count_nonzero(np.bincount(a[decomp.vertex_orbit == orbit.index])))
     parts.append(
         PartResult(
             "2: colors on orbit = [H:J]",
@@ -663,7 +664,7 @@ def verify_theorem(
     )
 
     stab_j = len(stabilizer_codes(j, x))
-    lhs = len(orbit.vertices)
+    lhs = orbit.size
     rhs = k * (j.order // stab_j)
     parts.append(
         PartResult(

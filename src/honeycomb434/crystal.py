@@ -491,7 +491,7 @@ def export_report(model: CrystalModel) -> str:
     lines.append(f"orbits: {len(decomp.orbits)}")
     for orb in decomp.orbits:
         lines.append(
-            f"  orbit {orb.index}: representative {orb.representative}, size {len(orb.vertices)}"
+            f"  orbit {orb.index}: representative {orb.representative}, size {orb.size}"
         )
     for plan in recipe.plans:
         j = plan.subgroup

@@ -7,15 +7,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quotient import TorusGroup, _cell_minima, apply_linear, check_vertex, coords, flat, images, join
+from .quotient import TorusGroup, _cell_minima, apply_linear, check_vertex, flat, images, join
 
 Vec = tuple[int, int, int]
 
 
 class Orbit(NamedTuple):
+    """One orbit of a decomposition: its id, its lexicographically
+    smallest vertex and its size, the number of vertices it holds per
+    period (in the N^3 torus vertices).  Its vertex set is where the
+    decomposition's `vertex_orbit` equals `index`."""
+
     index: int
     representative: Vec
-    vertices: tuple[Vec, ...]  # sorted lexicographically
+    size: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +50,10 @@ def decompose(acting: TorusGroup) -> OrbitDecomposition:
     coset's smallest vertex through every (L, t_L), and the least of the
     image cosets is the orbit's first coset; cosets are in the order of
     their smallest vertices, so ranking the cosets that are their own
-    least numbers the orbits by their smallest vertex.  Computed once per
-    group object and kept on it.
+    least numbers the orbits by their smallest vertex.  An orbit's
+    representative is the smallest vertex of its first coset, and its size
+    is its number of cosets times the vertices per coset, which every
+    coset has alike.  Computed once per group object and kept on it.
     """
     memo = acting._memo
     if "orbits" not in memo:
@@ -58,17 +65,16 @@ def _orbit_decomposition(acting: TorusGroup) -> OrbitDecomposition:
     n = acting.modulus
     cells = acting._cells
     # each coset's smallest vertex, in cell order, under each (L, t_L)
-    moved = images(join(acting.linear, acting.shifts, n), _cell_minima(acting.torus_lattice), n)
-    least = cells[moved].min(axis=1)
-    cell_orbit = np.cumsum(least == np.arange(len(least))) - 1
-    ids = cell_orbit[least][cells]
+    minima = _cell_minima(acting.torus_lattice)
+    least = cells[images(join(acting.linear, acting.shifts, n), minima, n)].min(axis=1)
+    first = least == np.arange(len(least))
+    cell_orbit = (np.cumsum(first) - 1)[least]
+    ids = cell_orbit[cells]
     ids.setflags(write=False)
-    # vertices grouped by orbit, each group in flat (lexicographic) order
-    grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))
-    ends = np.cumsum(np.bincount(ids)).tolist()
+    sizes = np.bincount(cell_orbit) * (n**3 // len(least))
     orbits = tuple(
-        Orbit(k, grouped[start], tuple(grouped[start:end]))
-        for k, (start, end) in enumerate(zip([0] + ends, ends))
+        Orbit(k, tuple(rep), size)
+        for k, (rep, size) in enumerate(zip(minima[first].tolist(), sizes.tolist()))
     )
     return OrbitDecomposition(acting, orbits, ids)
 

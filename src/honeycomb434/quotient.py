@@ -319,14 +319,6 @@ class TorusGroup:
         return part_cells
 
     @cached_property
-    def _form_codes(self) -> np.ndarray:
-        """The codes of each (L, t_L) and of each basis row's translation,
-        which generate the group."""
-        n = self.modulus
-        rows = np.array(self.torus_lattice) % n
-        return np.concatenate((join(self.linear, self.shifts, n), identity_code(n) + flat(rows, n)))
-
-    @cached_property
     def _generator_codes(self) -> np.ndarray:
         """A few codes that generate the group: the translation by each
         basis row of its lattice, then (L, t_L) for each linear part, in

@@ -1,12 +1,13 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from honeycomb434 import build_group, build_subgroup, certify_translations
 from honeycomb434.coloring import color_group
 from honeycomb434.crystal import PRESET_NAMES, preset
-from honeycomb434.quotient import encode
+from honeycomb434.quotient import coords, encode
 
 # named generating word sets used across the suite
 WORDS = {
@@ -41,6 +42,13 @@ def form_groups(modulus):
     for name in PRESET_NAMES:
         groups[f"color group of {name}"] = color_group(preset(name, modulus).coloring).subgroup
     return groups
+
+
+def vertices_of(dec, orbit):
+    """The vertices of one orbit of a decomposition, in lexicographic
+    order, as tuples: the flat indices where `vertex_orbit` is its id."""
+    n = dec.group.modulus
+    return tuple(map(tuple, coords(np.flatnonzero(dec.vertex_orbit == orbit.index), n).tolist()))
 
 
 def oversized_witness_words() -> list[str]:

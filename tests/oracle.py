@@ -302,17 +302,12 @@ def code_walk_decomposition(acting):
     n = acting.modulus
     linear, t = split(acting.codes, n)
     ids = np.full(n**3, -1, dtype=np.int64)
-    count = 0
+    reps = []
     for pos in range(n**3):
         if ids[pos] < 0:
-            ids[flat((apply_linear(linear, coords(pos, n), n) + t) % n, n)] = count
-            count += 1
-    grouped = list(map(tuple, coords(np.argsort(ids, kind="stable"), n).tolist()))
-    ends = np.cumsum(np.bincount(ids)).tolist()
-    orbits = tuple(
-        Orbit(k, grouped[start], tuple(grouped[start:end]))
-        for k, (start, end) in enumerate(zip([0] + ends, ends))
-    )
+            ids[flat((apply_linear(linear, coords(pos, n), n) + t) % n, n)] = len(reps)
+            reps.append(tuple(coords(pos, n).tolist()))
+    orbits = tuple(Orbit(k, rep, size) for k, (rep, size) in enumerate(zip(reps, np.bincount(ids).tolist())))
     return OrbitDecomposition(acting, orbits, ids)
 
 

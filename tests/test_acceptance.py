@@ -38,7 +38,7 @@ from honeycomb434.quotient import (
     index,
 )
 
-from conftest import sigma_of
+from conftest import sigma_of, vertices_of
 
 WORDS_HALF = ("Q", "R", "S", "PQP")
 WORDS_QUARTER_AS_WRITTEN = ("Q", "R", "S", "PQRQP")
@@ -103,7 +103,8 @@ def test_02_vertex_transitivity(g2, g4):
         full = certified(group, ("P", "Q", "R", "S"))
         dec = decompose(full)
         assert len(dec.orbits) == 1
-        assert len(dec.orbits[0].vertices) == group.modulus**3
+        assert dec.orbits[0].size == group.modulus**3
+        assert len(vertices_of(dec, dec.orbits[0])) == group.modulus**3
 
 
 def test_03_base_vertex_stabilizer(g2):
@@ -274,7 +275,8 @@ def test_11_brute_force_oracle(g2, two_coloring, three_coloring):
         assert len(theirs) // len(closure) == index(certified(g2, ("P", "Q", "R", "S")), sub)
         dec = decompose(sub)
         expected_orbits = oracle.all_orbits(closure, n)
-        assert [(o.representative, frozenset(o.vertices)) for o in dec.orbits] == expected_orbits
+        assert [(o.representative, frozenset(vertices_of(dec, o))) for o in dec.orbits] == expected_orbits
+        assert [o.size for o in dec.orbits] == [len(orb) for _, orb in expected_orbits]
         for rep, orb in expected_orbits:
             stab = oracle.stabilizer(closure, rep, n)
             assert len(orb) * len(stab) == len(closure)

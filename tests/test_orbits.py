@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from honeycomb434 import orbits as orbits_module
 from honeycomb434.coloring import OrbitPlan, PlanError, build_coloring, color_group
 from honeycomb434.crystal import PRESET_NAMES, preset
 from honeycomb434.orbits import decompose, stabilizer_codes
-from honeycomb434.quotient import build_group, build_subgroup, certify_translations, decode, flat
+from honeycomb434.quotient import build_group, build_subgroup, certify_translations, coords, decode, flat
 
-from conftest import WORDS, form_groups
+from conftest import WORDS, form_groups, vertices_of
 
 
 def all_vertices(modulus):
@@ -22,41 +24,44 @@ def test_full_group_is_transitive(subs2, subs4):
     for modulus, subs in ((2, subs2), (4, subs4)):
         dec = decompose(subs["full"])
         assert len(dec.orbits) == 1
-        assert len(dec.orbits[0].vertices) == modulus**3
+        assert dec.orbits[0].size == modulus**3
+        assert vertices_of(dec, dec.orbits[0]) == tuple(all_vertices(modulus))
 
 
 def test_half_subgroup_splits_by_parity(subs2, subs4):
     for subs in (subs2, subs4):
         dec = decompose(subs["half"])
         assert len(dec.orbits) == 2
-        sizes = sorted(len(o.vertices) for o in dec.orbits)
+        sizes = sorted(o.size for o in dec.orbits)
         n3 = subs["half"].parent.modulus ** 3
         assert sizes == [n3 // 2, n3 // 2]
         for orbit in dec.orbits:
-            parities = {sum(v) % 2 for v in orbit.vertices}
+            assert len(vertices_of(dec, orbit)) == orbit.size
+            parities = {sum(v) % 2 for v in vertices_of(dec, orbit)}
             assert len(parities) == 1
 
 
 def test_literal_quarter_matches_half(subs2):
     a = decompose(subs2["half"])
     b = decompose(subs2["literal-quarter"])
-    assert [o.vertices for o in a.orbits] == [o.vertices for o in b.orbits]
+    assert a.orbits == b.orbits
+    assert [vertices_of(a, o) for o in a.orbits] == [vertices_of(b, o) for o in b.orbits]
 
 
 def test_quarter_orbits(subs2):
     dec = decompose(subs2["quarter"])
     reps = [o.representative for o in dec.orbits]
-    sizes = [len(o.vertices) for o in dec.orbits]
+    sizes = [o.size for o in dec.orbits]
     assert reps == [(0, 0, 0), (0, 0, 1)]
     assert sizes == [2, 6]
     # the small orbit is the even-coordinate pair of body centers
-    assert dec.orbits[0].vertices == ((0, 0, 0), (1, 1, 1))
+    assert vertices_of(dec, dec.orbits[0]) == ((0, 0, 0), (1, 1, 1))
 
 
 def test_eighth_orbits(subs2):
     dec = decompose(subs2["eighth"])
     reps = [o.representative for o in dec.orbits]
-    sizes = [len(o.vertices) for o in dec.orbits]
+    sizes = [o.size for o in dec.orbits]
     assert reps == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
     assert sizes == [1, 3, 3, 1]
 
@@ -65,8 +70,7 @@ def test_orbits_are_numbered_by_representative(subs2):
     dec = decompose(subs2["eighth"])
     for i, orbit in enumerate(dec.orbits):
         assert orbit.index == i
-        assert orbit.representative == orbit.vertices[0]
-        assert orbit.vertices == tuple(sorted(orbit.vertices))
+        assert orbit.representative == min(vertices_of(dec, orbit))
 
 
 def test_orbit_partition_is_total(subs2, subs4):
@@ -76,11 +80,11 @@ def test_orbit_partition_is_total(subs2, subs4):
             modulus = subs[name].parent.modulus
             seen = []
             for orbit in dec.orbits:
-                seen.extend(orbit.vertices)
+                seen.extend(vertices_of(dec, orbit))
             assert sorted(seen) == all_vertices(modulus)
             for v in all_vertices(modulus):
                 orbit = dec.orbit_of(v)
-                assert v in orbit.vertices
+                assert v in vertices_of(dec, orbit)
                 assert dec.vertex_orbit[flat(np.array(v), modulus)] == orbit.index
 
 
@@ -108,7 +112,7 @@ def test_orbit_stabilizer_counting(subs2):
         dec = decompose(sub)
         for orbit in dec.orbits:
             stab = stabilizer_codes(sub, orbit.representative)
-            assert len(orbit.vertices) * len(stab) == sub.order
+            assert orbit.size * len(stab) == sub.order
 
 
 def test_point_group_words_for_the_base_vertex(group2, subs2):
@@ -179,7 +183,8 @@ def test_decomposition_is_kept_per_group_object(group2, subs2, monkeypatch):
     done = certify_translations(raw)
     assert decompose(done).group is done
     assert len(calls) == 2
-    assert [o.vertices for o in decompose(done).orbits] == [o.vertices for o in first.orbits]
+    assert decompose(done).orbits == first.orbits
+    assert np.array_equal(decompose(done).vertex_orbit, first.vertex_orbit)
 
 
 def assert_matches_oracle(dec, elements, modulus):
@@ -187,11 +192,10 @@ def assert_matches_oracle(dec, elements, modulus):
     representatives in the same order, and `vertex_orbit` agrees with it."""
     as_oracle = {(el.linear, el.trans) for el in elements}
     expected = oracle.all_orbits(as_oracle, modulus)
-    assert [(o.representative, frozenset(o.vertices)) for o in dec.orbits] == expected
-    for orbit in dec.orbits:
-        assert orbit.vertices == tuple(sorted(orbit.vertices))
-        ids = dec.vertex_orbit[[flat(np.array(v), modulus) for v in orbit.vertices]]
-        assert (ids == orbit.index).all()
+    assert [(o.representative, frozenset(vertices_of(dec, o))) for o in dec.orbits] == expected
+    for orbit, (_, vertices) in zip(dec.orbits, expected):
+        assert orbit.size == len(vertices)
+        assert (dec.vertex_orbit[flat(np.array(sorted(vertices)), modulus)] == orbit.index).all()
     assert not dec.vertex_orbit.flags.writeable
 
 
@@ -235,3 +239,30 @@ def test_decompose_matches_the_code_walk(modulus):
         dec, walk = decompose(group), oracle.code_walk_decomposition(group)
         assert dec.orbits == walk.orbits, name
         assert np.array_equal(dec.vertex_orbit, walk.vertex_orbit), name
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+def test_orbit_sizes_and_representatives_match_the_vertex_orbit_ids(modulus):
+    # decompose reads sizes and representatives off the lattice cells; the
+    # ids per vertex give both again: a count per id, and each id's first
+    # flat index
+    for name, group in form_groups(modulus).items():
+        dec = decompose(group)
+        assert [o.size for o in dec.orbits] == np.bincount(dec.vertex_orbit).tolist(), name
+        firsts = np.unique(dec.vertex_orbit, return_index=True)[1]
+        assert [o.representative for o in dec.orbits] == list(map(tuple, coords(firsts, modulus).tolist())), name
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_decomposition_memory_is_sized_by_the_ids_not_per_vertex_objects(name):
+    # at N = 16 the int64 orbit id per vertex is 8 * 16^3 bytes; a Python
+    # tuple per vertex would be several times that
+    h = preset(name, 16).coloring.recipe.group
+    orbits_module._orbit_decomposition(h)
+    tracemalloc.start()
+    try:
+        orbits_module._orbit_decomposition(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 16**3, peak
