@@ -324,7 +324,7 @@ def _outside(codes: np.ndarray, j: TorusGroup) -> Isometry | None:
     return decode(loose[0], j.modulus)[0] if len(loose) else None
 
 
-def _find(root: list[int], s: int) -> int:
+def _find(root: list[int] | dict[str, str], s: int | str) -> int | str:
     """The root of s in the union-find forest root, halving its path."""
     while root[s] != s:
         root[s] = root[root[s]]
@@ -348,7 +348,9 @@ def build_coloring(
     if the duplication is declared in `merges`; merged labels must come
     from plans over the same subgroup at the same coset position, which
     keeps every element of H acting on the merged classes consistently.
-    Merges chain: (a, b) and (b, c) give a, b and c one color, named a.
+    A color is a class of labels: each merge joins the classes of its two
+    labels, and the class is named by its root label, so merges chain:
+    (a, b) and (b, c) give a, b and c one color, named a.
     """
     n = h.modulus
     decomp = decompose(h)
@@ -394,22 +396,20 @@ def build_coloring(
         if background is not None and background in plan.labels:
             raise PlanError(f"background label {background!r} also appears in a plan")
 
-    # One slot per (plan, coset position), and the background's last; each
-    # declared merge is checked where it is declared and joins the slots of
-    # its two labels, so the slots of one color are joined by a chain.
-    slots = [(pi, pos) for pi, plan in enumerate(plans) for pos in range(len(plan.labels))]
-    names = [label for plan in plans for label in plan.labels]
+    # Each label keeps the (plan, coset position) places it colors, the
+    # background's at (None, 0); each declared merge is checked where it is
+    # declared, on the places of its two labels.
+    places: dict[str, list[tuple[int | None, int]]] = {}
+    for pi, plan in enumerate(plans):
+        for pos, label in enumerate(plan.labels):
+            places.setdefault(label, []).append((pi, pos))
     if background is not None:
-        slots.append((None, 0))
-        names.append(background)
-    where: dict[str, list[int]] = {}
-    for s, label in enumerate(names):
-        where.setdefault(label, []).append(s)
-    root = list(range(len(slots)))
+        places[background] = [(None, 0)]
+    root = {label: label for label in places}
     for a, b in merges:
-        if a not in where or b not in where:
+        if a not in places or b not in places:
             raise PlanError(f"merge ({a!r}, {b!r}) names a label no plan uses")
-        for (pa, qa), (pb, qb) in [(slots[s], slots[t]) for s in where[a] for t in where[b] if s != t]:
+        for (pa, qa), (pb, qb) in [(s, t) for s in places[a] for t in places[b] if s != t]:
             if pa == pb:
                 raise PlanError(f"cannot merge two colors of the same orbit plan ({a!r})")
             ja = h if pa is None else plans[pa].subgroup
@@ -418,27 +418,23 @@ def build_coloring(
                 raise PlanError(f"merge of {a!r} and {b!r}: the plans use different subgroups")
             if qa != qb:
                 raise PlanError(f"merge of {a!r} and {b!r}: labels sit at different coset positions")
-        top = _find(root, where[a][0])
-        for s in where[a] + where[b]:
-            root[_find(root, s)] = top
-    for label, found in where.items():
+        root[_find(root, b)] = _find(root, a)
+    for label, found in places.items():
         if len(found) > 1 and (label, label) not in merges:
             raise PlanError(f"label {label!r} is reused without a merge declaration")
 
-    # Color table in first-occurrence order of the classes, named by their root slots' labels.
-    color_of: dict[int, int] = {}
-    roots = [_find(root, s) for s in range(len(slots))]
-    slot_color = np.array([color_of.setdefault(r, len(color_of)) for r in roots], dtype=np.int16)
-    flagged = None if background is None else _find(root, len(slots) - 1)
-    table = tuple(ColorInfo(names[r], None, r == flagged) for r in color_of)
+    # Color table in first-occurrence order of the classes.
+    color_of: dict[str, int] = {}
+    for label in places:
+        color_of.setdefault(_find(root, label), len(color_of))
+    flagged = None if background is None else _find(root, background)
+    table = tuple(ColorInfo(r, None, r == flagged) for r in color_of)
 
     assignment = np.full((n, n, n), -1, dtype=np.int16)
     painted = assignment.reshape(-1)
-    first = 0  # each plan's first slot
     for plan in plans:
         j, reps = plan.subgroup, _ordered_cosets(h, plan.subgroup)
-        colors = slot_color[first : first + len(reps)]
-        first += len(reps)
+        colors = np.array([color_of[_find(root, label)] for label in plan.labels], dtype=np.int16)
         # coset p paints r_p Jx; J is each (M, s_M) plus its lattice, so Jx
         # is every vertex of the lattice cells that hold x's images under
         # the (M, s_M): the lattice moves x only within its own cell
@@ -454,7 +450,7 @@ def build_coloring(
     if unplanned:
         in_background = np.zeros(len(decomp.orbits), dtype=bool)
         in_background[unplanned] = True
-        painted[in_background[decomp.vertex_orbit]] = slot_color[-1]
+        painted[in_background[decomp.vertex_orbit]] = color_of[flagged]
     if (assignment < 0).any():
         raise AssertionError("coloring is not total; broken orbit bookkeeping")
 
@@ -483,11 +479,13 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     the diagonal of T's triangular basis holds one t0 per coset.
 
     A coloring built by `build_coloring` starts from its recipe's H: when
-    each of H's generator words permutes the colors, so does all of H.
-    Then T starts from H's lattice, and each of H's linear parts L takes
-    the coset t_L + T from H's shift, so only the other translations and
-    parts are tested.  A coloring without a recipe, or whose H has a word
-    that does not permute the colors, is walked from the identity.  Every
+    each of H's generators permutes the colors, so does all of H.  Those
+    are its words, or, for a group built without words, such as a color
+    group, the generators read off its form.  Then T starts from H's
+    lattice, and the linear parts with their shifts from H's form, so only
+    the other translations and parts are tested.  A coloring without a
+    recipe, or whose H has a generator that does not permute the colors,
+    is walked from the identity.  Every
     test is `_induced`'s predicate on the whole assignment; the extra
     memory is O(N^3).  sigma is not tabulated: `ColorGroupResult.image_colors`
     reads it off the images of one vertex per color.
@@ -505,10 +503,10 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
         return _induced(a[moved], first)
 
     h = None if coloring.recipe is None else coloring.recipe.group
-    if h is not None and not all(
-        permutes(images(encode(eval_word(word), n), grid, n)) for word in h.generator_words
-    ):
-        h = None
+    if h is not None:
+        codes = [encode(eval_word(word), n) for word in h.generator_words] or h._generator_codes.tolist()
+        if not all(permutes(images(code, grid, n)) for code in codes):
+            h = None
     rows: list[Vec] = [] if h is None else list(h.torus_lattice)
     basis = _torus_basis(rows, n)
     cells = _vertex_cells(basis, n)  # the coset of T as found so far, per translation
@@ -525,13 +523,10 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
         else:
             decided |= cells == cells[tau]
 
-    known = {} if h is None else dict(zip(h.linear.tolist(), h.shifts))
+    linear, shifts = ([], []) if h is None else (h.linear.tolist(), list(h.shifts))
     transversal = _cell_minima(basis)
-    linear, shifts = [], []
     for l in range(48):
-        if l in known:
-            linear.append(l)
-            shifts.append(known[l])
+        if l in linear:
             continue
         moved = apply_linear(l, grid, n)
         for t0 in transversal:

@@ -375,8 +375,7 @@ def _vertex_cells(basis: tuple[Vec, Vec, Vec], n: int) -> np.ndarray:
     z to its least value mod N, and the cells are in the order of their
     smallest members."""
     (a, b, c), (_, d, e), (_, _, f) = basis
-    t = np.arange(n**3)
-    x, y, z = t // (n * n), t // n % n, t % n
+    x, y, z = _grid(n).T
     i = x // a
     y = (y - i * b) % n
     j = y // d

@@ -71,8 +71,8 @@ def export_digest(moduli=(2, 4, 8, 16)) -> str:
     return digest.hexdigest()
 
 
-def sweep_digest(moduli=(2, 4, 8)) -> str:
-    lines = []
+def sweep_reports(moduli=(2, 4, 8)):
+    """The sweep's (N, preset, H name, J name, x, report) tuples, in order."""
     for n in moduli:
         full = build_group(n)
         subs = {}
@@ -84,8 +84,11 @@ def sweep_digest(moduli=(2, 4, 8)) -> str:
             coloring = preset(name, n).coloring
             for a, b in pairs:
                 for x in SWEEP_VERTICES:
-                    report = verify_theorem(subs[a], subs[b], x, coloring)
-                    lines.append(repr((n, name, a, b, x, report)))
+                    yield n, name, a, b, x, verify_theorem(subs[a], subs[b], x, coloring)
+
+
+def sweep_digest(moduli=(2, 4, 8)) -> str:
+    lines = [repr(row) for row in sweep_reports(moduli)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -270,6 +270,16 @@ def test_the_failing_walks_chunks_do_not_change_a_report(monkeypatch, products):
     )
 
 
+def test_theorem_verdicts_are_python_bools():
+    # a numpy bool in a report changes its repr, and so the sweep digest,
+    # without changing any verdict
+    reports = [row[-1] for row in identity_digest.sweep_reports(moduli=(2, 4))]
+    assert len(reports) == 384
+    for report in reports:
+        assert type(report.ok) is bool
+        assert all(type(part.ok) is bool for part in report.parts), report
+
+
 @pytest.mark.parametrize("modulus", [2, 4])
 def test_sigma_matches_color_action_on_every_element(modulus):
     for name in ("rock-salt", "nbo", "reo3", "perovskite"):
@@ -349,6 +359,24 @@ def test_a_recipe_shift_outside_the_lattice_seeds_its_coset(monkeypatch):
     assert np.array_equal(cg.subgroup.codes, expected.subgroup.codes)
     assert cg.subgroup.includes(encode(GENERATORS["P"], 4))
     assert not cg.subgroup.includes(encode(Isometry((0, 1, 2), (1, 1, -1), (0, 0, 0)), 4))
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_a_recipe_group_without_words_is_tested_before_it_seeds(modulus):
+    # a color group has no generator words, so its generators read off its
+    # form are tested instead: rock salt's color group, named as the H of a
+    # random 3-coloring, permutes none of its colors, and the walk starts
+    # from the identity as for a coloring without a recipe
+    rock_salt_colors = color_group(preset("rock-salt", modulus).coloring).subgroup
+    assert rock_salt_colors.generator_words == ()
+    coloring = seeded_coloring(modulus, 3, modulus, seed=7)
+    forged = VertexColoring(
+        modulus, coloring.color_table, coloring.assignment,
+        ColoringRecipe(rock_salt_colors, (), (), None),
+    )
+    expected = color_group(coloring).subgroup
+    assert expected.order < rock_salt_colors.order
+    assert np.array_equal(color_group(forged).subgroup.codes, expected.codes)
 
 
 def tiled(cell, modulus):
@@ -895,6 +923,77 @@ def test_merges_chain(subs2):
     plan_error("different coset positions", quarter,
                [OrbitPlan(0, eighth, ("a", "b")), OrbitPlan(1, eighth, ("c", "d"))],
                merges=(("a", "c"), ("c", "b")))
+
+
+@pytest.mark.parametrize(
+    "merges, labels",
+    [
+        ((("a", "b"), ("b", "c")), ("a", "d")),
+        ((("b", "c"), ("a", "b")), ("a", "d")),
+        ((("a", "b"), ("c", "b")), ("c", "d")),
+        ((("c", "d"), ("a", "d")), ("a", "b")),
+        ((("d", "a"),), ("d", "b", "c")),
+    ],
+)
+def test_merged_colors_are_named_by_the_first_label_of_each_merge(subs2, merges, labels):
+    # a merge (a, b) names the joined color after a's color; the table lists
+    # the colors in the order their first labels appear in the plans
+    eighth = subs2["eighth"]
+    plans = [OrbitPlan(k, eighth, (label,)) for k, label in enumerate("abcd")]
+    assert build_coloring(eighth, plans, merges).labels == labels
+
+
+def test_a_background_merged_with_a_plan_label_names_the_color(subs2):
+    eighth = subs2["eighth"]
+    plans = [OrbitPlan(0, eighth, ("a",)), OrbitPlan(1, eighth, ("b",))]
+    c = build_coloring(eighth, plans, merges=(("w", "b"),), background="w")
+    assert c.labels == ("a", "w")
+    assert c.background_labels == frozenset({"w"})
+
+
+@st.composite
+def merged_plans(draw):
+    """Single-label plans over the eighth subgroup at N = 2 on some of its
+    four orbits, the rest on a background label, and merges among the labels
+    used; every repeated label is declared."""
+    planned = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    labels = [draw(st.sampled_from("abcdef")) for _ in range(sum(planned))]
+    background = None if all(planned) else draw(st.sampled_from("uvw"))
+    used = labels + ([background] if background else [])
+    merges = draw(st.lists(st.tuples(st.sampled_from(used), st.sampled_from(used)), max_size=4))
+    merges += [(label, label) for label in sorted(set(labels)) if labels.count(label) > 1]
+    return planned, labels, background, draw(st.permutations(merges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(merged_plans())
+def test_colors_are_the_components_of_the_merge_graph(subs2, case):
+    # two orbits share a color exactly when their labels are joined by a path
+    # of merges, found here by growing each label's component to a fixed point
+    planned, labels, background, merges = case
+    eighth = subs2["eighth"]
+    orbit_labels = iter(labels)
+    orbit_label = [next(orbit_labels) if p else background for p in planned]
+    plans = [OrbitPlan(k, eighth, (orbit_label[k],)) for k in range(4) if planned[k]]
+    coloring = build_coloring(eighth, plans, merges, background)
+    component = {label: {label} for label in orbit_label}
+    grown = True
+    while grown:
+        grown = False
+        for a, b in merges:
+            joined = component[a] | component[b]
+            for label in joined:
+                if component[label] != joined:
+                    component[label], grown = joined, True
+    reps = [orbit.representative for orbit in decompose(eighth).orbits]
+    colors = [coloring.label_of(rep) for rep in reps]
+    for k in range(4):
+        assert colors[k] in component[orbit_label[k]]
+        for m in range(4):
+            assert (colors[k] == colors[m]) == (component[orbit_label[k]] == component[orbit_label[m]])
+    assert len(coloring.color_table) == len({frozenset(c) for c in component.values()})
+    flagged = {colors[k] for k in range(4) if not planned[k]}
+    assert coloring.background_labels == flagged
 
 
 @pytest.mark.parametrize("word", ["a b", "", "a\tb", "Na Cl", "a\u2028b", " a"], ids=repr)
