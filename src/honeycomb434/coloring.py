@@ -485,10 +485,10 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
     lattice, and the linear parts with their shifts from H's form, so only
     the other translations and parts are tested.  A coloring without a
     recipe, or whose H has a generator that does not permute the colors,
-    is walked from the identity.  Every
-    test is `_induced`'s predicate on the whole assignment; the extra
-    memory is O(N^3).  sigma is not tabulated: `ColorGroupResult.image_colors`
-    reads it off the images of one vertex per color.
+    is walked from the identity.  Every test is `_induced`'s predicate on
+    the whole assignment; the extra memory is O(N^3).  sigma is not
+    tabulated: `ColorGroupResult.image_colors` reads it off the images of
+    one vertex per color.
     """
     n = coloring.modulus
     n3 = n**3
