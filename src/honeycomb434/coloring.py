@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .isometry import Isometry, _quoted, eval_word
+from .isometry import Isometry, _quoted
 from .orbits import decompose, stabilizer_codes
 from .quotient import (
     MAX_MODULUS,
@@ -40,10 +40,10 @@ from .quotient import (
     check_vertex,
     coords,
     decode,
-    encode,
     flat,
     images,
     index,
+    is_integer,
     join,
     left_cosets,
     multiply,
@@ -136,6 +136,8 @@ class VertexColoring:
             for what, token in (("label", label), ("element symbol", element)):
                 if token is not None and token.split() != [token]:
                     raise ValueError(f"color {what} {token!r} is not one word (no whitespace, not empty)")
+        if self.recipe is not None and self.recipe.group.modulus != n:
+            raise ValueError(f"the recipe's group has modulus {self.recipe.group.modulus}, the coloring {n}")
 
     def __eq__(self, other):
         if not isinstance(other, VertexColoring):
@@ -164,8 +166,8 @@ class VertexColoring:
         return self.color_table[self.color_id(v)].label
 
     def vertices(self) -> tuple[Vec, ...]:
-        n = self.modulus
-        return tuple((x, y, z) for x in range(n) for y in range(n) for z in range(n))
+        """Every vertex, in flat order (see `quotient.flat`)."""
+        return tuple(map(tuple, _grid(self.modulus).tolist()))
 
     def counts(self) -> dict[str, int]:
         """Vertices per color, in color-table order: one bincount pass."""
@@ -205,7 +207,7 @@ class VertexColoring:
                 parts.append("background")
             lines.append(" ".join(parts))
         labels = self.labels
-        for (x, y, z), cid in zip(self.vertices(), self.assignment.ravel().tolist()):
+        for (x, y, z), cid in zip(_grid(self.modulus).tolist(), self.assignment.ravel().tolist()):
             lines.append(f"{x} {y} {z} {labels[cid]}")
         return "\n".join(lines) + "\n"
 
@@ -365,10 +367,10 @@ def build_coloring(
             isinstance(label, str) for label in plan.labels
         ):
             raise PlanError(f"plan for orbit {plan.orbit}: labels must be a sequence of strings")
+        if not is_integer(plan.orbit):
+            raise PlanError(f"orbit index {plan.orbit!r} is not an integer")
         if not 0 <= plan.orbit < len(decomp.orbits):
-            raise PlanError(
-                f"orbit index {plan.orbit} out of range; H has {len(decomp.orbits)} orbits"
-            )
+            raise PlanError(f"orbit index {plan.orbit} out of range; H has {len(decomp.orbits)} orbits")
         if plan.orbit in by_orbit:
             raise PlanError(f"orbit {plan.orbit} has two plans")
         by_orbit[plan.orbit] = plan
@@ -480,12 +482,13 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
 
     A coloring built by `build_coloring` starts from its recipe's H: when
     each of H's generators permutes the colors, so does all of H.  Those
-    are its words, or, for a group built without words, such as a color
-    group, the generators read off its form.  Then T starts from H's
-    lattice, and the linear parts with their shifts from H's form, so only
-    the other translations and parts are tested.  A coloring without a
-    recipe, or whose H has a generator that does not permute the colors,
-    is walked from the identity.  Every test is `_induced`'s predicate on
+    are its words, whose codes are read off the step rows H keeps, or, for
+    a group built without words, such as a color group, the generators
+    read off its form.  Then T starts from H's lattice, and the linear
+    parts with their shifts from H's form, so only the other translations
+    and parts are tested.  A coloring without a recipe, or whose H has a
+    generator that does not permute the colors, is walked from the
+    identity.  Every test is `_induced`'s predicate on
     the whole assignment; the extra memory is O(N^3).  sigma is not
     tabulated: `ColorGroupResult.image_colors` reads it off the images of
     one vertex per color.
@@ -504,7 +507,7 @@ def _color_group_of(coloring: VertexColoring, group: TorusGroup) -> ColorGroupRe
 
     h = None if coloring.recipe is None else coloring.recipe.group
     if h is not None:
-        codes = [encode(eval_word(word), n) for word in h.generator_words] or h._generator_codes.tolist()
+        codes = h._word_codes.tolist() or h._generator_codes.tolist()
         if not all(permutes(images(code, grid, n)) for code in codes):
             h = None
     rows: list[Vec] = [] if h is None else list(h.torus_lattice)

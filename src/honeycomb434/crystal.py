@@ -39,6 +39,7 @@ from .quotient import (
     certify_translations,
     check_modulus,
     index,
+    is_integer,
 )
 
 PALETTE: dict[str, tuple[int, int, int]] = {
@@ -126,10 +127,6 @@ def validate_config(data) -> None:
         if not cond:
             raise ConfigError(message)
 
-    def integer(value) -> bool:
-        # JSON true and false load as bool, a subclass of int
-        return isinstance(value, int) and not isinstance(value, bool)
-
     def inside(path: str) -> bool:
         # joined to --out-dir, the path names a file within it: "." and
         # "./" have no parts and name --out-dir itself
@@ -165,7 +162,7 @@ def validate_config(data) -> None:
     for plan in plans:
         need(isinstance(plan, dict), "each plan must be an object")
         need(
-            integer(plan.get("orbit")) and plan["orbit"] >= 0,
+            is_integer(plan.get("orbit")) and plan["orbit"] >= 0,
             "each plan needs a non-negative 'orbit' index",
         )
         need(
@@ -214,7 +211,7 @@ def validate_config(data) -> None:
         need(
             isinstance(region, list)
             and len(region) == 3
-            and all(integer(r) and r >= 0 for r in region),
+            and all(is_integer(r) and r >= 0 for r in region),
             "'region' must be three non-negative integers",
         )
         try:
@@ -300,7 +297,7 @@ def _region_shape(region, modulus: int) -> tuple[int, int, int]:
     if len(cells) != 3:
         raise ValueError(f"region must be three integers, got {len(cells)} values")
     for r in cells:
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        if not is_integer(r):
             raise ValueError(f"region counts must be integers, not {type(r).__name__}")
     a, b, c = map(int, cells)
     if min(a, b, c) < 0:

@@ -37,14 +37,15 @@ groups compare by identity, not by element set.  The walks in the
 infinite group step integer states (linear index, x, y, z) through step
 rows (`isometry._step_rows`), with no `Isometry` product: a letter's rows
 are `isometry._STEPS`, built at import, and a longer word's are built once
-per `build_subgroup` and kept on the subgroup's `_memo` for
-`certify_translations`, whose witness search reads the rows of each
-word's inverse off them (`_inverse_steps`).  That search collects the
-translations of each depth before it expands the depth, and stops
-without expanding the depth whose translations span its targets.  One
-elimination, `_reduce`, reduces every lattice basis; only the witness
-search asks it for the coefficients that `_solve` reads its witnesses
-from.  Words, witnesses and reports keep `Isometry` values.
+per `build_subgroup`.  A group, and its certified copy, keep its words'
+rows: `_word_codes` reads each word's code off them, and the witness
+search reads them and, off them, the rows of each word's inverse
+(`_inverse_steps`).  That search collects the translations of each depth
+before it expands the depth, and stops without expanding the depth whose
+translations span its targets.  One elimination, `_reduce`, reduces
+every lattice basis; only the witness search asks it for the
+coefficients that `_solve` reads its witnesses from.  Words, witnesses
+and reports keep `Isometry` values.
 """
 
 from __future__ import annotations
@@ -95,10 +96,15 @@ class Witness(NamedTuple):
     element: Isometry
 
 
+def is_integer(value) -> bool:
+    """The one integer test: an int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_modulus(modulus: int) -> None:
-    """Reject a modulus that is not an integer (numpy integers pass, bools
-    do not), or that is odd, below 2 or above MAX_MODULUS."""
-    if isinstance(modulus, bool) or not isinstance(modulus, (int, np.integer)):
+    """Reject a modulus that is not an integer (see `is_integer`), or that
+    is odd, below 2 or above MAX_MODULUS."""
+    if not is_integer(modulus):
         raise ValueError(f"modulus must be an integer, got {modulus!r}")
     if modulus < 2 or modulus % 2 != 0:
         raise ValueError(f"modulus must be an even integer >= 2, got {modulus}")
@@ -107,13 +113,13 @@ def check_modulus(modulus: int) -> None:
 
 
 def check_vertex(v, n: int) -> Vec:
-    """A vertex given as three integers (numpy integers pass, bools do
-    not), reduced mod n; anything else raises ValueError."""
+    """A vertex given as three integers (see `is_integer`), reduced mod n;
+    anything else raises ValueError."""
     try:
         x, y, z = v
     except (TypeError, ValueError):
         raise ValueError(f"a vertex is three integers, got {v!r}") from None
-    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in (x, y, z)):
+    if not all(map(is_integer, (x, y, z))):
         raise ValueError(f"a vertex is three integers, got {v!r}")
     return int(x) % n, int(y) % n, int(z) % n
 
@@ -257,6 +263,9 @@ class TorusGroup:
     `translation_lattice` is the triangular basis (at most three rows) of
     the translations the underlying infinite group contains; a group built
     without words, such as a color group, has none.
+    `_generator_steps` holds the step rows of each generator word, aligned
+    with `generator_words`, for the witness search and `_word_codes`; a
+    `dataclasses.replace` copy keeps them.
     `translation_certificate` is None until `certify_translations` has
     proven that the underlying infinite subgroup contains all translations
     by the modulus along each axis; with the certificate present, indices,
@@ -276,6 +285,7 @@ class TorusGroup:
     _cells: np.ndarray = field(repr=False)
     translation_certificate: tuple[Witness, Witness, Witness] | None = None
     translation_lattice: tuple[Vec, ...] = field(default=(), repr=False)
+    _generator_steps: tuple[tuple[tuple[int, int, int, int], ...], ...] = field(default=(), repr=False)
     _parent: TorusGroup | None = field(default=None, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -345,6 +355,13 @@ class TorusGroup:
                         generated.update(_MUL_ROWS[o][g] for o in old)
         return np.concatenate((identity_code(n) + flat(rows, n), join(self.linear[picks], self.shifts[picks], n)))
 
+    @cached_property
+    def _word_codes(self) -> np.ndarray:
+        """Each generator word's code: where its step rows send the identity part."""
+        n = self.modulus
+        moves = np.array([r[_IDENTITY_LINEAR] for r in self._generator_steps], dtype=np.int64).reshape(-1, 4)
+        return join(moves[:, 0], moves[:, 1:] % n, n)
+
     def includes(self, codes) -> np.ndarray:
         """Which of the given integers are codes of elements of this group:
         (L, t) is one iff L is one of its linear parts and t - t_L lies in
@@ -387,10 +404,6 @@ def _cell_minima(basis: tuple[Vec, Vec, Vec]) -> np.ndarray:
     """The smallest member of each cell of `_vertex_cells`, in cell order:
     the box [0, b_11) x [0, b_22) x [0, b_33) in C order, shape (cells, 3)."""
     return np.indices([row[i] for i, row in enumerate(basis)]).reshape(3, -1).T
-
-
-def _normalize_words(gens: Iterable) -> tuple[tuple[str, ...], ...]:
-    return tuple(parse_word(g) if isinstance(g, str) else check_letters(g) for g in gens)
 
 
 # a lattice vector (x, y, z), followed, where the caller asks for them, by
@@ -473,15 +486,10 @@ def _solve(basis: tuple[Row, ...], target: Vec) -> dict[int, int] | None:
     return None if x or y or z else solved
 
 
-def _word_steps(word: tuple[str, ...], memo: dict) -> tuple[tuple[int, int, int, int], ...]:
+def _word_steps(word: tuple[str, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """The step rows of a word's evaluation: a letter's from
-    `isometry._STEPS`, a longer word's built on first use and kept in memo."""
-    if len(word) == 1:
-        return _STEPS[word[0]]
-    rows = memo.get(word)
-    if rows is None:
-        rows = memo[word] = _step_rows(eval_word(word))
-    return rows
+    `isometry._STEPS`, a longer word's built."""
+    return _STEPS[word[0]] if len(word) == 1 else _step_rows(eval_word(word))
 
 
 def _inverse_steps(rows: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, int, int, int], ...]:
@@ -494,24 +502,22 @@ def _inverse_steps(rows: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[i
     return tuple(inverse)
 
 
-def _enumerate(
-    words: Iterable[tuple[str, ...]], memo: dict
-) -> tuple[np.ndarray, np.ndarray, tuple[Vec, ...]]:
-    """The space-group form of the subgroup H the words generate: its
-    linear parts (as linear indices), one shift t_L per linear part, and
-    the triangular basis of H's translation lattice Lambda_H.
+def _enumerate(steps: tuple) -> tuple[np.ndarray, np.ndarray, tuple[Vec, ...]]:
+    """The space-group form of the subgroup H the words with the given step
+    rows (see `_word_steps`) generate: its linear parts (as linear
+    indices), one shift t_L per linear part, and the triangular basis of
+    H's translation lattice Lambda_H.
 
     A breadth-first walk over linear parts, right-multiplying by the word
     evaluations, picks one element u_L of H per linear part L, kept as its
-    shift t_L.  Each step x = u g (one lookup in g's step rows, see
-    `_word_steps`, and three integer additions) that lands on a linear
-    part already picked gives the Schreier generator x u_L^-1, the pure
-    translation t_x - t_L; these span Lambda_H exactly (Schreier's lemma),
-    kept unreduced.  H mod N is every (L, t_L + lambda) with lambda in
-    Lambda_H + N Z^3 (see `_space_group`).  Exact for any words: reduction
-    mod N only sees Lambda_H + N Z^3, whatever the rank of Lambda_H.
+    shift t_L.  Each step x = u g (one lookup in g's step rows and three
+    integer additions) that lands on a linear part already picked gives
+    the Schreier generator x u_L^-1, the pure translation t_x - t_L; these
+    span Lambda_H exactly (Schreier's lemma), kept unreduced.  H mod N is
+    every (L, t_L + lambda) with lambda in Lambda_H + N Z^3 (see
+    `_space_group`).  Exact for any words: reduction mod N only sees
+    Lambda_H + N Z^3, whatever the rank of Lambda_H.
     """
-    steps = [_word_steps(w, memo) for w in words]
     schreier: dict[Vec, None] = {}  # the distinct Schreier generators, in walk order
     picked = {_IDENTITY_LINEAR: (0, 0, 0)}  # linear index -> the shift of u_L
     walk = [_IDENTITY_LINEAR]
@@ -572,25 +578,24 @@ def build_group(modulus: int) -> TorusGroup:
     # holds every integer translation
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     words = (("P",), ("Q",), ("R",), ("S",))
-    shifts = np.zeros((48, 3), dtype=np.int64)
-    return _space_group(modulus, words, np.arange(48), shifts, units, translation_lattice=units)
+    fields = dict(translation_lattice=units, _generator_steps=tuple(map(_word_steps, words)))
+    return _space_group(modulus, words, np.arange(48), np.zeros((48, 3), dtype=np.int64), units, **fields)
 
 
 def build_subgroup(group: TorusGroup, gens: Iterable) -> TorusGroup:
     """Subgroup of `group` generated by the given words (strings or letter
     tuples), with the full group as its parent and its exact translation
-    lattice.  The result carries no translation certificate yet; its
-    `_memo` keeps the step rows of its longer words for the witness search.
+    lattice.  The result carries no translation certificate yet; it keeps
+    its words' step rows, each built once here, for the witness search.
     A word whose element `group` lacks raises SubgroupError."""
-    words = _normalize_words(gens)
-    memo: dict = {}
-    linear, shifts, basis = _enumerate(words, memo)
-    n = group.modulus
-    sub = _space_group(n, words, linear, shifts, basis, translation_lattice=basis, _parent=group.parent)
+    words = tuple(parse_word(g) if isinstance(g, str) else check_letters(g) for g in gens)
+    steps = tuple(map(_word_steps, words))
+    linear, shifts, basis = _enumerate(steps)
+    fields = dict(translation_lattice=basis, _parent=group.parent, _generator_steps=steps)
+    sub = _space_group(group.modulus, words, linear, shifts, basis, **fields)
     if not sub.within(group):
-        word = next(w for w in words if not group.includes(encode(eval_word(w), n)))
+        word = words[np.argmin(group.includes(sub._word_codes))]
         raise SubgroupError(f"word {_spelled(word)} leaves the group")
-    sub._memo["step rows"] = memo
     return sub
 
 
@@ -603,18 +608,16 @@ _SEARCH_DEPTH = 24
 _WITNESS_LETTERS = 10**6
 
 
-def _certificate_search(
-    words: tuple[tuple[str, ...], ...], targets: tuple[Vec, ...], memo: dict | None = None
-):
+def _certificate_search(words: tuple[tuple[str, ...], ...], word_steps: tuple, targets: tuple[Vec, ...]):
     """Breadth-first search over products of the generator evaluations
     (and their inverses) in the exact infinite group, collecting pure
     translations until they span every target.  The depth counts factors,
     i.e. length as a word in the subgroup's own generators.  A product is
     the state (linear index, x, y, z), and a factor one lookup in its step
-    rows.  A word's rows come from memo (see `_word_steps`) or are built
-    into it; its reversal is its inverse (each letter is a reflection),
-    whose rows are read off the word's (`_inverse_steps`), and a word's
-    element is where its rows send the identity part.
+    rows.  `word_steps` holds each word's rows, aligned with `words` (see
+    `_word_steps`); a word's reversal is its inverse (each letter is a
+    reflection), whose rows are read off the word's (`_inverse_steps`),
+    and a word's element is where its rows send the identity part.
 
     Each depth first collects only the translations it reaches: the steps
     onto the identity linear part, which a table built once per search
@@ -633,14 +636,12 @@ def _certificate_search(
     back-pointer (its parent product and last generator), so words are
     built only for the rows asked for.
     """
-    memo = {} if memo is None else memo
     identity = (_IDENTITY_LINEAR, 0, 0, 0)
     gen_words: list[tuple[str, ...]] = []
     steps: list[tuple[tuple[int, int, int, int], ...]] = []
     index_of: dict[tuple[int, int, int, int], int] = {}  # generator element -> its index
     inverse: list[int] = []  # the index of each generator's inverse
-    for w in words:
-        rows = _word_steps(w, memo)
+    for w, rows in zip(words, word_steps):
         if rows[_IDENTITY_LINEAR] == identity:
             continue
         pair = []
@@ -726,7 +727,7 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
     re-evaluated exactly and stored on the returned subgroup; they are the
     only words evaluated here.  The search reads the generator elements
     and their inverses off the step rows `build_subgroup` kept on the
-    subgroup's `_memo`.
+    subgroup, and the returned copy keeps them too.
 
     Raises CertificationError when the translations lie outside the
     lattice (no certificate exists), when the search finds no witness
@@ -741,8 +742,7 @@ def certify_translations(sub: TorusGroup) -> TorusGroup:
         raise CertificationError(
             f"translations {missing[0]} not reachable from {words} (no certificate exists)"
         )
-    memo = sub._memo.setdefault("step rows", {})
-    basis, row_word = _certificate_search(sub.generator_words, targets, memo)
+    basis, row_word = _certificate_search(sub.generator_words, sub._generator_steps, targets)
     solved = {t: _solve(basis, t) for t in targets}
     missing = [t for t, coefficients in solved.items() if coefficients is None]
     if missing:

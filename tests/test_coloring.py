@@ -1,4 +1,5 @@
 import functools
+import itertools
 import re
 import tracemalloc
 
@@ -824,6 +825,37 @@ def test_plan_labels_and_background_must_be_strings(subs2):
     plan_error("labels must be a sequence of strings", full, [OrbitPlan(0, half, ("A", 2))])
     plan_error("background label 7 is not a string", eighth,
                [OrbitPlan(0, eighth, ("a",))], background=7)
+
+
+@pytest.mark.parametrize("orbit", [0.5, -0.0, "0", True, None], ids=repr)
+def test_a_plan_orbit_must_be_an_integer(subs2, orbit):
+    # a float or a string is refused, not indexed or compared, and True is
+    # not orbit 1
+    eighth = subs2["eighth"]
+    plan_error("is not an integer", eighth, [OrbitPlan(orbit, eighth, ("a",))], background="w")
+
+
+def test_a_numpy_integer_orbit_plans_like_an_int(subs2):
+    eighth = subs2["eighth"]
+    ints, numpys = (
+        build_coloring(eighth, [OrbitPlan(orbit, eighth, ("a",))], background="w")
+        for orbit in (1, np.int64(1))
+    )
+    assert ints == numpys and ints.to_text() == numpys.to_text()
+
+
+def test_a_recipe_of_another_modulus_is_refused():
+    # its color group would be built at 4 over a full group at 2
+    rs4 = preset("rock-salt", 4).coloring
+    with pytest.raises(ValueError, match="recipe's group has modulus 2, the coloring 4"):
+        VertexColoring(4, rs4.color_table, rs4.assignment, preset("rock-salt", 2).coloring.recipe)
+    assert VertexColoring(4, rs4.color_table, rs4.assignment, rs4.recipe) == rs4
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+def test_vertices_are_in_flat_order(modulus):
+    coloring = preset("nbo", modulus).coloring
+    assert coloring.vertices() == tuple(itertools.product(range(modulus), repeat=3))
 
 
 def test_a_coloring_is_checked_on_construction():

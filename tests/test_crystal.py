@@ -211,6 +211,18 @@ def test_region_takes_numpy_integers(models):
         export_off(rs, (np.int64(2**40), np.int64(2**40), np.int64(2**40)))
 
 
+def test_a_config_dict_takes_numpy_integers():
+    # JSON never yields them, but a caller's dict may, as for the modulus
+    config = crystal.load_config("rock-salt")
+    config["modulus"] = np.int64(4)
+    config["coloring"]["plans"][0]["orbit"] = np.int64(0)
+    config["exports"][1]["region"] = [np.int64(2), np.uint8(1), 1]
+    crystal.validate_config(config)
+    config["coloring"]["plans"][0]["orbit"] = np.bool_(False)
+    with pytest.raises(crystal.ConfigError, match="non-negative 'orbit' index"):
+        crystal.validate_config(config)
+
+
 def test_xyz_reimport_reproduces_stoichiometry(models):
     lines = export_xyz(models["perovskite"], region=(2, 2, 2)).splitlines()
     assert lines[0] == "40"

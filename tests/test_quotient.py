@@ -1003,7 +1003,7 @@ def test_step_rows_are_built_once_per_longer_word(monkeypatch):
             longer = [w for w in sub.generator_words if len(w) > 1]
             assert built == [eval_word(w) for w in longer], name
     for letter, rows in isometry._STEPS.items():
-        assert quotient._word_steps((letter,), {}) is rows
+        assert quotient._word_steps((letter,)) is rows
 
 
 @pytest.mark.parametrize("word", ["QPQRQPQRP", "(SRQPQR)^2", "PQRS", "SSPQ"])
@@ -1030,6 +1030,53 @@ def test_certification_evaluates_only_its_witnesses(monkeypatch, group2):
             patch.setattr(quotient, "eval_word", counted)
             done = certify_translations(sub)
         assert evaluated == [w.word for w in done.translation_certificate], name
+
+
+def test_a_certified_copy_keeps_the_step_rows(monkeypatch, group4):
+    # the rows are a field of the group, so a dataclasses.replace copy
+    # carries them: certifying the copy builds none
+    sub = build_subgroup(group4, WORDS["eighth"])
+    built = []
+    step_rows = quotient._step_rows
+
+    def counted(g):
+        built.append(g)
+        return step_rows(g)
+
+    monkeypatch.setattr(quotient, "_step_rows", counted)
+    done = certify_translations(replace(sub))
+    assert done.certified and built == []
+    assert done._generator_steps == sub._generator_steps
+    assert len(sub._generator_steps) == len(sub.generator_words)
+
+
+@pytest.mark.parametrize("modulus", [2, 4])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_color_group_evaluates_no_word(monkeypatch, name, modulus):
+    # the seed reads H's word codes off the rows H keeps
+    coloring = preset(name, modulus).coloring
+    evaluated = []
+    evaluate = isometry._evaluate
+
+    def counted(letters, steps):
+        evaluated.append(tuple(letters))
+        return evaluate(evaluated[-1], steps)
+
+    monkeypatch.setattr(isometry, "_evaluate", counted)
+    color_group(coloring)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("modulus", range(2, MAX_MODULUS + 1, 2))
+def test_word_codes_are_the_codes_of_the_word_elements(modulus):
+    group = build_group(modulus)
+    assert group._word_codes.tolist() == [encode(GENERATORS[c], modulus) for c in "PQRS"]
+    for words in [*WORDS.values(), *(words for words, _ in SEARCH_CORPUS)]:
+        sub = build_subgroup(group, words)
+        expected = [encode(eval_word(w), modulus) for w in sub.generator_words]
+        assert sub._word_codes.tolist() == expected, words
+    colors = color_group(preset("nbo", modulus).coloring).subgroup
+    assert colors._generator_steps == () and colors._word_codes.shape == (0,)
 
 
 def isometry_certificate_search(words, targets):
@@ -1078,7 +1125,7 @@ def assert_searches_agree(words, modulus):
     words = tuple(map(parse_word, words))
     n = modulus
     targets = ((n, 0, 0), (0, n, 0), (0, 0, n))
-    basis, row_word = quotient._certificate_search(words, targets)
+    basis, row_word = quotient._certificate_search(words, tuple(map(quotient._word_steps, words)), targets)
     found, expected, row_words = isometry_certificate_search(words, targets)
     # the same rows, words, basis and coefficients: row_word spells each
     # row found, and there is no row past them
